@@ -359,7 +359,16 @@ fn run_trials(
                 topology.name(),
             )
         },
-        |_, &t| run(scenario, topology, shards, seed, trace && t == 0, profile && t == 0),
+        |_, &t| {
+            run(
+                scenario,
+                topology,
+                shards,
+                seed,
+                trace && t == 0,
+                profile && t == 0,
+            )
+        },
     );
     // Every trial (warm-up included) replays the same seeded scenario, so
     // digests and event counts must agree bit for bit; a disagreement is a

@@ -1,5 +1,5 @@
-//! Profiling-off regression gate: with `SPEEDLIGHT_OBS=off` (NoopSink)
-//! and no `--profile-out`, the full fig9 scenario must reproduce the
+//! Profiling-off regression gate: with tracing at its default
+//! (`TraceSink::Off`) and no `--profile-out`, the full fig9 scenario must reproduce the
 //! committed serial snapshot digest byte-for-byte and pass the
 //! `--check` regression gate against the committed baseline. This is
 //! the "no hot-path tax when disabled" contract: the profiler hooks
@@ -47,7 +47,6 @@ fn fig9_serial_digest_and_check_gate_with_profiling_disabled() {
         .arg(&metrics_out)
         .arg("--check")
         .arg(repo_file("BENCH_netsim.json"))
-        .env("SPEEDLIGHT_OBS", "off")
         .status()
         .expect("run bench_netsim");
     assert!(

@@ -113,29 +113,17 @@ fn interval_nanos(sc: &Scenario) -> u64 {
 /// only the fabric can provide: it sees headerless host packets the
 /// delivery log does not carry).
 pub fn run_fabric(sc: &Scenario) -> (SubstrateRun, Vec<Divergence>) {
-    let (run, divergences, _) = run_fabric_inner(sc, false, false);
-    (run, divergences)
-}
-
-/// [`run_fabric`] under the monolithic reference observer instead of the
-/// staged pipeline (differential equivalence testing — the two must be
-/// digest-identical on every scenario).
-pub fn run_fabric_reference(sc: &Scenario) -> (SubstrateRun, Vec<Divergence>) {
-    let (run, divergences, _) = run_fabric_inner(sc, false, true);
+    let (run, divergences, _) = run_fabric_inner(sc, false);
     (run, divergences)
 }
 
 /// [`run_fabric`] with the snapshot-lifecycle trace captured as JSONL
 /// lines (deterministic sim-time stamps, so golden-file comparable).
 pub fn run_fabric_traced(sc: &Scenario) -> (SubstrateRun, Vec<Divergence>, Vec<String>) {
-    run_fabric_inner(sc, true, false)
+    run_fabric_inner(sc, true)
 }
 
-fn run_fabric_inner(
-    sc: &Scenario,
-    trace: bool,
-    reference_observer: bool,
-) -> (SubstrateRun, Vec<Divergence>, Vec<String>) {
+fn run_fabric_inner(sc: &Scenario, trace: bool) -> (SubstrateRun, Vec<Divergence>, Vec<String>) {
     let lb = match sc.lb {
         Lb::Ecmp => LbKind::Ecmp,
         Lb::Flowlet => LbKind::Flowlet { gap_us: 50 },
@@ -183,9 +171,6 @@ fn run_fabric_inner(
             tb
         }
     };
-    if reference_observer {
-        tb.network_mut().use_reference_observer();
-    }
     tb.enable_delivery_log();
     tb.network_mut().enable_audit();
     if trace {
@@ -305,8 +290,8 @@ fn run_fabric_inner(
 /// [`run_fabric`] minus the omniscient conservation audit (the audit is a
 /// serial-engine instrument; the oracle's other checks still apply), so
 /// the output is directly digest-comparable across shard counts — the
-/// sharded engine's contract is byte-identical artifacts at any
-/// `SPEEDLIGHT_SHARDS`.
+/// sharded engine's contract is byte-identical artifacts at any shard
+/// count.
 pub fn run_fabric_sharded(sc: &Scenario, shards: usize) -> (SubstrateRun, Vec<String>) {
     let (run, trace, _, _) = run_fabric_sharded_full(sc, shards);
     (run, trace)
@@ -490,7 +475,6 @@ pub fn run_emulation(sc: &Scenario) -> SubstrateRun {
             .iter()
             .map(|f| (f.device, f.after_snapshots))
             .collect(),
-        reference_observer: false,
     })
     .run();
     let snapshots = report
@@ -544,36 +528,6 @@ pub fn run_matrix(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
         scenarios,
         |_, sc| format!("scenario `{}`", sc.spec()),
         |_, sc| run_scenario(sc),
-    )
-}
-
-/// [`run_scenario`] under the monolithic reference observer. The emulation
-/// arm is skipped: it is wall-clock (excluded from [`fabric_digest`]
-/// anyway), and reference runs exist solely so their deterministic arm can
-/// be digest-compared against the staged pipeline's.
-pub fn run_scenario_reference(sc: &Scenario) -> ScenarioOutcome {
-    sc.validate().expect("scenario must be valid");
-    let _seed_echo = SeedEcho::new("conformance::runner[reference]", sc.seed);
-
-    let expect = expectations(sc);
-    let (fabric, mut divergences) = run_fabric_reference(sc);
-    divergences.extend(check_run(&fabric, &expect));
-
-    ScenarioOutcome {
-        scenario: sc.clone(),
-        fabric,
-        emulation: None,
-        divergences,
-    }
-}
-
-/// [`run_matrix`] under the monolithic reference observer (see
-/// [`run_scenario_reference`]). Same fan-out and determinism contract.
-pub fn run_matrix_reference(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
-    parfan::map_labeled(
-        scenarios,
-        |_, sc| format!("scenario `{}`", sc.spec()),
-        |_, sc| run_scenario_reference(sc),
     )
 }
 

@@ -218,8 +218,14 @@ fn replay_from_env() {
 /// The emulation arms are forced off here — they are wall-clock substrates
 /// and excluded from the digest by design (see `fabric_digest`); the next
 /// test exercises them in parallel separately.
+///
+/// The digest is pinned to the value the monolithic reference `Observer`
+/// also produced over this matrix when the fabric could still run under
+/// it (CHANGES.md, ISSUE 12), so a change to what the fabric's observer
+/// emits fails here.
 #[test]
 fn matrix_parallel_matches_serial() {
+    const MATRIX_DIGEST: u64 = 0xfae5_95f6_7657_e89b;
     let scenarios: Vec<Scenario> = matrix::SCENARIOS
         .iter()
         .map(|&(_, s)| {
@@ -234,34 +240,10 @@ fn matrix_parallel_matches_serial() {
         serial, parallel,
         "parallel matrix digest {parallel:#018x} != serial {serial:#018x}"
     );
-}
-
-/// The staged pipeline observer (the default) is byte-identical to the
-/// monolithic reference observer across the whole conformance matrix: one
-/// reference run of every scenario digests equal to pipeline runs at
-/// `SPEEDLIGHT_JOBS` 1, 2, and 4. Emulation arms are forced off as in
-/// `matrix_parallel_matches_serial` — they are wall-clock and excluded
-/// from the digest by design.
-#[test]
-fn pipeline_observer_matches_reference_across_matrix() {
-    let scenarios: Vec<Scenario> = matrix::SCENARIOS
-        .iter()
-        .map(|&(_, s)| {
-            let mut s = sc(s);
-            s.emulate = false;
-            s
-        })
-        .collect();
-    let reference = parfan::with_jobs(2, || {
-        matrix_digest(&conformance::runner::run_matrix_reference(&scenarios))
-    });
-    for jobs in [1, 2, 4] {
-        let pipeline = parfan::with_jobs(jobs, || matrix_digest(&run_matrix(&scenarios)));
-        assert_eq!(
-            pipeline, reference,
-            "pipeline matrix digest {pipeline:#018x} at jobs={jobs} != reference {reference:#018x}"
-        );
-    }
+    assert_eq!(
+        serial, MATRIX_DIGEST,
+        "matrix digest {serial:#018x} != pinned {MATRIX_DIGEST:#018x}"
+    );
 }
 
 /// Misattribution regression at the conformance layer: a report whose

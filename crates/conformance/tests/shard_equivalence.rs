@@ -1,9 +1,9 @@
 //! The CI `shard-equivalence` surface: a representative matrix subset
 //! runs on the sharded fabric engine at 1, 2, and 4 shards, and the full
 //! artifact digest (snapshots + delivery log + golden trace) must be
-//! byte-identical at every shard count. `SPEEDLIGHT_SHARDS` never enters
-//! here — the shard count is an explicit simulation parameter, so one
-//! test process covers the whole axis deterministically.
+//! byte-identical at every shard count. The shard count is an explicit
+//! simulation parameter, so one test process covers the whole axis
+//! deterministically.
 
 use conformance::runner::{run_fabric_sharded, sharded_digest};
 use conformance::{matrix, Scenario};

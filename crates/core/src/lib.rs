@@ -52,6 +52,6 @@ pub mod unit;
 pub use control::{ControlPlane, Registers, Report, ReportValue};
 pub use id::{Epoch, WrappedId};
 pub use observer::{GlobalSnapshot, Observer, ObserverConfig, UnitOutcome};
-pub use pipeline::{AnyObserver, PipelineConfig, PipelineObserver, PipelineStats};
+pub use pipeline::{PipelineConfig, PipelineObserver, PipelineStats};
 pub use types::{ChannelId, Direction, Notification, PacketVerdict, UnitId};
 pub use unit::{DataPlaneUnit, UnitConfig};

@@ -54,14 +54,14 @@
 //! **Equivalence contract:** driven synchronously (offer + pump per
 //! report, as the fabric does), the pipeline is observably identical to
 //! the reference `Observer` — same returned snapshots, same trace events,
-//! same timing. The conformance suite pins this by running the full
-//! scenario matrix under both implementations and comparing digests at
-//! `SPEEDLIGHT_JOBS` 1/2/4; a proptest shuffles/duplicates/misattributes
-//! report streams against both. [`AnyObserver`] lets embedders switch.
+//! same timing. `tests/pipeline_equivalence.rs` shuffles, duplicates and
+//! misattributes report streams against both, and the conformance suite
+//! pins the digest of the full scenario matrix — a value the reference
+//! produced too.
 
 use crate::control::Report;
 use crate::id::Epoch;
-use crate::observer::{GlobalSnapshot, Observer, ObserverConfig, UnitOutcome};
+use crate::observer::{GlobalSnapshot, ObserverConfig, UnitOutcome};
 use crate::types::UnitId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -1093,195 +1093,6 @@ impl PipelineObserver {
     }
 }
 
-/// Either observer implementation behind one embedding-facing API. The
-/// fabric and the threaded emulation are generic over this so the
-/// conformance suite can run the same scenario under both and compare
-/// digests byte-for-byte.
-#[derive(Debug, Clone)]
-pub enum AnyObserver {
-    /// The monolithic reference implementation.
-    Reference(Observer),
-    /// The staged pipeline (boxed: its queues and stats make it an order
-    /// of magnitude larger than the reference variant).
-    Pipeline(Box<PipelineObserver>),
-}
-
-impl AnyObserver {
-    /// A reference observer.
-    pub fn reference(cfg: ObserverConfig) -> AnyObserver {
-        AnyObserver::Reference(Observer::new(cfg))
-    }
-
-    /// A pipeline observer with default queue capacities.
-    pub fn pipeline(cfg: PipelineConfig) -> AnyObserver {
-        AnyObserver::Pipeline(Box::new(PipelineObserver::new(cfg)))
-    }
-
-    /// True for the pipeline variant.
-    pub fn is_pipeline(&self) -> bool {
-        matches!(self, AnyObserver::Pipeline(_))
-    }
-
-    /// Register a device and its expected units.
-    pub fn register_device(&mut self, device: u16, units: Vec<UnitId>) {
-        match self {
-            AnyObserver::Reference(o) => o.register_device(device, units),
-            AnyObserver::Pipeline(p) => p.register_device(device, units),
-        }
-    }
-
-    /// Remove a device (failure handling): it stops being expected in
-    /// future epochs; in-flight epochs still list it as lagging until
-    /// forced finalization excludes it.
-    pub fn detach_device(&mut self, device: u16) {
-        match self {
-            AnyObserver::Reference(o) => o.detach_device(device),
-            AnyObserver::Pipeline(p) => p.detach_device(device),
-        }
-    }
-
-    /// Registered device IDs.
-    pub fn device_ids(&self) -> Vec<u16> {
-        match self {
-            AnyObserver::Reference(o) => o.device_ids().collect(),
-            AnyObserver::Pipeline(p) => p.device_ids().collect(),
-        }
-    }
-
-    /// Epochs issued but not yet finalized.
-    pub fn outstanding(&self) -> usize {
-        match self {
-            AnyObserver::Reference(o) => o.outstanding(),
-            AnyObserver::Pipeline(p) => p.outstanding(),
-        }
-    }
-
-    /// Epochs currently pending, oldest first.
-    pub fn pending_epochs(&self) -> Vec<Epoch> {
-        match self {
-            AnyObserver::Reference(o) => o.pending_epochs().collect(),
-            AnyObserver::Pipeline(p) => p.pending_epochs().collect(),
-        }
-    }
-
-    /// Number of snapshots finalized so far.
-    pub fn finalized_count(&self) -> u64 {
-        match self {
-            AnyObserver::Reference(o) => o.finalized_count(),
-            AnyObserver::Pipeline(p) => p.finalized_count(),
-        }
-    }
-
-    /// Reports rejected for misattribution.
-    pub fn misattributed_count(&self) -> u64 {
-        match self {
-            AnyObserver::Reference(o) => o.misattributed_count(),
-            AnyObserver::Pipeline(p) => p.misattributed_count(),
-        }
-    }
-
-    /// Issue the next snapshot epoch.
-    pub fn begin_snapshot(&mut self) -> Option<Epoch> {
-        self.begin_snapshot_traced(&mut obs::NoopSink, 0)
-    }
-
-    /// [`AnyObserver::begin_snapshot`] with trace emission.
-    pub fn begin_snapshot_traced<S: obs::Sink>(
-        &mut self,
-        sink: &mut S,
-        t_ns: u64,
-    ) -> Option<Epoch> {
-        match self {
-            AnyObserver::Reference(o) => o.begin_snapshot_traced(sink, t_ns),
-            AnyObserver::Pipeline(p) => p.begin_snapshot_traced(sink, t_ns),
-        }
-    }
-
-    /// Deliver one control-plane report.
-    pub fn on_report(&mut self, device: u16, report: Report) -> Option<GlobalSnapshot> {
-        self.on_report_traced(device, report, &mut obs::NoopSink, 0)
-    }
-
-    /// [`AnyObserver::on_report`] with trace emission.
-    pub fn on_report_traced<S: obs::Sink>(
-        &mut self,
-        device: u16,
-        report: Report,
-        sink: &mut S,
-        t_ns: u64,
-    ) -> Option<GlobalSnapshot> {
-        match self {
-            AnyObserver::Reference(o) => o.on_report_traced(device, report, sink, t_ns),
-            AnyObserver::Pipeline(p) => p.on_report_traced(device, report, sink, t_ns),
-        }
-    }
-
-    /// Units still missing for `epoch`.
-    pub fn missing_units(&self, epoch: Epoch) -> Vec<UnitId> {
-        match self {
-            AnyObserver::Reference(o) => o.missing_units(epoch),
-            AnyObserver::Pipeline(p) => p.missing_units(epoch),
-        }
-    }
-
-    /// Devices with at least one missing unit for `epoch`.
-    pub fn lagging_devices(&self, epoch: Epoch) -> BTreeSet<u16> {
-        match self {
-            AnyObserver::Reference(o) => o.lagging_devices(epoch),
-            AnyObserver::Pipeline(p) => p.lagging_devices(epoch),
-        }
-    }
-
-    /// Timeout path: exclude lagging devices and finalize.
-    pub fn force_finalize(&mut self, epoch: Epoch) -> Option<GlobalSnapshot> {
-        self.force_finalize_traced(epoch, &mut obs::NoopSink, 0)
-    }
-
-    /// [`AnyObserver::force_finalize`] with trace emission.
-    pub fn force_finalize_traced<S: obs::Sink>(
-        &mut self,
-        epoch: Epoch,
-        sink: &mut S,
-        t_ns: u64,
-    ) -> Option<GlobalSnapshot> {
-        match self {
-            AnyObserver::Reference(o) => o.force_finalize_traced(epoch, sink, t_ns),
-            AnyObserver::Pipeline(p) => p.force_finalize_traced(epoch, sink, t_ns),
-        }
-    }
-
-    /// Backpressure signal: `true` when the pipeline's collect queue is
-    /// full. The reference observer never backpressures.
-    pub fn backpressured(&self) -> bool {
-        match self {
-            AnyObserver::Reference(_) => false,
-            AnyObserver::Pipeline(p) => p.backpressured(),
-        }
-    }
-
-    /// Run pipeline stages to quiescence (no-op for the reference).
-    pub fn pump_traced<S: obs::Sink>(&mut self, sink: &mut S, t_ns: u64) {
-        if let AnyObserver::Pipeline(p) = self {
-            p.pump_traced(sink, t_ns);
-        }
-    }
-
-    /// Pipeline stats when running the pipeline variant.
-    pub fn pipeline_stats(&self) -> Option<&PipelineStats> {
-        match self {
-            AnyObserver::Reference(_) => None,
-            AnyObserver::Pipeline(p) => Some(p.stats()),
-        }
-    }
-
-    /// Fold implementation-specific metrics into a registry.
-    pub fn fold_metrics(&self, m: &mut obs::metrics::Metrics) {
-        if let AnyObserver::Pipeline(p) = self {
-            p.fold_metrics(m);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1536,26 +1347,5 @@ mod tests {
         let mut p = two_device_pipeline();
         p.next_epoch = u64::MAX;
         p.begin_snapshot();
-    }
-
-    #[test]
-    fn any_observer_delegates_to_both_variants() {
-        for mut any in [
-            AnyObserver::reference(ObserverConfig::for_modulus(8)),
-            AnyObserver::pipeline(PipelineConfig::for_modulus(8)),
-        ] {
-            any.register_device(0, vec![UnitId::ingress(0, 0)]);
-            assert_eq!(any.device_ids(), vec![0]);
-            let epoch = any.begin_snapshot().unwrap();
-            assert_eq!(any.pending_epochs(), vec![epoch]);
-            assert_eq!(any.outstanding(), 1);
-            assert_eq!(any.lagging_devices(epoch), BTreeSet::from([0]));
-            let snap = any
-                .on_report(0, report(UnitId::ingress(0, 0), epoch, 3))
-                .unwrap();
-            assert_eq!(snap.epoch, epoch);
-            assert_eq!(any.finalized_count(), 1);
-            assert!(!any.backpressured());
-        }
     }
 }

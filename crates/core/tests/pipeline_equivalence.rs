@@ -13,6 +13,7 @@ use speedlight_core::control::{Report, ReportValue};
 use speedlight_core::observer::{GlobalSnapshot, Observer, ObserverConfig};
 use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
 use speedlight_core::{Epoch, UnitId};
+use std::collections::BTreeSet;
 
 const MODULUS: u16 = 8;
 
@@ -80,6 +81,9 @@ fn report_for(unit: UnitId, epoch: Epoch) -> Report {
 struct RunResult {
     epochs: Vec<Option<Epoch>>,
     completed: Vec<Option<GlobalSnapshot>>,
+    /// What the fabric's retry path reads: `(epoch, lagging devices,
+    /// missing units)` of every pending epoch, taken before each force.
+    retry_view: Vec<(Epoch, BTreeSet<u16>, Vec<UnitId>)>,
     forced: Vec<GlobalSnapshot>,
     misattributed: u64,
     finalized: u64,
@@ -91,6 +95,8 @@ trait ObsApi {
     fn begin(&mut self) -> Option<Epoch>;
     fn report(&mut self, device: u16, r: Report) -> Option<GlobalSnapshot>;
     fn pending(&self) -> Vec<Epoch>;
+    fn lagging(&self, epoch: Epoch) -> BTreeSet<u16>;
+    fn missing(&self, epoch: Epoch) -> Vec<UnitId>;
     fn force(&mut self, epoch: Epoch) -> Option<GlobalSnapshot>;
     /// `(misattributed, finalized)`.
     fn counts(&self) -> (u64, u64);
@@ -105,6 +111,12 @@ impl ObsApi for Observer {
     }
     fn pending(&self) -> Vec<Epoch> {
         self.pending_epochs().collect()
+    }
+    fn lagging(&self, epoch: Epoch) -> BTreeSet<u16> {
+        self.lagging_devices(epoch)
+    }
+    fn missing(&self, epoch: Epoch) -> Vec<UnitId> {
+        self.missing_units(epoch)
     }
     fn force(&mut self, epoch: Epoch) -> Option<GlobalSnapshot> {
         self.force_finalize(epoch)
@@ -123,6 +135,12 @@ impl ObsApi for PipelineObserver {
     }
     fn pending(&self) -> Vec<Epoch> {
         self.pending_epochs().collect()
+    }
+    fn lagging(&self, epoch: Epoch) -> BTreeSet<u16> {
+        self.lagging_devices(epoch)
+    }
+    fn missing(&self, epoch: Epoch) -> Vec<UnitId> {
+        self.missing_units(epoch)
     }
     fn force(&mut self, epoch: Epoch) -> Option<GlobalSnapshot> {
         self.force_finalize(epoch)
@@ -163,14 +181,19 @@ fn drive(fleet: &Fleet, obs: &mut dyn ObsApi) -> RunResult {
         completed.push(obs.report(from, r));
     }
     // Timeout path: force-finalize whatever is still pending, in order.
+    let mut retry_view = Vec::new();
     let mut forced = Vec::new();
     for epoch in obs.pending() {
+        for p in obs.pending() {
+            retry_view.push((p, obs.lagging(p), obs.missing(p)));
+        }
         forced.extend(obs.force(epoch));
     }
     let (misattributed, finalized) = obs.counts();
     RunResult {
         epochs,
         completed,
+        retry_view,
         forced,
         misattributed,
         finalized,

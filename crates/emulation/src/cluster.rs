@@ -10,8 +10,8 @@ use crate::device::{Device, DeviceConfig, PortTarget};
 use crate::messages::{DeviceMsg, Frame, ObserverMsg};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use speedlight_core::consistency::DeliveryEvent;
-use speedlight_core::observer::{GlobalSnapshot, ObserverConfig};
-use speedlight_core::pipeline::{AnyObserver, PipelineConfig};
+use speedlight_core::observer::GlobalSnapshot;
+use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
 use speedlight_core::Epoch;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,9 +42,6 @@ pub struct ClusterConfig {
     /// Fault schedule: `(device, k)` disables snapshot participation on
     /// `device` just before the `k`-th snapshot (0-based) is scheduled.
     pub fail_devices: Vec<(u16, usize)>,
-    /// Run the monolithic reference observer instead of the staged
-    /// pipeline (differential testing against the fabric's default).
-    pub reference_observer: bool,
 }
 
 impl Default for ClusterConfig {
@@ -59,7 +56,6 @@ impl Default for ClusterConfig {
             timeout: WallDuration::from_millis(500),
             record_deliveries: false,
             fail_devices: Vec::new(),
-            reference_observer: false,
         }
     }
 }
@@ -107,11 +103,7 @@ impl Cluster {
         let (obs_tx, obs_rx) = unbounded::<ObserverMsg>();
 
         // Build device configs for the line: port 0 = left, port 1 = right.
-        let mut observer = if cfg.reference_observer {
-            AnyObserver::reference(ObserverConfig::for_modulus(cfg.modulus))
-        } else {
-            AnyObserver::pipeline(PipelineConfig::for_modulus(cfg.modulus))
-        };
+        let mut observer = PipelineObserver::new(PipelineConfig::for_modulus(cfg.modulus));
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
         for d in 0..n {
             let left = if d == 0 {
@@ -238,7 +230,7 @@ impl Cluster {
                     Err(_) => {}
                 }
             }
-            if observer.pending_epochs().contains(&epoch) {
+            if observer.pending_epochs().any(|e| e == epoch) {
                 if let Some(snap) = observer.force_finalize(epoch) {
                     forced_epochs.push(snap.epoch);
                     snapshots.push(snap);

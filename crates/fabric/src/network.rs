@@ -12,8 +12,8 @@ use netsim::sim::{Scheduler, World};
 use netsim::time::{Duration, Instant};
 use speedlight_core::consistency::{ConservationChecker, Delivery, DeliveryEvent};
 use speedlight_core::control::Report;
-use speedlight_core::observer::{GlobalSnapshot, ObserverConfig};
-use speedlight_core::pipeline::{AnyObserver, PipelineConfig};
+use speedlight_core::observer::GlobalSnapshot;
+use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
 use speedlight_core::types::{ChannelId, Direction, Notification, UnitId, CPU_CHANNEL};
 use speedlight_core::{Epoch, WrappedId};
 use std::collections::BTreeMap;
@@ -378,9 +378,8 @@ pub struct Network {
     /// The switches.
     pub switches: Vec<Switch>,
     hosts: Vec<Host>,
-    /// The snapshot observer (staged pipeline by default; the monolithic
-    /// reference via [`Network::use_reference_observer`]).
-    pub observer: AnyObserver,
+    /// The snapshot observer.
+    pub observer: PipelineObserver,
     latency: LatencyModel,
     driver: DriverConfig,
     snapshot_cfg: SnapshotConfig,
@@ -497,7 +496,7 @@ impl Network {
                 considered_pair,
             ));
         }
-        let mut observer = AnyObserver::pipeline(PipelineConfig::for_modulus(snapshot_cfg.modulus));
+        let mut observer = PipelineObserver::new(PipelineConfig::for_modulus(snapshot_cfg.modulus));
         for sw in &switches {
             observer.register_device(sw.id, sw.unit_ids());
         }
@@ -597,22 +596,6 @@ impl Network {
     /// Install a PTP degradation schedule (adversarial scenarios).
     pub fn set_ptp_degradation(&mut self, deg: timesync::PtpDegradation) {
         self.ptp_deg = deg;
-    }
-
-    /// Swap in the monolithic reference observer (differential testing).
-    /// Must be called before any snapshot is initiated.
-    pub fn use_reference_observer(&mut self) {
-        assert_eq!(
-            self.observer.finalized_count() + self.observer.outstanding() as u64,
-            0,
-            "observer implementation must be chosen before the first snapshot"
-        );
-        let mut observer =
-            AnyObserver::reference(ObserverConfig::for_modulus(self.snapshot_cfg.modulus));
-        for sw in &self.switches {
-            observer.register_device(sw.id, sw.unit_ids());
-        }
-        self.observer = observer;
     }
 
     /// Install a notification-export fault on `sw` (adversarial scenarios).
@@ -770,8 +753,8 @@ impl Network {
     }
 
     /// Render this replica's profile: per-domain accounting plus the
-    /// observer-pipeline section when the staged pipeline ran. Consumes
-    /// the profiler (the accounting is a whole-run artifact).
+    /// observer-pipeline section. Consumes the profiler (the accounting
+    /// is a whole-run artifact).
     ///
     /// # Panics
     /// If profiling was never enabled.
@@ -780,7 +763,7 @@ impl Network {
             panic!("take_profile called but profiling was never enabled");
         };
         prof.core.close_boundary();
-        let pipeline = self.observer.pipeline_stats().map(|s| s.profile_section());
+        let pipeline = self.observer.stats().profile_section();
         crate::shard::profile_of(&prof.table, &prof.core, pipeline)
     }
 
@@ -1587,7 +1570,7 @@ impl Network {
                     let target = now + self.driver.lead_time;
                     self.issued.insert(epoch, now);
                     self.last_issued_epoch = self.last_issued_epoch.max(epoch);
-                    let devices: Vec<u16> = self.observer.device_ids();
+                    let devices: Vec<u16> = self.observer.device_ids().collect();
                     self.fan_out_initiations(epoch, target, &devices, sched, now);
                 }
                 if let Some(period) = self.driver.snapshot_period {
@@ -1898,12 +1881,12 @@ impl Network {
 
             NetEvent::ObserverTick => {
                 // Maintenance begins by pumping the pipeline stages to
-                // quiescence (a no-op for the synchronous embedding and
-                // the reference observer) so timeout decisions below are
-                // made against fully-folded state.
+                // quiescence (a no-op for the synchronous embedding) so
+                // timeout decisions below are made against fully-folded
+                // state.
                 self.observer
                     .pump_traced(&mut self.instr.trace, now.as_nanos());
-                let pending: Vec<Epoch> = self.observer.pending_epochs();
+                let pending: Vec<Epoch> = self.observer.pending_epochs().collect();
                 // Initiations are cumulative (an initiation for epoch E
                 // advances a unit past every epoch < E), so re-initiating
                 // only the *newest* overdue epoch suffices for liveness —
@@ -2041,7 +2024,7 @@ impl Network {
 
             NetEvent::KeepaliveTick => {
                 if self.snapshot_cfg.channel_state {
-                    let oldest_pending = self.observer.pending_epochs().into_iter().next();
+                    let oldest_pending = self.observer.pending_epochs().next();
                     if let Some(oldest) = oldest_pending {
                         let stale = self
                             .issued

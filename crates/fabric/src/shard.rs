@@ -9,7 +9,7 @@
 //! and static state agree everywhere) but only ever processes events for
 //! the domains it owns; all other state in the replica stays inert.
 //!
-//! Determinism contract (`SPEEDLIGHT_SHARDS`-invariance): a domain's
+//! Determinism contract (shard-count invariance): a domain's
 //! event stream, RNG draws, packet ids, and emitted follow-ups are
 //! functions of the domain alone, never of how domains are packed onto
 //! shards. Three mechanisms enforce this:
@@ -34,7 +34,7 @@
 //! (see [`ShardedTestbed`]): sums for disjoint counters, min/max/sum for
 //! the sync map, canonical sorts for traces, polls, and the delivery
 //! log. The merges are applied at *every* shard count — including 1 — so
-//! `SPEEDLIGHT_SHARDS=1,2,4,8` produce byte-identical artifacts.
+//! shard counts 1, 2, 4 and 8 produce byte-identical artifacts.
 //!
 //! The sharded engine is a second execution mode, not a replacement: the
 //! serial [`crate::testbed::Testbed`] is untouched and remains the
@@ -255,7 +255,7 @@ pub fn lookahead_of(topo: &Topology) -> Duration {
 pub(crate) fn profile_of(
     table: &DomainTable,
     core: &obs::profile::DomainProfiler,
-    pipeline: Option<obs::profile::PipelineSection>,
+    pipeline: obs::profile::PipelineSection,
 ) -> obs::profile::Profile {
     assert_eq!(
         core.domains(),
@@ -282,7 +282,7 @@ pub(crate) fn profile_of(
         lookahead_ns: core.lookahead_ns(),
         windows: core.windows(),
         domains,
-        pipeline,
+        pipeline: Some(pipeline),
     }
 }
 
@@ -424,9 +424,6 @@ impl ShardedTestbed {
                     cfg.queue_capacity_bytes,
                     cfg.seed,
                 );
-                if cfg.reference_observer {
-                    net.use_reference_observer();
-                }
                 net.enable_sharded_mode(lookahead, table.count());
                 NetShard {
                     net,
@@ -590,18 +587,6 @@ impl ShardedTestbed {
             .set_trace(obs::sinks::TraceSink::jsonl(), t);
         for i in 1..self.sim.num_shards() {
             self.sim.world_mut(i).net.instr.trace = obs::sinks::TraceSink::jsonl();
-        }
-    }
-
-    /// Apply the `SPEEDLIGHT_OBS` environment selection; a no-op when
-    /// unset or `off` (mirrors `Testbed::apply_obs_env`, jsonl only — a
-    /// ring sink's eviction would break the deterministic merge).
-    pub fn apply_obs_env(&mut self) {
-        if matches!(
-            obs::sinks::TraceSink::from_env(),
-            obs::sinks::TraceSink::Jsonl(_)
-        ) {
-            self.enable_trace();
         }
     }
 
@@ -779,13 +764,7 @@ impl ShardedTestbed {
             };
             merged.core.merge_from(&other.core);
         }
-        let pipeline = self
-            .sim
-            .world_mut(0)
-            .net
-            .observer
-            .pipeline_stats()
-            .map(|s| s.profile_section());
+        let pipeline = self.sim.world_mut(0).net.observer.stats().profile_section();
         profile_of(&merged.table, &merged.core, pipeline)
     }
 }

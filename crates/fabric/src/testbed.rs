@@ -33,9 +33,6 @@ pub struct TestbedConfig {
     pub queue_capacity_bytes: u64,
     /// Master seed (all randomness derives from it).
     pub seed: u64,
-    /// Run the monolithic reference observer instead of the staged
-    /// pipeline (differential/equivalence testing).
-    pub reference_observer: bool,
 }
 
 impl TestbedConfig {
@@ -49,7 +46,6 @@ impl TestbedConfig {
             driver: DriverConfig::default(),
             queue_capacity_bytes: 300_000, // ~200 MTU packets
             seed: 0xC0FFEE,
-            reference_observer: false,
         }
     }
 }
@@ -65,7 +61,7 @@ pub struct Testbed {
 impl Testbed {
     /// Build a testbed over `topo` and start the driver loops.
     pub fn new(topo: Topology, cfg: TestbedConfig) -> Testbed {
-        let mut network = Network::new(
+        let network = Network::new(
             topo,
             cfg.snapshot,
             cfg.lb,
@@ -74,9 +70,6 @@ impl Testbed {
             cfg.queue_capacity_bytes,
             cfg.seed,
         );
-        if cfg.reference_observer {
-            network.use_reference_observer();
-        }
         let mut sim = Simulation::new(network);
         sim.schedule_at(Instant::ZERO, NetEvent::ObserverTick);
         if cfg.driver.keepalive_period.is_some() {
@@ -232,21 +225,6 @@ impl Testbed {
         self.sim
             .world_mut()
             .set_trace(obs::sinks::TraceSink::jsonl(), t);
-    }
-
-    /// Install an explicit trace sink (ring / jsonl / off).
-    pub fn set_trace(&mut self, sink: obs::sinks::TraceSink) {
-        let t = self.sim.now().as_nanos();
-        self.sim.world_mut().set_trace(sink, t);
-    }
-
-    /// Apply the `SPEEDLIGHT_OBS` environment selection (`off`/`ring`/
-    /// `jsonl`); a no-op when unset or `off`.
-    pub fn apply_obs_env(&mut self) {
-        let sink = obs::sinks::TraceSink::from_env();
-        if !sink.is_off() {
-            self.set_trace(sink);
-        }
     }
 
     /// Buffered trace lines (empty when tracing is off).

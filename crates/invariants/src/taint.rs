@@ -64,13 +64,8 @@ pub const DISPATCH_ROOTS: &[(&str, &str)] = &[
 /// Sanctioned configuration points: the only functions allowed to read
 /// the process environment. Everything is funneled through these so a
 /// run's inputs are enumerable (and loggable) in one place.
-pub const SANCTIONED_ENV_FNS: &[(&str, &str)] = &[
-    ("conformance", "artifact_dir"),
-    ("obs", "from_env"),
-    ("parfan", "log_stats"),
-    ("parfan", "resolved_jobs"),
-    ("parfan", "resolved_shards"),
-];
+pub const SANCTIONED_ENV_FNS: &[(&str, &str)] =
+    &[("conformance", "artifact_dir"), ("parfan", "resolved_jobs")];
 
 /// A reachability region with parent pointers for chain reconstruction.
 pub struct Region {

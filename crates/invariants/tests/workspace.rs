@@ -56,6 +56,33 @@ fn baseline_only_carries_panic_path_burn_down() {
 }
 
 #[test]
+fn every_sanctioned_env_fn_exists_and_reads_the_environment() {
+    // A sanction must point at something: a funnel that was renamed or
+    // deleted must take its exemption with it, and one that stopped
+    // reading the environment no longer needs it.
+    let files = invariants::workspace_files(&invariants::workspace_root());
+    let fns: Vec<_> = files
+        .iter()
+        .flat_map(|f| invariants::items::parse_items(f).fns)
+        .filter(|f| !f.is_test)
+        .collect();
+    for &(krate, name) in invariants::taint::SANCTIONED_ENV_FNS {
+        let reads_env = fns.iter().any(|f| {
+            f.crate_name == krate
+                && f.name == name
+                && f.sources
+                    .iter()
+                    .any(|s| s.kind == invariants::items::SourceKind::EnvRead)
+        });
+        assert!(
+            reads_env,
+            "SANCTIONED_ENV_FNS names `{krate}::{name}`, but the workspace has no \
+             such function with an env read in its body — drop the sanction"
+        );
+    }
+}
+
+#[test]
 fn rules_are_documented_and_named_consistently() {
     // Every rule must have a non-empty name and description, and names
     // must be unique — `allow(...)` directives address rules by name.

@@ -41,7 +41,7 @@
 //!
 //! every domain observes the same events in the same order at every shard
 //! count, so all state evolution — and every digest, trace, and metric
-//! derived from it — is byte-identical at `SPEEDLIGHT_SHARDS = 1, 2, 4, 8`.
+//! derived from it — is byte-identical at shard counts 1, 2, 4 and 8.
 //!
 //! # Workers
 //!

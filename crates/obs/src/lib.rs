@@ -44,13 +44,6 @@ pub mod metrics;
 pub mod profile;
 pub mod sinks;
 
-/// Environment variable selecting the default trace sink
-/// (`off` | `ring` | `jsonl`).
-pub const OBS_ENV: &str = "SPEEDLIGHT_OBS";
-
-/// Environment variable naming the JSONL trace output path.
-pub const TRACE_ENV: &str = "SPEEDLIGHT_TRACE";
-
 /// Schema tag carried by the `trace.meta` header event of every trace.
 pub const TRACE_SCHEMA: &str = "speedlight-trace/v1";
 

@@ -547,7 +547,7 @@ mod tests {
         assert_eq!(p.digest_hex(), digest);
         // The digest covers everything before it.
         let body_end = a.rfind(",\n  \"digest\"").unwrap();
-        assert_eq!(digest, format!("{:016x}", fnv64(a[..body_end].as_bytes())));
+        assert_eq!(digest, format!("{:016x}", fnv64(&a.as_bytes()[..body_end])));
     }
 
     #[test]

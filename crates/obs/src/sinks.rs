@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 
-use crate::{Event, Sink, OBS_ENV};
+use crate::{Event, Sink};
 
 /// A bounded in-memory ring of recent events: cheap always-on flight
 /// recorder. When full, the oldest event is dropped and counted.
@@ -44,12 +44,6 @@ impl RingSink {
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-}
-
-impl Default for RingSink {
-    fn default() -> RingSink {
-        RingSink::new(4096)
     }
 }
 
@@ -185,7 +179,7 @@ pub fn stderr_line(line: &str) {
 }
 
 /// A sink that renders each event straight to stderr as JSONL. Useful for
-/// ad-hoc debugging (`SPEEDLIGHT_OBS` has no mode for it on purpose — it
+/// ad-hoc debugging (no [`TraceSink`] variant wraps it on purpose — it
 /// is not a deterministic output surface).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StderrSink;
@@ -197,16 +191,14 @@ impl Sink for StderrSink {
 }
 
 /// Runtime-selected trace sink: the concrete type the fabric embeds so a
-/// single simulation build serves `off`, `ring`, and `jsonl` without
-/// generics leaking into `Network`. `Off` keeps `enabled()` false, so the
-/// `event!` guard skips event construction entirely.
+/// single simulation build serves `off` and `jsonl` without generics
+/// leaking into `Network`. `Off` keeps `enabled()` false, so the `event!`
+/// guard skips event construction entirely.
 #[derive(Debug, Clone, Default)]
 pub enum TraceSink {
     /// Tracing disabled (the default; near-zero cost).
     #[default]
     Off,
-    /// Bounded in-memory ring of recent events.
-    Ring(RingSink),
     /// Unbounded JSONL line buffer.
     Jsonl(JsonlSink),
 }
@@ -217,33 +209,10 @@ impl TraceSink {
         TraceSink::Jsonl(JsonlSink::new())
     }
 
-    /// A fresh default-capacity ring sink.
-    pub fn ring() -> TraceSink {
-        TraceSink::Ring(RingSink::default())
-    }
-
-    /// Resolve from the `SPEEDLIGHT_OBS` environment variable:
-    /// `ring` / `jsonl` select a sink, anything else (including unset)
-    /// is `Off`.
-    pub fn from_env() -> TraceSink {
-        match std::env::var(OBS_ENV).as_deref() {
-            Ok("ring") => TraceSink::ring(),
-            Ok("jsonl") => TraceSink::jsonl(),
-            _ => TraceSink::Off,
-        }
-    }
-
-    /// True when tracing is disabled.
-    pub fn is_off(&self) -> bool {
-        matches!(self, TraceSink::Off)
-    }
-
-    /// Buffered JSONL lines (empty for `Off`; ring events are rendered
-    /// on demand).
+    /// Buffered JSONL lines (empty for `Off`).
     pub fn lines(&self) -> Vec<String> {
         match self {
             TraceSink::Off => Vec::new(),
-            TraceSink::Ring(r) => r.events().map(Event::to_jsonl).collect(),
             TraceSink::Jsonl(j) => j.lines().to_vec(),
         }
     }
@@ -252,11 +221,6 @@ impl TraceSink {
     pub fn take_lines(&mut self) -> Vec<String> {
         match self {
             TraceSink::Off => Vec::new(),
-            TraceSink::Ring(r) => {
-                let lines = r.events().map(Event::to_jsonl).collect();
-                r.events.clear();
-                lines
-            }
             TraceSink::Jsonl(j) => j.take_lines(),
         }
     }
@@ -271,7 +235,6 @@ impl Sink for TraceSink {
     fn record(&mut self, ev: Event) {
         match self {
             TraceSink::Off => {}
-            TraceSink::Ring(r) => r.record(ev),
             TraceSink::Jsonl(j) => j.record(ev),
         }
     }
@@ -344,20 +307,18 @@ mod tests {
     fn trace_sink_off_is_disabled_and_empty() {
         let mut off = TraceSink::Off;
         assert!(!Sink::enabled(&off));
-        assert!(off.is_off());
         event!(&mut off, 1, "never");
         assert!(off.lines().is_empty());
         assert!(off.take_lines().is_empty());
     }
 
     #[test]
-    fn trace_sink_variants_record_and_drain() {
-        for mut sink in [TraceSink::ring(), TraceSink::jsonl()] {
-            assert!(Sink::enabled(&sink));
-            event!(&mut sink, 7, "x", v = 1u64);
-            assert_eq!(sink.lines(), [r#"{"t":7,"ev":"x","v":1}"#]);
-            assert_eq!(sink.take_lines().len(), 1);
-            assert!(sink.lines().is_empty());
-        }
+    fn trace_sink_jsonl_records_and_drains() {
+        let mut sink = TraceSink::jsonl();
+        assert!(Sink::enabled(&sink));
+        event!(&mut sink, 7, "x", v = 1u64);
+        assert_eq!(sink.lines(), [r#"{"t":7,"ev":"x","v":1}"#]);
+        assert_eq!(sink.take_lines().len(), 1);
+        assert!(sink.lines().is_empty());
     }
 }

@@ -31,12 +31,9 @@
 //! Workers claim fixed-size chunks of the index space from a shared atomic
 //! cursor — work-stealing granularity without any ordering consequence.
 //!
-//! Per-job wall-clock telemetry ([`RunStats`], or `SPEEDLIGHT_PARFAN_LOG=1`
-//! for stderr lines) is first-class so speedups are measured, not asserted —
-//! but it is *opt-in*: only the stats-returning entry points ([`map_stats`],
-//! [`map_cfg`]) sample the wall clock. The deterministic entry points
-//! ([`map`], [`map_labeled`]) never touch it, so the conformance and sweep
-//! paths that feed digests are clock-free end to end.
+//! No entry point reads the wall clock, so the conformance and sweep
+//! paths that feed digests are clock-free end to end; speedups are
+//! measured from outside, by `crates/bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,27 +45,9 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Environment variable overriding the worker count (`1` forces the
-/// strictly serial path).
-pub const JOBS_ENV: &str = "SPEEDLIGHT_JOBS";
-
-/// Environment variable enabling per-job telemetry lines on stderr.
-/// Effective only on the timed entry points ([`map_stats`], [`map_cfg`]);
-/// the deterministic entry points have nothing to report.
-pub const LOG_ENV: &str = "SPEEDLIGHT_PARFAN_LOG";
-
-/// Environment variable selecting the shard count for sharded simulation
-/// runs (`netsim::shard`). Orthogonal to [`JOBS_ENV`]: shards partition
-/// *one* simulation's state (and fix its event-ordering semantics, which
-/// are byte-identical at any count), while jobs set how many OS threads
-/// execute — whether across fan-out jobs or across shard windows.
-pub const SHARDS_ENV: &str = "SPEEDLIGHT_SHARDS";
 
 thread_local! {
     static JOBS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static SHARDS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Fan-out configuration. `Default` resolves the worker count via
@@ -91,25 +70,6 @@ impl Default for Config {
     }
 }
 
-/// Wall-clock telemetry for one fan-out.
-#[derive(Debug, Clone)]
-pub struct RunStats {
-    /// Worker threads actually used.
-    pub jobs: usize,
-    /// End-to-end wall clock of the whole fan-out.
-    pub wall: Duration,
-    /// Per-job wall clock, in input order.
-    pub per_job: Vec<Duration>,
-}
-
-impl RunStats {
-    /// Sum of per-job wall clocks — the serial-equivalent work. The ratio
-    /// `work() / wall` is the measured parallel speedup.
-    pub fn work(&self) -> Duration {
-        self.per_job.iter().sum()
-    }
-}
-
 /// Parse a `SPEEDLIGHT_JOBS`-style value. Accepts a positive integer;
 /// anything else (empty, zero, garbage) falls back to `fallback` so a
 /// typo'd environment can never wedge a run at zero workers.
@@ -126,31 +86,6 @@ pub fn parse_jobs(raw: Option<&str>, fallback: usize) -> usize {
 /// A captured worker panic: job index, human-readable label, raw payload.
 type CapturedPanic = (usize, String, Box<dyn Any + Send>);
 
-/// Whether a fan-out samples the wall clock. The deterministic entry
-/// points ([`map`], [`map_labeled`]) run with `Off` — no clock read
-/// anywhere on their path — while the telemetry entry points
-/// ([`map_stats`], [`map_cfg`]) opt in with `Wall`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Timing {
-    Off,
-    Wall,
-}
-
-impl Timing {
-    fn probe(self) -> Option<Instant> {
-        match self {
-            Timing::Off => None,
-            // invariants: allow(taint-wall-clock) — telemetry only: probes feed RunStats, which never flows into results or digests, and the deterministic entry points pass Timing::Off
-            Timing::Wall => Some(Instant::now()),
-        }
-    }
-}
-
-/// Duration since a probe, or zero when timing is off.
-fn since(probe: Option<Instant>) -> Duration {
-    probe.map(|p| p.elapsed()).unwrap_or(Duration::ZERO)
-}
-
 fn hardware_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -158,13 +93,14 @@ fn hardware_jobs() -> usize {
 }
 
 /// The worker count fan-outs use by default: the innermost [`with_jobs`]
-/// override if any, else `SPEEDLIGHT_JOBS`, else the machine's available
+/// override if any, else the `SPEEDLIGHT_JOBS` environment variable (`1`
+/// forces the strictly serial path), else the machine's available
 /// parallelism.
 pub fn resolved_jobs() -> usize {
     if let Some(n) = JOBS_OVERRIDE.with(Cell::get) {
         return n.max(1);
     }
-    let env = std::env::var(JOBS_ENV).ok();
+    let env = std::env::var("SPEEDLIGHT_JOBS").ok();
     parse_jobs(env.as_deref(), hardware_jobs())
 }
 
@@ -183,35 +119,6 @@ pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The shard count sharded-simulation entry points use by default: the
-/// innermost [`with_shards`] override if any, else `SPEEDLIGHT_SHARDS`,
-/// else `1` (a single shard — the sharded engine's reference execution).
-/// Unlike [`resolved_jobs`] the fallback is *not* the core count: the
-/// shard count is part of the simulation's configuration surface, and an
-/// unconfigured run must land on the canonical single-shard execution.
-pub fn resolved_shards() -> usize {
-    if let Some(n) = SHARDS_OVERRIDE.with(Cell::get) {
-        return n.max(1);
-    }
-    let env = std::env::var(SHARDS_ENV).ok();
-    parse_jobs(env.as_deref(), 1)
-}
-
-/// Run `f` with the default shard count pinned to `shards` on this
-/// thread (restored on exit, even across unwinds) — the race-free way
-/// the equivalence tests compare shard counts without touching the
-/// process environment.
-pub fn with_shards<R>(shards: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SHARDS_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(SHARDS_OVERRIDE.with(|c| c.replace(Some(shards))));
-    f()
-}
-
 /// Parallel map with default configuration and index-only job labels.
 /// `results[i] == f(i, &items[i])`, independent of worker count.
 pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -224,8 +131,7 @@ where
 }
 
 /// [`map`] with a caller-supplied label per job (put the seed in it: the
-/// label is what a captured panic is re-raised with). Never samples the
-/// wall clock — this is the entry point for digest-feeding paths.
+/// label is what a captured panic is re-raised with).
 pub fn map_labeled<T, R, F, L>(items: &[T], label: L, f: F) -> Vec<R>
 where
     T: Sync,
@@ -233,40 +139,11 @@ where
     F: Fn(usize, &T) -> R + Sync,
     L: Fn(usize, &T) -> String + Sync,
 {
-    map_inner(Config::default(), Timing::Off, items, label, f).0
+    map_cfg(Config::default(), items, label, f)
 }
 
-/// [`map`] returning wall-clock telemetry alongside the results.
-pub fn map_stats<T, R, F>(items: &[T], f: F) -> (Vec<R>, RunStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_cfg(Config::default(), items, |i, _| format!("job #{i}"), f)
-}
-
-/// The full-control entry point: explicit worker count and chunk size,
-/// with wall-clock telemetry in the returned [`RunStats`].
-pub fn map_cfg<T, R, F, L>(cfg: Config, items: &[T], label: L, f: F) -> (Vec<R>, RunStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    L: Fn(usize, &T) -> String + Sync,
-{
-    map_inner(cfg, Timing::Wall, items, label, f)
-}
-
-/// Shared fan-out body. `timing` decides whether the wall clock is ever
-/// read; results are identical either way.
-fn map_inner<T, R, F, L>(
-    cfg: Config,
-    timing: Timing,
-    items: &[T],
-    label: L,
-    f: F,
-) -> (Vec<R>, RunStats)
+/// The full-control entry point: explicit worker count and chunk size.
+pub fn map_cfg<T, R, F, L>(cfg: Config, items: &[T], label: L, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -275,7 +152,13 @@ where
 {
     let jobs = cfg.jobs.max(1).min(items.len().max(1));
     if jobs <= 1 {
-        return map_serial(timing, items, f);
+        // The strictly serial path: no threads, no `catch_unwind` — a
+        // panic in `f` unwinds exactly as an inline `for` loop would.
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
     }
     let chunk = if cfg.chunk == 0 {
         (items.len() / (jobs * 4)).max(1)
@@ -283,13 +166,11 @@ where
         cfg.chunk
     };
 
-    let started = timing.probe();
     let cursor = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
     // One slot per job, filled exactly once by whichever worker claims the
     // index — input order falls out of indexing, not completion order.
-    let slots: Vec<Mutex<Option<(R, Duration)>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
     let panics: Mutex<Vec<CapturedPanic>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
@@ -309,15 +190,13 @@ where
                             return;
                         }
                         let item = &items[i];
-                        let job_started = timing.probe();
                         // `f` is `Sync` over shared borrows, so the only
                         // unwind-safety question is observing `item` after
                         // a sibling's panic — and a poisoned run never
                         // reads any slot back.
                         match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
                             Ok(r) => {
-                                let elapsed = since(job_started);
-                                *slots[i].lock().expect("slot lock") = Some((r, elapsed));
+                                *slots[i].lock().expect("slot lock") = Some(r);
                             }
                             Err(payload) => {
                                 poisoned.store(true, Ordering::Release);
@@ -347,65 +226,14 @@ where
         );
     }
 
-    let mut results = Vec::with_capacity(items.len());
-    let mut per_job = Vec::with_capacity(items.len());
-    for slot in slots {
-        let (r, d) = slot
-            .into_inner()
-            .expect("slot lock")
-            .expect("non-poisoned fan-out fills every slot");
-        results.push(r);
-        per_job.push(d);
-    }
-    let stats = RunStats {
-        jobs,
-        wall: since(started),
-        per_job,
-    };
-    log_stats(timing, &stats);
-    (results, stats)
-}
-
-/// The strictly serial path: no threads, no `catch_unwind` — a panic in
-/// `f` unwinds exactly as an inline `for` loop would.
-fn map_serial<T, R, F>(timing: Timing, items: &[T], f: F) -> (Vec<R>, RunStats)
-where
-    F: Fn(usize, &T) -> R,
-{
-    let started = timing.probe();
-    let mut results = Vec::with_capacity(items.len());
-    let mut per_job = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let job_started = timing.probe();
-        results.push(f(i, item));
-        per_job.push(since(job_started));
-    }
-    let stats = RunStats {
-        jobs: 1,
-        wall: since(started),
-        per_job,
-    };
-    log_stats(timing, &stats);
-    (results, stats)
-}
-
-fn log_stats(timing: Timing, stats: &RunStats) {
-    // With timing off every duration is zero — printing "0.000s" lines
-    // would misreport a run that was simply never measured.
-    if timing == Timing::Off || std::env::var_os(LOG_ENV).is_none() {
-        return;
-    }
-    for (i, d) in stats.per_job.iter().enumerate() {
-        obs::sinks::stderr_line(&format!("[parfan] job #{i}: {:.3}s", d.as_secs_f64()));
-    }
-    obs::sinks::stderr_line(&format!(
-        "[parfan] {} jobs over {} workers: wall {:.3}s, work {:.3}s ({:.2}x)",
-        stats.per_job.len(),
-        stats.jobs,
-        stats.wall.as_secs_f64(),
-        stats.work().as_secs_f64(),
-        stats.work().as_secs_f64() / stats.wall.as_secs_f64().max(1e-9),
-    ));
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("non-poisoned fan-out fills every slot")
+        })
+        .collect()
 }
 
 /// Best-effort text of a panic payload (`&str` and `String` payloads cover

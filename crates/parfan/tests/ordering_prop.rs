@@ -21,14 +21,13 @@ proptest! {
             .enumerate()
             .map(|(i, &x)| f(i, x))
             .collect();
-        let (got, stats) = map_cfg(
+        let got = map_cfg(
             Config { jobs, chunk },
             &items,
             |i, _| format!("#{i}"),
             |i, &x| f(i, x),
         );
         prop_assert_eq!(got, expected);
-        prop_assert_eq!(stats.per_job.len(), items.len());
     }
 
     #[test]
@@ -37,13 +36,13 @@ proptest! {
         jobs in 2usize..9,
     ) {
         let f = |i: usize, x: u64| x.rotate_left((i % 64) as u32) ^ i as u64;
-        let (serial, _) = map_cfg(
+        let serial = map_cfg(
             Config { jobs: 1, chunk: 0 },
             &items,
             |i, _| format!("#{i}"),
             |i, &x| f(i, x),
         );
-        let (parallel, _) = map_cfg(
+        let parallel = map_cfg(
             Config { jobs, chunk: 0 },
             &items,
             |i, _| format!("#{i}"),

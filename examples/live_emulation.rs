@@ -21,7 +21,6 @@ fn main() {
         timeout: Duration::from_millis(500),
         record_deliveries: false,
         fail_devices: Vec::new(),
-        reference_observer: false,
     };
     println!(
         "spinning up {} switch threads + 2 host generators, {} snapshots \
