@@ -13,9 +13,10 @@
 //! | `fig13` | Fig. 13 — Spearman correlation study |
 //! | `ablations` | beyond-paper design ablations |
 //!
-//! Criterion benches (`cargo bench -p bench`) cover the per-packet data
-//! plane, control-plane notification handling, the wire codec, and
-//! whole-testbed simulation throughput.
+//! Speed numbers come from one place: the `benchmark` binary declared in
+//! `BENCHMARK.json` (manual in `src/bin/benchmark/README.md`).
+//! `bench_netsim` runs one seeded scenario once and pins its snapshot
+//! digest; `speedlight-trace` reads the traces it writes.
 
 #![forbid(unsafe_code)]
 

@@ -8,7 +8,9 @@ use crate::scenario::switch_peer;
 use crate::scenario::{Lb, NotifFaultKind as ScNotifKind, Scenario, Topo, WorkloadKind};
 use emulation::cluster::{Cluster, ClusterConfig};
 use experiments::common::{attach_workload_load, standard_testbed, Workload};
-use fabric::network::{DriverConfig, NotifFaultConfig, NotifFaultKind as FabNotifKind};
+use fabric::network::{
+    DriverConfig, NotifFaultConfig, NotifFaultKind as FabNotifKind, SnapshotRecord,
+};
 use fabric::switchmod::SnapshotConfig;
 use fabric::testbed::{Testbed, TestbedConfig};
 use fabric::topology::{LbKind, Topology};
@@ -108,6 +110,127 @@ fn interval_nanos(sc: &Scenario) -> u64 {
     sc.interval_ms * 1_000_000
 }
 
+fn lb_and_driver(sc: &Scenario) -> (LbKind, DriverConfig) {
+    let lb = match sc.lb {
+        Lb::Ecmp => LbKind::Ecmp,
+        Lb::Flowlet => LbKind::Flowlet { gap_us: 50 },
+    };
+    let mut driver = DriverConfig::default();
+    if sc.force_inducing() {
+        // Force-finalize quickly so faulted epochs complete inside the run.
+        driver.device_timeout = Duration::from_millis(40);
+    }
+    (lb, driver)
+}
+
+fn leaf_spine_workload(sc: &Scenario) -> Workload {
+    match sc.workload {
+        WorkloadKind::Hadoop => Workload::Hadoop,
+        WorkloadKind::GraphX => Workload::GraphX,
+        WorkloadKind::Memcache => Workload::Memcache,
+        WorkloadKind::Cbr => unreachable!("rejected by Scenario::validate"),
+    }
+}
+
+/// The line topology's traffic: bidirectional so snapshot IDs piggyback
+/// across every inter-switch link (mirrors the emulation's host
+/// generators). `load` scales the paper-calibrated base rate into the
+/// incast tier.
+fn line_sources(sc: &Scenario) -> impl Iterator<Item = (u32, Box<PoissonSource>)> + '_ {
+    [(0u32, 1u32), (1, 0)].into_iter().map(|(src, dst)| {
+        let source = PoissonSource::new(
+            src,
+            vec![dst],
+            80_000.0 * f64::from(sc.load),
+            Dist::constant(400.0),
+            sc.seed ^ (0x5EED * u64::from(src + 1)),
+        );
+        (src, Box::new(source))
+    })
+}
+
+/// Translate the scenario's snapshot and fault schedule onto a testbed and
+/// run it to its horizon. The one copy both engines replay: a macro because
+/// `Testbed` and `ShardedTestbed` spell these methods the same but share
+/// no trait, and a drift between two copies would make the
+/// shard-equivalence suite test a different scenario from the one the
+/// oracle judges.
+macro_rules! schedule_and_run {
+    ($tb:expr, $sc:expr) => {{
+        let (tb, sc) = (&mut $tb, $sc);
+        let ival = interval_nanos(sc);
+        for i in 0..sc.snapshots {
+            tb.snapshot_at(Instant::from_nanos(ival * (i as u64 + 1)));
+        }
+        // The whole fault schedule goes through simulation events, so a
+        // parallel matrix run replays it identically (nothing depends on
+        // when the host thread happens to observe the run).
+        for f in &sc.faults {
+            // Disable half an interval before the (k+1)-th snapshot is
+            // scheduled.
+            let at = ival * (f.after_snapshots as u64) + ival / 2;
+            tb.fail_device_at(Instant::from_nanos(at), f.device);
+        }
+        for f in &sc.flaps {
+            tb.flap_link_at(
+                Instant::from_nanos(f.at_ms * 1_000_000),
+                f.device,
+                f.port,
+                Duration::from_millis(f.down_ms),
+            );
+        }
+        for f in &sc.cp_crashes {
+            tb.crash_cp_at(
+                Instant::from_nanos(f.at_ms * 1_000_000),
+                f.device,
+                Duration::from_millis(f.down_ms),
+            );
+        }
+        for f in &sc.notif_faults {
+            tb.set_notif_fault(
+                f.device,
+                NotifFaultConfig {
+                    kind: match f.kind {
+                        ScNotifKind::Drop => FabNotifKind::Drop,
+                        ScNotifKind::Dup => FabNotifKind::Dup,
+                        ScNotifKind::Reorder => FabNotifKind::Reorder,
+                    },
+                    every: f.every,
+                },
+            );
+        }
+        if sc.has_ptp_degradation() {
+            let (step_ns, step_device, step_at_ns) = match sc.ptp_step {
+                Some(s) => (s.step_us * 1_000, s.device, s.at_ms * 1_000_000),
+                None => (0, 0, 0),
+            };
+            tb.set_ptp_degradation(PtpDegradation {
+                drift_ppb: sc.ptp_drift_ppb,
+                step_ns,
+                step_device,
+                step_at_ns,
+                asym_ns: sc.ptp_asym_us * 1_000,
+            });
+        }
+        let tail = if sc.force_inducing() {
+            200_000_000
+        } else {
+            100_000_000
+        };
+        tb.run_until(Instant::from_nanos(ival * sc.snapshots as u64 + tail));
+    }};
+}
+
+fn snap_entries(records: &[SnapshotRecord]) -> Vec<SnapEntry> {
+    records
+        .iter()
+        .map(|r| SnapEntry {
+            snapshot: r.snapshot.clone(),
+            forced: r.forced,
+        })
+        .collect()
+}
+
 /// Run the scenario on the simulated fabric. Returns the substrate run
 /// plus any flow-conservation violations from the omniscient audit (which
 /// only the fabric can provide: it sees headerless host packets the
@@ -124,25 +247,11 @@ pub fn run_fabric_traced(sc: &Scenario) -> (SubstrateRun, Vec<Divergence>, Vec<S
 }
 
 fn run_fabric_inner(sc: &Scenario, trace: bool) -> (SubstrateRun, Vec<Divergence>, Vec<String>) {
-    let lb = match sc.lb {
-        Lb::Ecmp => LbKind::Ecmp,
-        Lb::Flowlet => LbKind::Flowlet { gap_us: 50 },
-    };
-    let mut driver = DriverConfig::default();
-    if sc.force_inducing() {
-        // Force-finalize quickly so faulted epochs complete inside the run.
-        driver.device_timeout = Duration::from_millis(40);
-    }
+    let (lb, driver) = lb_and_driver(sc);
     let mut tb = match sc.topo {
         Topo::LeafSpine => {
-            let wl = match sc.workload {
-                WorkloadKind::Hadoop => Workload::Hadoop,
-                WorkloadKind::GraphX => Workload::GraphX,
-                WorkloadKind::Memcache => Workload::Memcache,
-                WorkloadKind::Cbr => unreachable!("rejected by Scenario::validate"),
-            };
             let mut tb = standard_testbed(snapshot_config(sc), lb, driver, sc.seed);
-            attach_workload_load(&mut tb, wl, sc.seed, sc.load);
+            attach_workload_load(&mut tb, leaf_spine_workload(sc), sc.seed, sc.load);
             tb
         }
         Topo::Line(n) => {
@@ -151,22 +260,8 @@ fn run_fabric_inner(sc: &Scenario, trace: bool) -> (SubstrateRun, Vec<Divergence
             cfg.driver = driver;
             cfg.seed = sc.seed;
             let mut tb = Testbed::new(Topology::line(n), cfg);
-            // Bidirectional traffic so snapshot IDs piggyback across every
-            // inter-switch link (mirrors the emulation's host generators).
-            // `load` scales the paper-calibrated base rate into the incast
-            // tier.
-            for (src, dst) in [(0u32, 1u32), (1, 0)] {
-                tb.set_source(
-                    src,
-                    Instant::ZERO,
-                    Box::new(PoissonSource::new(
-                        src,
-                        vec![dst],
-                        80_000.0 * f64::from(sc.load),
-                        Dist::constant(400.0),
-                        sc.seed ^ (0x5EED * u64::from(src + 1)),
-                    )),
-                );
+            for (h, source) in line_sources(sc) {
+                tb.set_source(h, Instant::ZERO, source);
             }
             tb
         }
@@ -177,75 +272,9 @@ fn run_fabric_inner(sc: &Scenario, trace: bool) -> (SubstrateRun, Vec<Divergence
         tb.enable_trace();
     }
 
-    let ival = interval_nanos(sc);
-    for i in 0..sc.snapshots {
-        tb.snapshot_at(Instant::from_nanos(ival * (i as u64 + 1)));
-    }
-    // The whole fault schedule goes through simulation events, so a
-    // parallel matrix run replays it identically (nothing depends on when
-    // the host thread happens to observe the run).
-    for f in &sc.faults {
-        // Disable half an interval before the (k+1)-th snapshot is
-        // scheduled.
-        let at = ival * (f.after_snapshots as u64) + ival / 2;
-        tb.fail_device_at(Instant::from_nanos(at), f.device);
-    }
-    for f in &sc.flaps {
-        tb.flap_link_at(
-            Instant::from_nanos(f.at_ms * 1_000_000),
-            f.device,
-            f.port,
-            Duration::from_millis(f.down_ms),
-        );
-    }
-    for f in &sc.cp_crashes {
-        tb.crash_cp_at(
-            Instant::from_nanos(f.at_ms * 1_000_000),
-            f.device,
-            Duration::from_millis(f.down_ms),
-        );
-    }
-    for f in &sc.notif_faults {
-        tb.set_notif_fault(
-            f.device,
-            NotifFaultConfig {
-                kind: match f.kind {
-                    ScNotifKind::Drop => FabNotifKind::Drop,
-                    ScNotifKind::Dup => FabNotifKind::Dup,
-                    ScNotifKind::Reorder => FabNotifKind::Reorder,
-                },
-                every: f.every,
-            },
-        );
-    }
-    if sc.has_ptp_degradation() {
-        let (step_ns, step_device, step_at_ns) = match sc.ptp_step {
-            Some(s) => (s.step_us * 1_000, s.device, s.at_ms * 1_000_000),
-            None => (0, 0, 0),
-        };
-        tb.set_ptp_degradation(PtpDegradation {
-            drift_ppb: sc.ptp_drift_ppb,
-            step_ns,
-            step_device,
-            step_at_ns,
-            asym_ns: sc.ptp_asym_us * 1_000,
-        });
-    }
-    let tail = if sc.force_inducing() {
-        200_000_000
-    } else {
-        100_000_000
-    };
-    tb.run_until(Instant::from_nanos(ival * sc.snapshots as u64 + tail));
+    schedule_and_run!(tb, sc);
 
-    let snapshots: Vec<SnapEntry> = tb
-        .snapshots()
-        .iter()
-        .map(|r| SnapEntry {
-            snapshot: r.snapshot.clone(),
-            forced: r.forced,
-        })
-        .collect();
+    let snapshots = snap_entries(tb.snapshots());
     let log = tb
         .delivery_log()
         .expect("delivery log enabled above")
@@ -309,14 +338,7 @@ pub fn run_fabric_sharded_full(
     use experiments::common::{testbed_topology, workload_sources};
     use fabric::shard::{PartitionHint, ShardedTestbed};
 
-    let lb = match sc.lb {
-        Lb::Ecmp => LbKind::Ecmp,
-        Lb::Flowlet => LbKind::Flowlet { gap_us: 50 },
-    };
-    let mut driver = DriverConfig::default();
-    if sc.force_inducing() {
-        driver.device_timeout = Duration::from_millis(40);
-    }
+    let (lb, driver) = lb_and_driver(sc);
     let (topo, hint) = match sc.topo {
         Topo::LeafSpine => (testbed_topology(), PartitionHint::LeafSpine { leaves: 2 }),
         Topo::Line(n) => (Topology::line(n), PartitionHint::Generic),
@@ -328,29 +350,13 @@ pub fn run_fabric_sharded_full(
     let mut tb = ShardedTestbed::new(topo, cfg, hint, shards);
     match sc.topo {
         Topo::LeafSpine => {
-            let wl = match sc.workload {
-                WorkloadKind::Hadoop => Workload::Hadoop,
-                WorkloadKind::GraphX => Workload::GraphX,
-                WorkloadKind::Memcache => Workload::Memcache,
-                WorkloadKind::Cbr => unreachable!("rejected by Scenario::validate"),
-            };
-            for (h, source) in workload_sources(wl, sc.seed, sc.load) {
+            for (h, source) in workload_sources(leaf_spine_workload(sc), sc.seed, sc.load) {
                 tb.set_source(h, Instant::ZERO, source);
             }
         }
         Topo::Line(_) => {
-            for (src, dst) in [(0u32, 1u32), (1, 0)] {
-                tb.set_source(
-                    src,
-                    Instant::ZERO,
-                    Box::new(PoissonSource::new(
-                        src,
-                        vec![dst],
-                        80_000.0 * f64::from(sc.load),
-                        Dist::constant(400.0),
-                        sc.seed ^ (0x5EED * u64::from(src + 1)),
-                    )),
-                );
+            for (h, source) in line_sources(sc) {
+                tb.set_source(h, Instant::ZERO, source);
             }
         }
     }
@@ -358,70 +364,9 @@ pub fn run_fabric_sharded_full(
     tb.enable_trace();
     tb.enable_profiling();
 
-    let ival = interval_nanos(sc);
-    for i in 0..sc.snapshots {
-        tb.snapshot_at(Instant::from_nanos(ival * (i as u64 + 1)));
-    }
-    for f in &sc.faults {
-        let at = ival * (f.after_snapshots as u64) + ival / 2;
-        tb.fail_device_at(Instant::from_nanos(at), f.device);
-    }
-    for f in &sc.flaps {
-        tb.flap_link_at(
-            Instant::from_nanos(f.at_ms * 1_000_000),
-            f.device,
-            f.port,
-            Duration::from_millis(f.down_ms),
-        );
-    }
-    for f in &sc.cp_crashes {
-        tb.crash_cp_at(
-            Instant::from_nanos(f.at_ms * 1_000_000),
-            f.device,
-            Duration::from_millis(f.down_ms),
-        );
-    }
-    for f in &sc.notif_faults {
-        tb.set_notif_fault(
-            f.device,
-            NotifFaultConfig {
-                kind: match f.kind {
-                    ScNotifKind::Drop => FabNotifKind::Drop,
-                    ScNotifKind::Dup => FabNotifKind::Dup,
-                    ScNotifKind::Reorder => FabNotifKind::Reorder,
-                },
-                every: f.every,
-            },
-        );
-    }
-    if sc.has_ptp_degradation() {
-        let (step_ns, step_device, step_at_ns) = match sc.ptp_step {
-            Some(s) => (s.step_us * 1_000, s.device, s.at_ms * 1_000_000),
-            None => (0, 0, 0),
-        };
-        tb.set_ptp_degradation(PtpDegradation {
-            drift_ppb: sc.ptp_drift_ppb,
-            step_ns,
-            step_device,
-            step_at_ns,
-            asym_ns: sc.ptp_asym_us * 1_000,
-        });
-    }
-    let tail = if sc.force_inducing() {
-        200_000_000
-    } else {
-        100_000_000
-    };
-    tb.run_until(Instant::from_nanos(ival * sc.snapshots as u64 + tail));
+    schedule_and_run!(tb, sc);
 
-    let snapshots: Vec<SnapEntry> = tb
-        .snapshots()
-        .iter()
-        .map(|r| SnapEntry {
-            snapshot: r.snapshot.clone(),
-            forced: r.forced,
-        })
-        .collect();
+    let snapshots = snap_entries(tb.snapshots());
     let log = tb.delivery_log().expect("delivery log enabled above");
     let trace = tb.take_trace_lines();
     let metrics = tb.export_metrics();

@@ -6,7 +6,8 @@
 //!
 //! Also here: the pipeline's bounded-memory claim at scale. Peak pending
 //! values (the assemble stage's working set) must stay at one epoch's
-//! worth of units when epochs drain in order, even at 10⁵ channels.
+//! worth of units when epochs drain in order, even at 10⁵ channels — and
+//! the snapshots sealed at that scale must equal the reference's.
 
 use proptest::prelude::*;
 use speedlight_core::control::{Report, ReportValue};
@@ -222,7 +223,9 @@ proptest! {
 /// Bounded memory at scale: 10⁵ channels through three epochs drained in
 /// order. The assemble working set (peak pending values) must stay at one
 /// epoch's worth of units — queuing never accumulates values across
-/// epochs when the sink keeps up.
+/// epochs when the sink keeps up. The reference observer rides the same
+/// report stream, so each sealed snapshot is also checked against it at a
+/// scale the property test above never generates.
 #[test]
 fn peak_pending_values_bounded_at_1e5_channels() {
     const DEVICES: u16 = 100;
@@ -230,20 +233,27 @@ fn peak_pending_values_bounded_at_1e5_channels() {
     let units: usize = usize::from(DEVICES) * usize::from(PORTS);
 
     let mut pipe = PipelineObserver::new(PipelineConfig::for_modulus(16));
+    let mut reference = Observer::new(ObserverConfig::for_modulus(16));
     for d in 0..DEVICES {
         pipe.register_device(d, (0..PORTS).map(|p| UnitId::ingress(d, p)).collect());
+        reference.register_device(d, (0..PORTS).map(|p| UnitId::ingress(d, p)).collect());
     }
     for _ in 0..3 {
         let epoch = pipe.begin_snapshot().expect("below no-lapping cap");
+        assert_eq!(reference.begin_snapshot(), Some(epoch));
         let mut sealed = None;
+        let mut ref_sealed = None;
         for d in 0..DEVICES {
             for p in 0..PORTS {
-                sealed = pipe.on_report(d, report_for(UnitId::ingress(d, p), epoch));
+                let report = report_for(UnitId::ingress(d, p), epoch);
+                sealed = pipe.on_report(d, report);
+                ref_sealed = reference.on_report(d, report);
             }
         }
         let sealed = sealed.expect("last report completes the epoch");
         assert_eq!(sealed.epoch, epoch);
         assert_eq!(sealed.units.len(), units);
+        assert_eq!(Some(sealed), ref_sealed);
     }
     let stats = pipe.stats();
     assert_eq!(stats.accepted, 3 * units as u64);

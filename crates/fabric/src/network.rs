@@ -1010,8 +1010,8 @@ impl Network {
                     // `switch` borrows `self.switches`, the trace sink
                     // borrows `self.instr` — disjoint fields. With the
                     // default `TraceSink::Off` the traced call is one
-                    // always-false `enabled()` branch (the bench-smoke
-                    // regression gate holds the line on this path).
+                    // always-false `enabled()` branch (`fig9_leaf_spine`
+                    // `wall_s` in BENCHMARK.json holds the line on it).
                     let out = unit.on_packet_traced(
                         channel,
                         wrapped,

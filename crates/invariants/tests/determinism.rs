@@ -1,21 +1,17 @@
 //! The analyzer is held to the same contract as the simulator it
-//! polices: byte-identical output across runs and across
-//! `SPEEDLIGHT_JOBS` settings, and a canonical (crate, file, line, rule)
-//! ordering that no traversal accident can perturb.
+//! polices: byte-identical output across runs, and a canonical (crate,
+//! file, line, rule) ordering that no traversal accident can perturb.
 
 use invariants::report;
 
 #[test]
-fn analyzer_output_is_byte_identical_across_runs_and_job_counts() {
+fn analyzer_output_is_byte_identical_across_runs() {
     let root = invariants::workspace_root();
-    std::env::set_var("SPEEDLIGHT_JOBS", "1");
     let first = report::render_json(&invariants::lint_workspace(&root));
-    std::env::set_var("SPEEDLIGHT_JOBS", "8");
     let second = report::render_json(&invariants::lint_workspace(&root));
-    std::env::remove_var("SPEEDLIGHT_JOBS");
     assert_eq!(
         first, second,
-        "analyzer JSON must be byte-identical across runs and SPEEDLIGHT_JOBS"
+        "analyzer JSON must be byte-identical across runs"
     );
 }
 
