@@ -1,4 +1,4 @@
-//! Staged snapshot-assembly pipeline (ROADMAP item 4).
+//! Staged snapshot-assembly pipeline.
 //!
 //! [`Observer`](crate::observer::Observer) assembles each epoch in one
 //! monolithic step: every report mutates a per-epoch map cloned from the
@@ -42,14 +42,24 @@
 //!   total is maintained per epoch, and a completed epoch is queued for
 //!   finalization. Membership (device set + expected units) is **shared**
 //!   across epochs via [`std::sync::Arc`] and rebuilt only when
-//!   registration changes, so per-epoch state is O(delivered values), not
-//!   O(all units) — the reference observer clones both sets per epoch.
+//!   registration changes. Per-epoch state is one small header per
+//!   expected device plus, for each device that has delivered, a bitmap
+//!   and an outcome array the size of that device's group — O(Σ group
+//!   size over devices that have delivered), not O(all units); the
+//!   reference observer clones both sets per epoch.
 //! * **finalize** — seals [`GlobalSnapshot`]s and emits the `obs.finalize`
 //!   event, identical byte-for-byte to the reference observer's.
 //! * **persist-hook** — the bounded sealed queue, drained by the embedder
 //!   via [`PipelineObserver::take_finalized`] (the hook point where the
 //!   future snapshot store attaches). A full sealed queue stalls the
 //!   finalize stage rather than dropping snapshots.
+//!
+//! Validate and assemble work in **slot space**: a device id indexes a
+//! table to its group, a `(direction, port)` indexes the group's table to
+//! a slot, and `(group, slot)` indexes the epoch's state. Between
+//! `offer_report` and the store of the outcome no structure keyed by
+//! device or unit is searched, except the epoch's `excluded` set, which
+//! is empty outside forced finalization.
 //!
 //! **Equivalence contract:** driven synchronously (offer + pump per
 //! report, as the fabric does), the pipeline is observably identical to
@@ -292,13 +302,15 @@ impl PipelineStats {
 }
 
 /// One device's expected units plus a direct slot index. Slots are the
-/// hot-path currency: a slot plus the shared `units` Vec stand in for the
-/// unit everywhere below, so per-epoch state never needs a unit-keyed
-/// search structure at all — and the slot lookup itself is one table
-/// probe, not a search (a binary search over a fabric-sized unit space
-/// costs ~10 scattered cache lines per report; this costs one).
+/// hot-path currency: a `(group, slot)` pair plus the shared `units` Vec
+/// stand in for the unit everywhere below, so per-epoch state never needs
+/// a unit-keyed search structure at all — and the slot lookup itself is
+/// one table probe, not a search (a binary search over a fabric-sized
+/// unit space costs ~10 scattered cache lines per report; this costs one).
 #[derive(Debug)]
 struct DeviceGroup {
+    /// The owning device: `unit.device` of every unit below.
+    device: u16,
     /// The device's expected units, sorted (slot → unit).
     units: Vec<UnitId>,
     /// `(direction, port) → slot + 1`, 0 meaning "not expected".
@@ -308,7 +320,7 @@ struct DeviceGroup {
 }
 
 impl DeviceGroup {
-    fn new(units: Vec<UnitId>) -> DeviceGroup {
+    fn new(device: u16, units: Vec<UnitId>) -> DeviceGroup {
         let ports_span = units
             .iter()
             .map(|u| usize::from(u.port) + 1)
@@ -316,29 +328,33 @@ impl DeviceGroup {
             .unwrap_or(0);
         let mut index = vec![0u32; 2 * ports_span];
         for (slot, u) in units.iter().enumerate() {
-            let pos = Self::pos(u, ports_span);
-            if let Some(cell) = index.get_mut(pos) {
+            if let Some(cell) = Self::pos(u, ports_span).and_then(|pos| index.get_mut(pos)) {
                 *cell = slot as u32 + 1;
             }
         }
         DeviceGroup {
+            device,
             units,
             index,
             ports_span,
         }
     }
 
-    fn pos(unit: &UnitId, ports_span: usize) -> usize {
+    /// Where `unit` sits in `index`. `None` for a port past the span: its
+    /// position would fall in the other direction's row and alias that
+    /// row's unit.
+    fn pos(unit: &UnitId, ports_span: usize) -> Option<usize> {
         let dir = match unit.direction {
             crate::types::Direction::Ingress => 0,
             crate::types::Direction::Egress => 1,
         };
-        dir * ports_span + usize::from(unit.port)
+        let port = usize::from(unit.port);
+        (port < ports_span).then_some(dir * ports_span + port)
     }
 
     /// The slot of `unit`, if expected.
     fn slot_of(&self, unit: &UnitId) -> Option<u32> {
-        match self.index.get(Self::pos(unit, self.ports_span)) {
+        match Self::pos(unit, self.ports_span).and_then(|pos| self.index.get(pos)) {
             Some(&s) if s != 0 => Some(s - 1),
             _ => None,
         }
@@ -354,45 +370,60 @@ impl DeviceGroup {
 /// reference observer's per-epoch clones).
 #[derive(Debug)]
 struct Membership {
+    /// The registered devices — what a sealed snapshot's `devices` is
+    /// built from. Never searched per report: `by_id` answers that.
     device_set: BTreeSet<u16>,
-    /// Expected units grouped by owning device.
-    expected: BTreeMap<u16, DeviceGroup>,
+    /// One group per registered device (empty when it expects no unit)
+    /// and per unregistered owner of a registered unit, in device order.
+    groups: Vec<DeviceGroup>,
+    /// Device id → index into `groups`, `None` for an unregistered id;
+    /// ids past the largest registered one are past the end. One probe
+    /// answers both "registered?" and "which group?".
+    by_id: Vec<Option<u32>>,
     /// Total expected units across all groups (the completion target).
     expected_total: usize,
 }
 
 /// One device's delivered state within an epoch: a slot bitmap (the
-/// duplicate check is a bit test) plus the accepted outcomes in arrival
-/// order. Everything here is contiguous memory sized by what actually
-/// arrived — no per-epoch clone of the expected set, and no descent of a
-/// fabric-sized map on the per-report path.
-#[derive(Debug, Clone)]
+/// duplicate check is a bit test) plus the accepted outcomes, indexed by
+/// slot. Empty — no heap behind it — until the device's first accepted
+/// report sizes it to the device's group; a device that never delivers
+/// costs its epoch this header and nothing per unit.
+#[derive(Debug, Clone, Default)]
 struct DeviceAssembly {
     /// Bit `i` set ⇔ slot `i` of the device's expected group delivered.
     seen: Vec<u64>,
-    /// `(slot, outcome)` in arrival order; slots unique (bitmap-guarded).
-    values: Vec<(u32, UnitOutcome)>,
+    /// Slot → outcome, meaningful only where `seen` has the bit.
+    outcomes: Vec<UnitOutcome>,
+    /// Slots delivered (bits set in `seen`).
+    count: usize,
 }
 
 impl DeviceAssembly {
     fn new(group_len: usize) -> DeviceAssembly {
         DeviceAssembly {
             seen: vec![0; group_len.div_ceil(64)],
-            values: Vec::new(),
+            outcomes: vec![UnitOutcome::Missing; group_len],
+            count: 0,
         }
     }
 
-    /// Mark `slot` delivered; `false` if it already was (a duplicate).
-    fn mark(&mut self, slot: u32) -> bool {
-        let (word, bit) = (slot as usize / 64, slot % 64);
-        let Some(w) = self.seen.get_mut(word) else {
+    /// Store `slot`'s outcome unless it already has one (first value
+    /// wins); `false` on such a duplicate.
+    fn store(&mut self, slot: u32, outcome: UnitOutcome) -> bool {
+        let (Some(w), Some(cell)) = (
+            self.seen.get_mut(slot as usize / 64),
+            self.outcomes.get_mut(slot as usize),
+        ) else {
             panic!("slot {slot} outside the device's expected group");
         };
-        let mask = 1u64 << bit;
+        let mask = 1u64 << (slot % 64);
         if *w & mask != 0 {
             return false;
         }
         *w |= mask;
+        *cell = outcome;
+        self.count += 1;
         true
     }
 
@@ -409,10 +440,10 @@ impl DeviceAssembly {
 struct EpochAssembly {
     membership: Arc<Membership>,
     excluded: BTreeSet<u16>,
-    /// Per-device delivered state, created on a device's first accepted
-    /// report. An excluded device's group is synthesized as
-    /// `DeviceExcluded` at seal time rather than materialized here.
-    devices: BTreeMap<u16, DeviceAssembly>,
+    /// Per-device delivered state, indexed like `membership.groups`. An
+    /// excluded device's group is synthesized as `DeviceExcluded` at seal
+    /// time rather than materialized here.
+    devices: Vec<DeviceAssembly>,
     /// Unique values delivered across all devices (completion counter).
     delivered: usize,
     /// Values this epoch holds in pipeline memory (delivered plus any
@@ -428,9 +459,10 @@ impl EpochAssembly {
         self.delivered == self.membership.expected_total
     }
 
-    /// Unique values delivered by `device` so far.
-    fn delivered_by(&self, device: u16) -> usize {
-        self.devices.get(&device).map_or(0, |d| d.values.len())
+    /// Each expected group beside its device's delivered state, in device
+    /// order.
+    fn groups(&self) -> impl Iterator<Item = (&DeviceGroup, &DeviceAssembly)> {
+        self.membership.groups.iter().zip(&self.devices)
     }
 }
 
@@ -438,13 +470,11 @@ impl EpochAssembly {
 #[derive(Debug, Clone, Copy)]
 struct Validated {
     device: u16,
-    /// The unit's slot in its device's expected group, computed during
-    /// validation (membership is per-epoch immutable, so it stays valid
-    /// while the report sits in the queue).
+    /// The device's group in its epoch's membership and the unit's slot
+    /// in that group, computed during validation (membership is per-epoch
+    /// immutable, so both stay valid while the report sits in the queue).
+    group: u32,
     slot: u32,
-    /// The device's expected-group length, captured alongside the slot
-    /// so the assemble stage never re-walks the membership map.
-    group_len: u32,
     report: Report,
 }
 
@@ -549,23 +579,30 @@ impl PipelineObserver {
         if let Some(m) = &self.membership {
             return Arc::clone(m);
         }
-        let mut grouped: BTreeMap<u16, Vec<UnitId>> = BTreeMap::new();
+        let mut grouped: BTreeMap<u16, Vec<UnitId>> =
+            self.devices.keys().map(|&d| (d, Vec::new())).collect();
         for &u in self.devices.values().flatten() {
             grouped.entry(u.device).or_default().push(u);
         }
+        let table_len = (self.devices.keys().next_back()).map_or(0, |&max| usize::from(max) + 1);
+        let mut by_id = vec![None; table_len];
         let mut expected_total = 0;
-        let expected: BTreeMap<u16, DeviceGroup> = grouped
-            .into_iter()
-            .map(|(device, mut units)| {
-                units.sort_unstable();
-                units.dedup();
-                expected_total += units.len();
-                (device, DeviceGroup::new(units))
-            })
-            .collect();
+        let mut groups = Vec::with_capacity(grouped.len());
+        for (device, mut units) in grouped {
+            units.sort_unstable();
+            units.dedup();
+            expected_total += units.len();
+            if self.devices.contains_key(&device) {
+                if let Some(cell) = by_id.get_mut(usize::from(device)) {
+                    *cell = Some(groups.len() as u32);
+                }
+            }
+            groups.push(DeviceGroup::new(device, units));
+        }
         let m = Arc::new(Membership {
             device_set: self.devices.keys().copied().collect(),
-            expected,
+            groups,
+            by_id,
             expected_total,
         });
         self.membership = Some(Arc::clone(&m));
@@ -610,9 +647,9 @@ impl PipelineObserver {
         self.assemblies.insert(
             epoch,
             EpochAssembly {
+                devices: vec![DeviceAssembly::default(); membership.groups.len()],
                 membership,
                 excluded: BTreeSet::new(),
-                devices: BTreeMap::new(),
                 delivered: 0,
                 stored: 0,
                 running_total: Some(0),
@@ -648,11 +685,11 @@ impl PipelineObserver {
             };
             moved += 1;
             match self.validate(device, &report) {
-                Ok((slot, group_len)) => {
+                Ok((group, slot)) => {
                     self.validated.push_back(Validated {
                         device,
+                        group,
                         slot,
-                        group_len,
                         report,
                     });
                     let depth = self.validated.len();
@@ -664,8 +701,8 @@ impl PipelineObserver {
         moved
     }
 
-    /// All per-arriving-report checks; returns the unit's slot in its
-    /// device's expected group (and the group's length) on success.
+    /// All per-arriving-report checks; returns the device's group in the
+    /// epoch's membership and the unit's slot in that group on success.
     fn validate(&self, device: u16, report: &Report) -> Result<(u32, u32), DropReason> {
         // Attribution: the delivering device must own the unit. Checked
         // before anything else — a spoofed report is rejected regardless
@@ -686,19 +723,17 @@ impl PipelineObserver {
         let Some(assembly) = self.assemblies.get(&report.epoch) else {
             return Err(DropReason::StaleEpoch);
         };
-        if !assembly.membership.device_set.contains(&device) {
+        let membership = &*assembly.membership;
+        let Some(&Some(group)) = membership.by_id.get(usize::from(device)) else {
             return Err(DropReason::ForeignDevice);
-        }
+        };
         if assembly.excluded.contains(&device) {
             return Err(DropReason::ExcludedDevice);
         }
-        let Some(group) = assembly.membership.expected.get(&device) else {
-            return Err(DropReason::UnexpectedUnit);
-        };
-        match group.slot_of(&report.unit) {
-            Some(slot) => Ok((slot, group.len() as u32)),
-            None => Err(DropReason::UnexpectedUnit),
-        }
+        (membership.groups.get(group as usize))
+            .and_then(|g| g.slot_of(&report.unit))
+            .map(|slot| (group, slot))
+            .ok_or(DropReason::UnexpectedUnit)
     }
 
     fn reject<S: obs::Sink>(
@@ -741,13 +776,13 @@ impl PipelineObserver {
         let mut moved = 0;
         while let Some(Validated {
             device,
+            group,
             slot,
-            group_len,
             report,
         }) = self.validated.pop_front()
         {
             moved += 1;
-            self.fold(device, slot, group_len, report);
+            self.fold(device, group, slot, report);
         }
         moved
     }
@@ -757,11 +792,11 @@ impl PipelineObserver {
     /// force-finalized (or the device excluded) between validation and
     /// folding when the report transited the validated queue.
     ///
-    /// The entire fold works in slot space: a small-map walk to the
-    /// device's assembly, one bit test-and-set (the first-value-wins
-    /// duplicate check), and an append. No structure sized by the fabric
-    /// is touched until seal time.
-    fn fold(&mut self, device: u16, slot: u32, group_len: u32, report: Report) {
+    /// The entire fold works in slot space: an index to the device's
+    /// assembly, one bit test-and-set (the first-value-wins duplicate
+    /// check), and one store. Nothing is searched, and nothing is sorted
+    /// later: outcomes land where seal reads them.
+    fn fold(&mut self, device: u16, group: u32, slot: u32, report: Report) {
         let Some(assembly) = self.assemblies.get_mut(&report.epoch) else {
             self.stats.record_drop(DropReason::StaleEpoch);
             return;
@@ -770,16 +805,18 @@ impl PipelineObserver {
             self.stats.record_drop(DropReason::ExcludedDevice);
             return;
         }
-        let dev = assembly
-            .devices
-            .entry(device)
-            .or_insert_with(|| DeviceAssembly::new(group_len as usize));
-        if !dev.mark(slot) {
+        let Some(dev) = assembly.devices.get_mut(group as usize) else {
+            panic!("group {group} outside epoch {}'s membership", report.epoch);
+        };
+        if dev.seen.is_empty() {
+            let expected = assembly.membership.groups.get(group as usize);
+            *dev = DeviceAssembly::new(expected.map_or(0, DeviceGroup::len));
+        }
+        let outcome: UnitOutcome = report.value.into();
+        if !dev.store(slot, outcome) {
             self.stats.record_drop(DropReason::Duplicate);
             return;
         }
-        let outcome: UnitOutcome = report.value.into();
-        dev.values.push((slot, outcome));
         // Wraparound-totals consistency check: maintain the running
         // consistent-total per epoch, flagging u64 overflow the moment
         // the offending report arrives (the sealed snapshot's total
@@ -823,7 +860,7 @@ impl PipelineObserver {
         while let Some((device, report)) = self.collect.pop_front() {
             moved += 1;
             match self.validate(device, &report) {
-                Ok((slot, group_len)) => self.fold(device, slot, group_len, report),
+                Ok((group, slot)) => self.fold(device, group, slot, report),
                 Err(reason) => self.reject(reason, device, &report, sink, t_ns),
             }
         }
@@ -895,29 +932,19 @@ impl PipelineObserver {
         self.finalized += 1;
         self.pending_values -= a.stored.min(self.pending_values);
         // Build the unit-keyed outcome map once, here, from slot space:
-        // groups iterate in device order and each group is sorted, so the
-        // stream below is globally sorted and the BTreeMap bulk-builds
-        // from it instead of being searched per report.
+        // groups iterate in device order, each group is sorted and its
+        // outcomes sit in slot order, so the stream below is globally
+        // sorted and the BTreeMap bulk-builds from it instead of being
+        // searched per report.
         let mut units: Vec<(UnitId, UnitOutcome)> = Vec::with_capacity(a.stored);
-        let mut slots: Vec<(u32, UnitOutcome)> = Vec::new();
-        for (device, group) in &a.membership.expected {
-            if a.excluded.contains(device) {
-                units.extend(
-                    group
-                        .units
-                        .iter()
-                        .map(|&u| (u, UnitOutcome::DeviceExcluded)),
-                );
-            } else if let Some(dev) = a.devices.get(device) {
-                slots.clear();
-                slots.extend_from_slice(&dev.values);
-                slots.sort_unstable_by_key(|&(slot, _)| slot);
-                for &(slot, outcome) in &slots {
-                    let Some(&unit) = group.units.get(slot as usize) else {
-                        panic!("delivered slot {slot} outside device {device}'s group");
-                    };
-                    units.push((unit, outcome));
-                }
+        for (group, dev) in a.groups() {
+            if a.excluded.contains(&group.device) {
+                let excluded = group.units.iter();
+                units.extend(excluded.map(|&u| (u, UnitOutcome::DeviceExcluded)));
+            } else {
+                let slots = group.units.iter().zip(&dev.outcomes).enumerate();
+                let delivered = slots.filter(|&(slot, _)| dev.is_set(slot as u32));
+                units.extend(delivered.map(|(_, (&u, &o))| (u, o)));
             }
         }
         Some(GlobalSnapshot {
@@ -964,18 +991,10 @@ impl PipelineObserver {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (device, group) in &a.membership.expected {
-            match a.devices.get(device) {
-                None => out.extend_from_slice(&group.units),
-                Some(d) if d.values.len() == group.len() => {}
-                Some(d) => {
-                    for (slot, &unit) in group.units.iter().enumerate() {
-                        if !d.is_set(slot as u32) {
-                            out.push(unit);
-                        }
-                    }
-                }
-            }
+        for (group, dev) in a.groups().filter(|(g, d)| d.count < g.len()) {
+            let slots = group.units.iter().enumerate();
+            let missing = slots.filter(|&(slot, _)| !dev.is_set(slot as u32));
+            out.extend(missing.map(|(_, &unit)| unit));
         }
         out
     }
@@ -1019,32 +1038,24 @@ impl PipelineObserver {
         }
         let assembly = self.assemblies.get_mut(&epoch)?;
         // A device lags when any of its expected group is undelivered.
-        let lagging: BTreeSet<u16> = assembly
-            .membership
-            .expected
-            .iter()
-            .filter(|(d, group)| assembly.delivered_by(**d) < group.len())
-            .map(|(&d, _)| d)
-            .collect();
-        for dev in &lagging {
-            assembly.excluded.insert(*dev);
-            obs::event!(sink, t_ns, "snap.exclude", epoch = epoch, dev = *dev);
-        }
-        // Exclusion policy (§6): an excluded device contributes nothing —
+        // Exclusion policy (§6): a lagging device contributes nothing —
         // values it did deliver are overwritten with DeviceExcluded (seal
         // synthesizes the whole group), and the overwrite count is
         // surfaced as `discarded` (never silent). The undelivered rest of
         // each group now also occupies pipeline memory until seal.
         let mut discarded: u64 = 0;
-        for dev in &lagging {
-            let group_len = assembly
-                .membership
-                .expected
-                .get(dev)
-                .map_or(0, DeviceGroup::len);
-            let delivered = assembly.delivered_by(*dev);
-            discarded += delivered as u64;
-            let newly = group_len - delivered;
+        let groups = assembly.membership.groups.iter().zip(&assembly.devices);
+        for (group, dev) in groups.filter(|(g, d)| d.count < g.len()) {
+            assembly.excluded.insert(group.device);
+            obs::event!(
+                sink,
+                t_ns,
+                "snap.exclude",
+                epoch = epoch,
+                dev = group.device
+            );
+            discarded += dev.count as u64;
+            let newly = group.len() - dev.count;
             assembly.stored += newly;
             self.pending_values += newly;
         }
@@ -1078,9 +1089,16 @@ impl PipelineObserver {
             "observer.pipeline.backpressure_rejects",
             s.backpressure_rejects,
         );
+        // Every `DropReason`: a refused report shows in this artifact.
         m.gauge_set("observer.pipeline.misattributed", s.misattributed);
-        m.gauge_set("observer.pipeline.duplicate", s.duplicate);
+        m.gauge_set("observer.pipeline.future_epoch", s.future_epoch);
+        m.gauge_set("observer.pipeline.lapped", s.lapped);
         m.gauge_set("observer.pipeline.stale_epoch", s.stale_epoch);
+        m.gauge_set("observer.pipeline.foreign_device", s.foreign_device);
+        m.gauge_set("observer.pipeline.excluded_device", s.excluded_device);
+        m.gauge_set("observer.pipeline.unexpected_unit", s.unexpected_unit);
+        m.gauge_set("observer.pipeline.duplicate", s.duplicate);
+        m.gauge_set("observer.pipeline.total_overflow", s.total_overflow);
         m.gauge_set("observer.pipeline.discarded_values", s.discarded_values);
         m.gauge_set(
             "observer.pipeline.peak_collect_depth",
@@ -1303,6 +1321,116 @@ mod tests {
         let e3 = p.begin_snapshot().unwrap();
         let m3 = Arc::as_ptr(&p.assemblies[&e3].membership);
         assert_ne!(m1, m3);
+    }
+
+    /// Heap bytes `epoch` holds of its own (membership is shared): the
+    /// per-device headers plus whatever each device has had allocated.
+    fn epoch_heap_bytes(p: &PipelineObserver, epoch: Epoch) -> usize {
+        use std::mem::size_of;
+        let a = &p.assemblies[&epoch];
+        let per_unit = |d: &DeviceAssembly| {
+            d.seen.capacity() * size_of::<u64>() + d.outcomes.capacity() * size_of::<UnitOutcome>()
+        };
+        a.devices.capacity() * size_of::<DeviceAssembly>()
+            + a.devices.iter().map(per_unit).sum::<usize>()
+    }
+
+    #[test]
+    fn epoch_state_is_sized_by_the_devices_that_delivered() {
+        use std::mem::size_of;
+        const DEVICES: u16 = 1000;
+        const PORTS: u16 = 1000;
+        let cfg = PipelineConfig::for_modulus(8);
+        let outstanding = u64::from(cfg.observer.max_outstanding);
+        let mut p = PipelineObserver::new(cfg);
+        for d in 0..DEVICES {
+            p.register_device(d, (0..PORTS).map(|port| UnitId::ingress(d, port)).collect());
+        }
+        for e in 1..=outstanding {
+            assert_eq!(p.begin_snapshot(), Some(e));
+        }
+        assert_eq!(p.begin_snapshot(), None, "at the no-lapping cap");
+        // Nothing delivered: a header per expected device and not one
+        // byte per unit, with the million-unit membership held once.
+        let headers = usize::from(DEVICES) * size_of::<DeviceAssembly>();
+        for e in 1..=outstanding {
+            assert_eq!(epoch_heap_bytes(&p, e), headers, "epoch {e}");
+        }
+        let shared = p
+            .membership
+            .as_ref()
+            .expect("built at the first initiation");
+        assert_eq!(Arc::strong_count(shared), outstanding as usize + 1);
+        // One report from one device: that epoch grows by exactly that
+        // device's group — its bitmap and its outcome array.
+        assert!(p
+            .on_report(7, report(UnitId::ingress(7, 3), 2, 1))
+            .is_none());
+        let group = usize::from(PORTS).div_ceil(64) * size_of::<u64>()
+            + usize::from(PORTS) * size_of::<UnitOutcome>();
+        for e in 1..=outstanding {
+            let want = if e == 2 { headers + group } else { headers };
+            assert_eq!(epoch_heap_bytes(&p, e), want, "epoch {e}");
+        }
+        assert_eq!(p.assemblies[&2].devices[7].count, 1);
+    }
+
+    #[test]
+    fn a_port_past_the_span_does_not_alias_the_other_direction() {
+        // Device 0 expects only egress port 0, so its index has one port
+        // per direction row; ingress port 1 must not read as egress 0.
+        let mut p = PipelineObserver::new(PipelineConfig::for_modulus(8));
+        p.register_device(0, vec![UnitId::egress(0, 0)]);
+        p.begin_snapshot().unwrap();
+        assert!(p
+            .on_report(0, report(UnitId::ingress(0, 1), 1, 99))
+            .is_none());
+        assert_eq!(p.stats().unexpected_unit, 1);
+        let snap = p.on_report(0, report(UnitId::egress(0, 0), 1, 5)).unwrap();
+        assert_eq!(snap.consistent_total(), 5);
+    }
+
+    #[test]
+    fn every_drop_reason_reaches_the_metrics() {
+        // Exhaustive on purpose: a new variant does not compile until it
+        // is given a gauge here (and so in `fold_metrics`).
+        fn gauge(reason: DropReason) -> &'static str {
+            match reason {
+                DropReason::Misattributed => "observer.pipeline.misattributed",
+                DropReason::FutureEpoch => "observer.pipeline.future_epoch",
+                DropReason::Lapped => "observer.pipeline.lapped",
+                DropReason::StaleEpoch => "observer.pipeline.stale_epoch",
+                DropReason::ForeignDevice => "observer.pipeline.foreign_device",
+                DropReason::ExcludedDevice => "observer.pipeline.excluded_device",
+                DropReason::UnexpectedUnit => "observer.pipeline.unexpected_unit",
+                DropReason::Duplicate => "observer.pipeline.duplicate",
+            }
+        }
+        let all = [
+            DropReason::Misattributed,
+            DropReason::FutureEpoch,
+            DropReason::Lapped,
+            DropReason::StaleEpoch,
+            DropReason::ForeignDevice,
+            DropReason::ExcludedDevice,
+            DropReason::UnexpectedUnit,
+            DropReason::Duplicate,
+        ];
+        // Reason `i` is dropped `i + 1` times: a gauge wired to the wrong
+        // counter reads the wrong number.
+        let mut p = two_device_pipeline();
+        for (i, &reason) in all.iter().enumerate() {
+            for _ in 0..=i {
+                p.stats.record_drop(reason);
+            }
+        }
+        p.stats.total_overflow = 42;
+        let mut m = obs::metrics::Metrics::new();
+        p.fold_metrics(&mut m);
+        for (i, &reason) in all.iter().enumerate() {
+            assert_eq!(m.gauge(gauge(reason)), Some(i as u64 + 1), "{reason:?}");
+        }
+        assert_eq!(m.gauge("observer.pipeline.total_overflow"), Some(42));
     }
 
     #[test]

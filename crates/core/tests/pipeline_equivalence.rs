@@ -1,8 +1,13 @@
 //! Differential property tests: the staged pipeline observer must be
 //! behaviorally identical to the monolithic reference observer on every
 //! legal *and* hostile report sequence — shuffled delivery orders,
-//! duplicated reports, and misattributed reports (a device delivering a
-//! report for a unit it does not own).
+//! duplicated reports, misattributed reports (a device delivering a
+//! report for a unit it does not own), stragglers and never-issued epochs
+//! — over fleets shaped to break a table indexed by device id: sparse ids
+//! from `0` to `u16::MAX`, ingress and egress units mixed, devices with no
+//! units, units registered by one device and owned by another, and
+//! devices detached and registered between initiations while older epochs
+//! are still pending on the membership they began under.
 //!
 //! Also here: the pipeline's bounded-memory claim at scale. Peak pending
 //! values (the assemble stage's working set) must stay at one epoch's
@@ -13,65 +18,131 @@ use proptest::prelude::*;
 use speedlight_core::control::{Report, ReportValue};
 use speedlight_core::observer::{GlobalSnapshot, Observer, ObserverConfig};
 use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
-use speedlight_core::{Epoch, UnitId};
+use speedlight_core::{Direction, Epoch, UnitId};
 use std::collections::BTreeSet;
 
 const MODULUS: u16 = 8;
 
-/// One delivery in a generated sequence: which expected report to send,
-/// and whether to corrupt the delivering device (misattribution).
+/// The device ids fleets draw from: both ends of the `u16` range, adjacent
+/// ids and wide gaps — the shapes an id-indexed table can get wrong.
+const ID_POOL: [u16; 6] = [0, 1, 2, 300, 40_000, u16::MAX];
+
+/// One device a fleet may register, detach and register again.
+#[derive(Debug, Clone)]
+struct PoolDevice {
+    id: u16,
+    /// What it registers: ingress and egress units, possibly none,
+    /// possibly repeated, possibly one owned by another id (`unit.device`
+    /// differs from the registrant — which may or may not be in the fleet).
+    units: Vec<UnitId>,
+    /// Registered before the first step.
+    initially: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
-struct DeliveryOp {
-    /// Index into the legit report list (modulo its length).
-    report: usize,
-    /// Deliver from `unit.device + 1` instead of the owner.
-    misattribute: bool,
+enum Step {
+    /// Initiate an epoch under the registration state of the moment.
+    Begin,
+    /// Detach the `i`-th pool device if it is registered, else register
+    /// it: epochs already pending keep the membership they began under.
+    Toggle(usize),
+    /// Deliver one report of the legit list (index modulo its length).
+    Deliver {
+        report: usize,
+        /// Deliver from `unit.device + 1` (wrapping) instead of the owner.
+        misattribute: bool,
+        /// Rewrite the epoch to one that was never issued.
+        future: bool,
+        /// Re-home the unit onto the `report`-th fleet device, port and
+        /// direction kept: a unit that device may never have registered
+        /// (it may have registered none at all).
+        stray: bool,
+    },
+    /// Deliver, in order, every report the `i`-th pending epoch expects.
+    Complete(usize),
 }
 
 #[derive(Debug, Clone)]
 struct Fleet {
-    /// `units_per_device[d]` = number of ports on device `d` (1 unit each).
-    units_per_device: Vec<u16>,
-    /// Epochs to initiate before delivering (bounded by no-lapping).
-    initiations: usize,
-    /// The (possibly shuffled, duplicated, corrupted) delivery sequence.
-    ops: Vec<DeliveryOp>,
+    devices: Vec<PoolDevice>,
+    steps: Vec<Step>,
 }
 
 fn fleet_strategy() -> impl Strategy<Value = Fleet> {
+    // A unit is (egress?, port, foreign-owner roll); a device is (index
+    // into ID_POOL, units, registered-initially roll).
+    let unit = (any::<bool>(), 0u16..3, 0u8..8);
+    let device = (
+        0usize..ID_POOL.len(),
+        proptest::collection::vec(unit, 0..=3),
+        0u8..4,
+    );
     (
-        proptest::collection::vec(1u16..=3, 1..=4),
-        1usize..usize::from(MODULUS - 1),
-        proptest::collection::vec((0usize..64, 0u8..20), 0..80),
+        proptest::collection::vec(device, 1..=4),
+        proptest::collection::vec((0u8..20, 0usize..64, 0u8..20), 0..100),
     )
-        .prop_map(|(units_per_device, initiations, raw)| Fleet {
-            units_per_device,
-            initiations,
-            ops: raw
+        .prop_map(|(raw_devices, raw_steps)| {
+            let mut devices: Vec<PoolDevice> = Vec::new();
+            for (id_idx, raw_units, initially) in raw_devices {
+                let id = ID_POOL[id_idx];
+                if devices.iter().any(|d| d.id == id) {
+                    continue;
+                }
+                let units = raw_units
+                    .into_iter()
+                    .map(|(egress, port, foreign)| UnitId {
+                        // ~1 in 8 units belongs to the next id of the pool.
+                        device: if foreign == 0 {
+                            ID_POOL[(id_idx + 1) % ID_POOL.len()]
+                        } else {
+                            id
+                        },
+                        direction: if egress {
+                            Direction::Egress
+                        } else {
+                            Direction::Ingress
+                        },
+                        port,
+                    })
+                    .collect();
+                devices.push(PoolDevice {
+                    id,
+                    units,
+                    // The first device always starts registered, so most
+                    // fleets can initiate at all.
+                    initially: devices.is_empty() || initially != 0,
+                });
+            }
+            let steps = raw_steps
                 .into_iter()
-                .map(|(report, hostility)| DeliveryOp {
-                    report,
-                    // ~15% of deliveries arrive from the wrong device.
-                    misattribute: hostility < 3,
+                .map(|(kind, pick, hostility)| match kind {
+                    0..=3 => Step::Begin,
+                    4..=5 => Step::Toggle(pick),
+                    6..=7 => Step::Complete(pick),
+                    _ => Step::Deliver {
+                        report: pick,
+                        // ~15% of deliveries arrive from the wrong device,
+                        // 5% name an epoch nobody issued, 10% a unit
+                        // re-homed onto some device of the fleet.
+                        misattribute: hostility < 3,
+                        future: hostility == 3,
+                        stray: (4..=5).contains(&hostility),
+                    },
                 })
-                .collect(),
+                .collect();
+            Fleet { devices, steps }
         })
 }
 
-fn units_of(fleet: &Fleet, device: u16) -> Vec<UnitId> {
-    (0..fleet.units_per_device[usize::from(device)])
-        .map(|port| UnitId::ingress(device, port))
-        .collect()
-}
-
 fn report_for(unit: UnitId, epoch: Epoch) -> Report {
+    let egress = u64::from(unit.direction == Direction::Egress);
     Report {
         unit,
         epoch,
         value: ReportValue::Value {
             // Deterministic, distinct per (unit, epoch): a corrupted
             // credit would change some completed snapshot.
-            local: u64::from(unit.device) * 1000 + u64::from(unit.port) * 10 + epoch,
+            local: u64::from(unit.device) * 1000 + u64::from(unit.port) * 10 + egress * 5 + epoch,
             channel: epoch,
         },
     }
@@ -93,6 +164,8 @@ struct RunResult {
 /// The externally-observable observer surface, so one driver can run both
 /// implementations.
 trait ObsApi {
+    fn register(&mut self, device: u16, units: Vec<UnitId>);
+    fn detach(&mut self, device: u16);
     fn begin(&mut self) -> Option<Epoch>;
     fn report(&mut self, device: u16, r: Report) -> Option<GlobalSnapshot>;
     fn pending(&self) -> Vec<Epoch>;
@@ -103,83 +176,122 @@ trait ObsApi {
     fn counts(&self) -> (u64, u64);
 }
 
-impl ObsApi for Observer {
-    fn begin(&mut self) -> Option<Epoch> {
-        self.begin_snapshot()
-    }
-    fn report(&mut self, device: u16, r: Report) -> Option<GlobalSnapshot> {
-        self.on_report(device, r)
-    }
-    fn pending(&self) -> Vec<Epoch> {
-        self.pending_epochs().collect()
-    }
-    fn lagging(&self, epoch: Epoch) -> BTreeSet<u16> {
-        self.lagging_devices(epoch)
-    }
-    fn missing(&self, epoch: Epoch) -> Vec<UnitId> {
-        self.missing_units(epoch)
-    }
-    fn force(&mut self, epoch: Epoch) -> Option<GlobalSnapshot> {
-        self.force_finalize(epoch)
-    }
-    fn counts(&self) -> (u64, u64) {
-        (self.misattributed_count(), self.finalized_count())
-    }
+macro_rules! impl_obs_api {
+    ($($observer:ty),*) => {$(
+        impl ObsApi for $observer {
+            fn register(&mut self, device: u16, units: Vec<UnitId>) {
+                self.register_device(device, units)
+            }
+            fn detach(&mut self, device: u16) {
+                self.detach_device(device)
+            }
+            fn begin(&mut self) -> Option<Epoch> {
+                self.begin_snapshot()
+            }
+            fn report(&mut self, device: u16, r: Report) -> Option<GlobalSnapshot> {
+                self.on_report(device, r)
+            }
+            fn pending(&self) -> Vec<Epoch> {
+                self.pending_epochs().collect()
+            }
+            fn lagging(&self, epoch: Epoch) -> BTreeSet<u16> {
+                self.lagging_devices(epoch)
+            }
+            fn missing(&self, epoch: Epoch) -> Vec<UnitId> {
+                self.missing_units(epoch)
+            }
+            fn force(&mut self, epoch: Epoch) -> Option<GlobalSnapshot> {
+                self.force_finalize(epoch)
+            }
+            fn counts(&self) -> (u64, u64) {
+                (self.misattributed_count(), self.finalized_count())
+            }
+        }
+    )*};
 }
 
-impl ObsApi for PipelineObserver {
-    fn begin(&mut self) -> Option<Epoch> {
-        self.begin_snapshot()
-    }
-    fn report(&mut self, device: u16, r: Report) -> Option<GlobalSnapshot> {
-        self.on_report(device, r)
-    }
-    fn pending(&self) -> Vec<Epoch> {
-        self.pending_epochs().collect()
-    }
-    fn lagging(&self, epoch: Epoch) -> BTreeSet<u16> {
-        self.lagging_devices(epoch)
-    }
-    fn missing(&self, epoch: Epoch) -> Vec<UnitId> {
-        self.missing_units(epoch)
-    }
-    fn force(&mut self, epoch: Epoch) -> Option<GlobalSnapshot> {
-        self.force_finalize(epoch)
-    }
-    fn counts(&self) -> (u64, u64) {
-        (self.misattributed_count(), self.finalized_count())
-    }
-}
+impl_obs_api!(Observer, PipelineObserver);
 
 /// Drive one observer through the whole scenario.
 fn drive(fleet: &Fleet, obs: &mut dyn ObsApi) -> RunResult {
-    let ndev = fleet.units_per_device.len() as u16;
-    let mut epochs = Vec::new();
-    for _ in 0..fleet.initiations {
-        epochs.push(obs.begin());
+    let mut registered: Vec<bool> = fleet.devices.iter().map(|d| d.initially).collect();
+    for d in fleet.devices.iter().filter(|d| d.initially) {
+        obs.register(d.id, d.units.clone());
     }
-    // The legit report list: every (unit, initiated epoch) pair in a
-    // fixed order; ops index into it.
-    let mut legit = Vec::new();
-    for &epoch in epochs.iter().flatten() {
-        for d in 0..ndev {
-            for unit in units_of(fleet, d) {
-                legit.push(report_for(unit, epoch));
+    // The legit report list: every (unit, epoch) pair of every epoch
+    // initiated so far, units as registered at its initiation; Deliver
+    // steps index into it. Sealed epochs stay listed — their reports are
+    // the stragglers.
+    let mut legit: Vec<Report> = Vec::new();
+    let mut issued: Epoch = 0;
+    let mut epochs = Vec::new();
+    let mut completed = Vec::new();
+    for &step in &fleet.steps {
+        match step {
+            Step::Begin => {
+                // The pipeline refuses, as lapped, a report `MODULUS` or
+                // more epochs behind the newest issued one (its wrapped id
+                // aliases); the reference has no such window and would
+                // still credit it. An initiator that respects no-lapping
+                // never opens that gap over a pending epoch, and neither
+                // does this one.
+                let next = issued + 1;
+                if (obs.pending().first()).is_some_and(|&old| next - old >= u64::from(MODULUS)) {
+                    continue;
+                }
+                let begun = obs.begin();
+                issued += u64::from(begun.is_some());
+                epochs.push(begun);
+                if let Some(epoch) = begun {
+                    for (d, _) in fleet.devices.iter().zip(&registered).filter(|(_, r)| **r) {
+                        legit.extend(d.units.iter().map(|&unit| report_for(unit, epoch)));
+                    }
+                }
+            }
+            Step::Toggle(i) => {
+                let i = i % fleet.devices.len();
+                let d = &fleet.devices[i];
+                if registered[i] {
+                    obs.detach(d.id);
+                } else {
+                    obs.register(d.id, d.units.clone());
+                }
+                registered[i] = !registered[i];
+            }
+            Step::Deliver {
+                report,
+                misattribute,
+                future,
+                stray,
+            } => {
+                if legit.is_empty() {
+                    continue;
+                }
+                let mut r = legit[report % legit.len()];
+                if future {
+                    r.epoch += 1000;
+                }
+                if stray {
+                    r.unit.device = fleet.devices[report % fleet.devices.len()].id;
+                }
+                let from = if misattribute {
+                    r.unit.device.wrapping_add(1)
+                } else {
+                    r.unit.device
+                };
+                completed.push(obs.report(from, r));
+            }
+            Step::Complete(i) => {
+                let pending = obs.pending();
+                if pending.is_empty() {
+                    continue;
+                }
+                let epoch = pending[i % pending.len()];
+                for r in legit.iter().filter(|r| r.epoch == epoch) {
+                    completed.push(obs.report(r.unit.device, *r));
+                }
             }
         }
-    }
-    let mut completed = Vec::new();
-    for op in &fleet.ops {
-        if legit.is_empty() {
-            break;
-        }
-        let r = legit[op.report % legit.len()];
-        let from = if op.misattribute {
-            (r.unit.device + 1) % ndev.max(1)
-        } else {
-            r.unit.device
-        };
-        completed.push(obs.report(from, r));
     }
     // Timeout path: force-finalize whatever is still pending, in order.
     let mut retry_view = Vec::new();
@@ -204,19 +316,26 @@ fn drive(fleet: &Fleet, obs: &mut dyn ObsApi) -> RunResult {
 proptest! {
     #[test]
     fn pipeline_matches_reference_on_hostile_sequences(fleet in fleet_strategy()) {
-        let ndev = fleet.units_per_device.len() as u16;
-
         let mut reference = Observer::new(ObserverConfig::for_modulus(MODULUS));
         let mut pipeline = PipelineObserver::new(PipelineConfig::for_modulus(MODULUS));
-        for d in 0..ndev {
-            reference.register_device(d, units_of(&fleet, d));
-            pipeline.register_device(d, units_of(&fleet, d));
-        }
 
         let got_ref = drive(&fleet, &mut reference);
         let got_pipe = drive(&fleet, &mut pipeline);
 
         prop_assert_eq!(got_ref, got_pipe);
+
+        // Every report the pipeline took in was credited or refused for
+        // exactly one reason — none vanished between stages.
+        let s = pipeline.stats();
+        let dropped = s.misattributed
+            + s.future_epoch
+            + s.lapped
+            + s.stale_epoch
+            + s.foreign_device
+            + s.excluded_device
+            + s.unexpected_unit
+            + s.duplicate;
+        prop_assert_eq!(s.offered, s.accepted + dropped);
     }
 }
 
