@@ -836,6 +836,14 @@ mod tests {
         tb
     }
 
+    /// Run to the 50 ms horizon on the calling thread. These tests compare
+    /// shard *placements*; the worker pool has its own tests in
+    /// `netsim::shard` and `tests/shard_equivalence.rs`, so neither
+    /// coverage nor duration here depends on the core count.
+    fn run_inline(tb: &mut ShardedTestbed) {
+        parfan::with_jobs(1, || tb.run_until(Instant::from_nanos(50_000_000)));
+    }
+
     /// Everything a run produces that the equivalence contract covers,
     /// rendered to comparable bytes.
     fn run_artifacts(shards: usize, channel_state: bool) -> (String, String, String) {
@@ -843,7 +851,7 @@ mod tests {
         tb.enable_trace();
         tb.enable_delivery_log();
         tb.snapshot_at(Instant::from_nanos(2_000_000));
-        tb.run_until(Instant::from_nanos(50_000_000));
+        run_inline(&mut tb);
         let snaps = format!("{:?}", tb.snapshots());
         let misc = format!(
             "rx={:?} sync={:?} log={:?}",
@@ -908,7 +916,7 @@ mod tests {
     fn sharded_run_completes_snapshots() {
         let mut tb = sharded_leaf_spine(2, false);
         tb.snapshot_at(Instant::from_nanos(2_000_000));
-        tb.run_until(Instant::from_nanos(50_000_000));
+        run_inline(&mut tb);
         assert_eq!(tb.snapshots().len(), 1, "snapshot must complete");
         assert!(!tb.snapshots()[0].forced);
         assert!(tb.snapshots()[0].snapshot.fully_consistent());
@@ -936,7 +944,7 @@ mod tests {
             let mut tb = sharded_leaf_spine(shards, true);
             tb.enable_profiling();
             tb.snapshot_at(Instant::from_nanos(2_000_000));
-            tb.run_until(Instant::from_nanos(50_000_000));
+            run_inline(&mut tb);
             tb.take_profile().to_json()
         };
         let reference = render(1);
@@ -968,7 +976,7 @@ mod tests {
         tb.enable_trace();
         tb.enable_delivery_log();
         tb.snapshot_at(Instant::from_nanos(2_000_000));
-        tb.run_until(Instant::from_nanos(50_000_000));
+        run_inline(&mut tb);
         let snaps = format!("{:?}", tb.snapshots());
         let misc = format!(
             "rx={:?} sync={:?} log={:?}",
@@ -993,7 +1001,7 @@ mod tests {
         let render = |shards: usize| {
             let mut tb = sharded_leaf_spine(shards, false);
             tb.snapshot_at(Instant::from_nanos(2_000_000));
-            tb.run_until(Instant::from_nanos(50_000_000));
+            run_inline(&mut tb);
             tb.export_metrics()
         };
         let reference = render(1);
