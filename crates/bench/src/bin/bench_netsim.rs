@@ -438,9 +438,8 @@ fn main() -> ExitCode {
     }
 
     if let Some(p) = &trace_path {
-        let mut doc = m.trace_lines.join("\n");
-        doc.push('\n');
-        std::fs::write(p, doc).unwrap_or_else(|e| panic!("cannot write trace {p}: {e}"));
+        std::fs::write(p, obs::sinks::render_lines(&m.trace_lines))
+            .unwrap_or_else(|e| panic!("cannot write trace {p}: {e}"));
         eprintln!("wrote trace {p} ({} events)", m.trace_lines.len());
     }
 

@@ -1,29 +1,69 @@
-//! Profiling-off digest pin: with tracing at its default
-//! (`TraceSink::Off`) and no `--profile-out`, the full fig9 scenario must
-//! reproduce the committed serial snapshot digest byte-for-byte. This is
-//! the "no hot-path tax when disabled" contract: the profiler hooks
-//! compile to a branch on a `None` option, and the digest pin proves
-//! they never perturb the simulation.
+//! The `bench_netsim` digest pins, run against the binary itself.
+//!
+//! Serial: with tracing at its default (`TraceSink::Off`) and no
+//! `--profile-out`, fig9 and smoke must reproduce the committed serial
+//! snapshot digests byte-for-byte. This is the "no hot-path tax when
+//! disabled" contract: the profiler hooks compile to a branch on a `None`
+//! option, and the digest pin proves they never perturb the simulation.
+//!
+//! Sharded: the fig9 profile written at 2 and at 4 shards must be the
+//! same bytes and carry the committed profile digest. The child resolves
+//! its worker count from the OS like any user's run; the pin holds at any
+//! count, which is the point.
 
 use std::process::Command;
 
-const PINNED_FIG9_DIGEST: &str = "94f4c88c10ba015f";
+/// `(scenario, serial snapshot digest at --seed 9)`.
+const SERIAL_PINS: &[(&str, &str)] = &[("fig9", "94f4c88c10ba015f"), ("smoke", "7dc7a4db56455a62")];
+
+const PINNED_FIG9_SHARDED_PROFILE_DIGEST: &str = "73ad5b8b1f85e9d1";
+
+fn bench_netsim(args: &[&str]) {
+    let status = Command::new(env!("CARGO_BIN_EXE_bench_netsim"))
+        .args(args)
+        .status()
+        .expect("run bench_netsim");
+    assert!(status.success(), "bench_netsim {args:?} failed ({status})");
+}
 
 #[test]
-fn fig9_serial_digest_with_profiling_disabled() {
-    let status = Command::new(env!("CARGO_BIN_EXE_bench_netsim"))
-        .args([
+fn serial_digests_with_profiling_disabled() {
+    for (scenario, digest) in SERIAL_PINS {
+        bench_netsim(&[
+            "--scenario",
+            scenario,
+            "--seed",
+            "9",
+            "--expect-digest",
+            digest,
+        ]);
+    }
+}
+
+#[test]
+fn fig9_sharded_profile_is_shard_count_invariant() {
+    let profile_at = |shards: &str| {
+        let path = format!(
+            "{}/fig9-s{shards}-profile.json",
+            env!("CARGO_TARGET_TMPDIR")
+        );
+        bench_netsim(&[
             "--scenario",
             "fig9",
             "--seed",
             "9",
-            "--expect-digest",
-            PINNED_FIG9_DIGEST,
-        ])
-        .status()
-        .expect("run bench_netsim");
-    assert!(
-        status.success(),
-        "bench_netsim digest pin failed (exit {status})"
+            "--shards",
+            shards,
+            "--profile-out",
+            &path,
+        ]);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+    };
+    let two = profile_at("2");
+    assert!(two == profile_at("4"), "profile differs at 2 vs 4 shards");
+    assert_eq!(
+        obs::profile::extract_digest(&two).as_deref(),
+        Some(PINNED_FIG9_SHARDED_PROFILE_DIGEST),
+        "fig9 sharded profile digest moved"
     );
 }

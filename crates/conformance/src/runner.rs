@@ -465,7 +465,7 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioOutcome {
 
 /// Run every scenario in the matrix, fanning out across cores. Scenarios
 /// are independent seeded runs, so the outcome vector is identical (in
-/// order and content) at any `SPEEDLIGHT_JOBS`; each job's label carries
+/// order and content) at any worker count; each job's label carries
 /// the full spec string, so a panicking scenario is reproducible from the
 /// failure message alone.
 pub fn run_matrix(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {

@@ -4,7 +4,7 @@
 //! the same differential oracle as the healthy matrix, under the
 //! per-fault-class invariant table; a pinned-seed generated batch proves
 //! the `AdversarialGen` stream stays deterministic and conformant at any
-//! `SPEEDLIGHT_JOBS`; and mutation twins prove each adversarial oracle
+//! worker count; and mutation twins prove each adversarial oracle
 //! rule actually fails when its fault handling is broken.
 
 use conformance::oracle::check_run;

@@ -1,16 +1,17 @@
-//! The CI `profile-equivalence` surface: the deterministic
-//! `speedlight-profile/v1` artifact (and the merged metrics JSON it
-//! travels with) must be byte-identical at every worker-thread count ×
-//! shard count. Jobs are pinned with `parfan::with_jobs`; shards are an
-//! explicit simulation parameter — so one test process sweeps the whole
-//! {1,2,4} × {1,2,4} grid deterministically.
+//! The deterministic `speedlight-profile/v1` artifact (and the merged
+//! metrics JSON it travels with) must be byte-identical at every
+//! worker-thread count × shard count. Jobs are pinned with
+//! `parfan::with_jobs`; shards are an explicit simulation parameter — so
+//! one test process sweeps the whole {1,2,4} × {1,2,4} grid
+//! deterministically.
 //!
 //! The fig9-style scenario (leaf-spine testbed, Hadoop workload,
 //! channel-state snapshots — the shape behind the paper's Fig. 9 sync
 //! CDFs) is additionally pinned against a committed golden profile, so
 //! any change to stall accounting, window math, or the profile writer
 //! shows up as a reviewable diff. To re-bless after an *intentional*
-//! change:
+//! change (and then update [`GOLDEN_DIGEST`], which a re-bless alone
+//! cannot move):
 //!
 //! ```text
 //! SPEEDLIGHT_BLESS=1 cargo test -p conformance --test profile_equivalence
@@ -27,6 +28,9 @@ const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/fig9_profile.json"
 );
+
+/// The digest the committed golden file carries.
+const GOLDEN_DIGEST: &str = "868f566d895ba732";
 
 fn profile_at(sc: &Scenario, jobs: usize, shards: usize) -> (String, String) {
     let (_, _, metrics, profile) = parfan::with_jobs(jobs, || run_fabric_sharded_full(sc, shards));
@@ -63,6 +67,11 @@ fn fig9_profile_is_jobs_and_shard_count_invariant() {
     }
 
     let want = include_str!("golden/fig9_profile.json");
+    assert_eq!(
+        obs::profile::extract_digest(want).as_deref(),
+        Some(GOLDEN_DIGEST),
+        "golden profile was re-blessed without updating GOLDEN_DIGEST"
+    );
     assert!(
         ref_profile == want,
         "profile diverged from golden file.\n\

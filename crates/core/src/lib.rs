@@ -20,7 +20,7 @@
 //!   retries, and excludes failed devices.
 //! * [`pipeline`] — the staged snapshot-assembly pipeline (collect →
 //!   validate → assemble → finalize → persist-hook): bounded inter-stage
-//!   queues, a backpressure signal for the embedding driver, and
+//!   queues (a full collect queue refuses the offer), and
 //!   per-arriving-report consistency checks. Differential-tested against
 //!   the monolithic [`observer`] reference.
 //! * [`ideal`] — the idealized algorithm of Fig. 3 (unbounded IDs, full

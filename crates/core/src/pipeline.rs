@@ -19,18 +19,19 @@
 //!   │ collect ├───────►│ validate ├───────►│ assemble ├┤
 //!   └─────────┘        └──────────┘        └────┬─────┘│
 //!    bounded:           attribution,            │ epoch │
-//!    backpressure       epoch-window,           ▼ done  │
-//!    signal to the      membership &      ┌──────────┐ │
-//!    fabric driver      duplicate checks  │ finalize ├─┘
+//!    a full queue       epoch-window,           ▼ done  │
+//!    refuses the        membership &      ┌──────────┐ │
+//!    offer              duplicate checks  │ finalize ├─┘
 //!                                         └──────────┘
 //!                                          seals GlobalSnapshot,
 //!                                          emits obs.finalize
 //! ```
 //!
 //! * **collect** — the bounded ingress queue. [`PipelineObserver::offer_report`]
-//!   refuses when full; [`PipelineObserver::backpressured`] surfaces the
-//!   signal so the embedding driver can defer snapshot (re-)initiations
-//!   instead of piling more reports onto a saturated observer.
+//!   refuses when full (returns `false`, counts a `backpressure_rejects`):
+//!   an embedder that stages the pumps itself pumps and offers again. The
+//!   `on_report*` wrappers pump to quiescence after every offer, so their
+//!   callers never see a refusal.
 //! * **validate** — per-arriving-report consistency checks: attribution
 //!   (the delivering device must own the reported unit), the no-lapping
 //!   epoch window (a report more than `modulus` epochs behind the newest
@@ -83,8 +84,7 @@ pub struct PipelineConfig {
     /// cap) — shared with the reference implementation.
     pub observer: ObserverConfig,
     /// Capacity of the collect (ingress) queue. When full,
-    /// [`PipelineObserver::offer_report`] refuses and
-    /// [`PipelineObserver::backpressured`] turns on.
+    /// [`PipelineObserver::offer_report`] refuses.
     pub collect_capacity: usize,
     /// Capacity of the validated queue between validate and assemble.
     pub validated_capacity: usize,
@@ -567,12 +567,6 @@ impl PipelineObserver {
     /// Pipeline counters and high-water marks.
     pub fn stats(&self) -> &PipelineStats {
         &self.stats
-    }
-
-    /// True when the collect queue is full: the embedding driver should
-    /// defer snapshot (re-)initiations until the pipeline drains.
-    pub fn backpressured(&self) -> bool {
-        self.collect.len() >= self.cfg.collect_capacity
     }
 
     fn membership_arc(&mut self) -> Arc<Membership> {
@@ -1162,18 +1156,19 @@ mod tests {
         let mut p = PipelineObserver::new(cfg);
         p.register_device(0, vec![UnitId::ingress(0, 0), UnitId::egress(0, 0)]);
         p.begin_snapshot().unwrap();
-        assert!(!p.backpressured());
         assert!(p.offer_report(0, report(UnitId::ingress(0, 0), 1, 1)));
         assert!(p.offer_report(0, report(UnitId::egress(0, 0), 1, 2)));
-        assert!(p.backpressured(), "collect at capacity");
         assert!(
             !p.offer_report(0, report(UnitId::ingress(0, 0), 1, 3)),
             "offer refused at capacity"
         );
         assert_eq!(p.stats().backpressure_rejects, 1);
         p.pump();
-        assert!(!p.backpressured(), "pump drains the queue");
         assert_eq!(p.take_finalized().map(|s| s.epoch), Some(1));
+        assert!(
+            p.offer_report(0, report(UnitId::ingress(0, 0), 1, 3)),
+            "pump drained the queue: the retried offer is taken"
+        );
     }
 
     #[test]

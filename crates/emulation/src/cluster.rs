@@ -8,13 +8,13 @@
 
 use crate::device::{Device, DeviceConfig, PortTarget};
 use crate::messages::{DeviceMsg, Frame, ObserverMsg};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use speedlight_core::consistency::DeliveryEvent;
 use speedlight_core::observer::GlobalSnapshot;
 use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
 use speedlight_core::Epoch;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as WallDuration, Instant as WallInstant};
@@ -98,14 +98,14 @@ impl Cluster {
         let t0 = WallInstant::now();
 
         // Channels: one inbox per device.
-        let (txs, rxs): (Vec<Sender<DeviceMsg>>, Vec<Receiver<DeviceMsg>>) =
-            (0..n).map(|_| bounded::<DeviceMsg>(65_536)).unzip();
-        let (obs_tx, obs_rx) = unbounded::<ObserverMsg>();
+        let (txs, rxs): (Vec<SyncSender<DeviceMsg>>, Vec<Receiver<DeviceMsg>>) =
+            (0..n).map(|_| sync_channel::<DeviceMsg>(65_536)).unzip();
+        let (obs_tx, obs_rx) = channel::<ObserverMsg>();
 
         // Build device configs for the line: port 0 = left, port 1 = right.
         let mut observer = PipelineObserver::new(PipelineConfig::for_modulus(cfg.modulus));
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
-        for d in 0..n {
+        for (d, rx) in (0..n).zip(rxs) {
             let left = if d == 0 {
                 PortTarget::Host(0)
             } else {
@@ -133,7 +133,6 @@ impl Cluster {
             };
             observer.register_device(d, Device::unit_ids(&dev_cfg));
             let device = Device::new(dev_cfg, obs_tx.clone(), t0);
-            let rx = rxs[usize::from(d)].clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("device-{d}"))

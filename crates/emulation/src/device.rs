@@ -7,14 +7,13 @@
 //! frame, exactly the "data plane exports, CPU consumes" split of §5.3/§6.
 
 use crate::messages::{DeviceMsg, Frame, ObserverMsg};
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use speedlight_core::consistency::DeliveryEvent;
 use speedlight_core::control::ControlPlane;
 use speedlight_core::types::{ChannelId, Direction, Notification, UnitId, CPU_CHANNEL};
 use speedlight_core::unit::{DataPlaneUnit, UnitConfig};
 use speedlight_core::{Epoch, WrappedId};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::time::Instant as WallInstant;
 use wire::SnapshotHeader;
 
@@ -24,7 +23,7 @@ pub enum PortTarget {
     /// Link to another device's port.
     Device {
         /// Peer's inbox.
-        tx: Sender<DeviceMsg>,
+        tx: SyncSender<DeviceMsg>,
         /// Peer's ingress port number.
         peer_port: u16,
     },
@@ -247,10 +246,7 @@ impl Device {
     }
 
     fn decode_shim(frame: &Frame) -> Option<SnapshotHeader> {
-        frame
-            .shim
-            .as_ref()
-            .and_then(|b| SnapshotHeader::decode(&mut b.as_ref()).ok())
+        frame.shim.and_then(|b| SnapshotHeader::decode(&b).ok())
     }
 
     /// Process a frame arriving on `port`; forwards it onward.
@@ -329,7 +325,7 @@ impl Device {
                     snapshot_id: out.out_sid.raw(),
                     channel_id: port,
                 };
-                frame.shim = Some(Bytes::from(hdr.encode_to_vec()));
+                frame.shim = Some(hdr.encode());
                 let _ = tx.send(DeviceMsg::Frame {
                     port: *peer_port,
                     frame,
@@ -412,7 +408,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     fn two_port_device(observer: Sender<ObserverMsg>) -> Device {
         let cfg = DeviceConfig {
@@ -429,7 +425,7 @@ mod tests {
 
     #[test]
     fn initiation_advances_all_units_and_reports() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut dev = two_port_device(tx);
         dev.on_initiate(1);
         // No channel state: completion is immediate → 4 unit reports.
@@ -445,7 +441,7 @@ mod tests {
 
     #[test]
     fn frames_flow_and_counters_snapshot() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut dev = two_port_device(tx);
         // 3 frames in port 0, out port 1 (dst host 1).
         for _ in 0..3 {
@@ -475,8 +471,8 @@ mod tests {
 
     #[test]
     fn shutdown_signals_done() {
-        let (otx, orx) = unbounded();
-        let (dtx, drx) = unbounded();
+        let (otx, orx) = channel();
+        let (dtx, drx) = channel();
         let dev = two_port_device(otx);
         let handle = std::thread::spawn(move || dev.run(drx));
         dtx.send(DeviceMsg::Shutdown).unwrap();

@@ -2,11 +2,11 @@
 //!
 //! Where the `fabric` crate *simulates* switches under a virtual clock,
 //! this crate *runs* them: one OS thread per device (data plane + control
-//! plane, like the switch ASIC + CPU sharing a box), crossbeam channels as
-//! links (FIFO, like the wire), real host generator threads, and an
-//! observer thread that schedules snapshots at wall-clock instants — so
-//! the synchronization you measure here includes the machine's *actual*
-//! scheduling jitter, the live analogue of Fig. 9.
+//! plane, like the switch ASIC + CPU sharing a box), `std::sync::mpsc`
+//! channels as links (FIFO, like the wire), real host generator threads,
+//! and an observer thread that schedules snapshots at wall-clock instants
+//! — so the synchronization you measure here includes the machine's
+//! *actual* scheduling jitter, the live analogue of Fig. 9.
 //!
 //! The module split:
 //!

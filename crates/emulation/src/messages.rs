@@ -1,10 +1,9 @@
 //! Channel message types of the live emulation.
 
-use bytes::Bytes;
 use speedlight_core::consistency::DeliveryEvent;
 use speedlight_core::control::Report;
 use speedlight_core::Epoch;
-use wire::FlowKey;
+use wire::{FlowKey, WIRE_LEN};
 
 /// A frame on a link: logical packet metadata plus the encoded snapshot
 /// shim (present once a snapshot-enabled device inserted it).
@@ -17,7 +16,7 @@ pub struct Frame {
     /// Payload size in bytes (accounting only).
     pub size: u32,
     /// Encoded snapshot header ([`wire::SnapshotHeader`]), if present.
-    pub shim: Option<Bytes>,
+    pub shim: Option<[u8; WIRE_LEN]>,
 }
 
 /// Commands and frames delivered to a device actor.
@@ -85,9 +84,9 @@ mod tests {
             flow: FlowKey::tcp(1, 2, 3, 4),
             dst_host: 2,
             size: 100,
-            shim: Some(Bytes::from(hdr.encode_to_vec())),
+            shim: Some(hdr.encode()),
         };
-        let decoded = SnapshotHeader::decode(&mut frame.shim.as_ref().unwrap().as_ref()).unwrap();
+        let decoded = SnapshotHeader::decode(&frame.shim.unwrap()).unwrap();
         assert_eq!(decoded, hdr);
     }
 }

@@ -179,7 +179,7 @@ fn grid_cells(cfg: &Fig12Config) -> Vec<(Workload, LbKind)> {
 }
 
 /// Run the full grid with tracing on and merge the per-cell traces in cell
-/// (input) order, so the result is byte-identical at any `SPEEDLIGHT_JOBS`.
+/// (input) order, so the result is byte-identical at any worker count.
 pub fn grid_trace(cfg: &Fig12Config) -> Vec<String> {
     let cells = grid_cells(cfg);
     let traces = parfan::map_labeled(

@@ -114,7 +114,7 @@ fn run_variant(cfg: &Fig9Config, channel_state: bool, poll: bool) -> (Cdf, Cdf) 
 
 /// Run the experiment. The two variant simulations are independent seeded
 /// runs (each builds its own testbed from `cfg.seed`), so they fan out
-/// across cores; results are identical at any `SPEEDLIGHT_JOBS`.
+/// across cores; results are identical at any worker count.
 pub fn run(cfg: &Fig9Config) -> Fig9 {
     // (channel_state, poll) per variant, in output order.
     let variants = [(false, true), (true, false)];

@@ -5,8 +5,8 @@
 //! which covers every field (including the raw sorted CDF samples) bit for
 //! bit — f64s format losslessly enough to distinguish any accumulation-order
 //! difference, and a mismatch fails with a readable diff. Worker counts are
-//! pinned with `parfan::with_jobs`, which overrides `SPEEDLIGHT_JOBS`
-//! race-free per thread.
+//! pinned with `parfan::with_jobs`, a per-thread scope, so the comparison
+//! is the same on any machine.
 
 use experiments::{fig11, fig12, fig9};
 use fabric::topology::LbKind;

@@ -1,5 +1,5 @@
 //! Trace determinism across worker counts: the merged JSONL trace of the
-//! fig. 12 grid must be byte-identical at any `SPEEDLIGHT_JOBS`.
+//! fig. 12 grid must be byte-identical at any worker count.
 //!
 //! This is the observability analogue of `parallel_equivalence`: each grid
 //! cell buffers its own trace, and `fig12::grid_trace` merges the per-cell

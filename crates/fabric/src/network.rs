@@ -1550,19 +1550,7 @@ impl Network {
             }
 
             NetEvent::ScheduleSnapshot => {
-                // Backpressure contract: a saturated collect queue means
-                // the observer cannot keep up with the reports already in
-                // flight — initiating another epoch would only deepen the
-                // backlog. Defer to the next period instead.
-                if self.observer.backpressured() {
-                    self.instr.metrics.inc("observer.backpressure_deferred");
-                    obs::event!(
-                        &mut self.instr.trace,
-                        now.as_nanos(),
-                        "obs.backpressure",
-                        stage = "collect",
-                    );
-                } else if let Some(epoch) = self
+                if let Some(epoch) = self
                     .observer
                     .begin_snapshot_traced(&mut self.instr.trace, now.as_nanos())
                 {
@@ -1923,14 +1911,7 @@ impl Network {
                         .get(&epoch)
                         .map(|t| now.saturating_since(*t) >= self.driver.retry_timeout)
                         .unwrap_or(true);
-                    // Re-initiations are deferred under backpressure for
-                    // the same reason as initiations: they fan out more
-                    // reports toward an already-saturated collect queue.
-                    // Timeouts above still fire — liveness must not
-                    // depend on the pipeline draining.
-                    if self.observer.backpressured() {
-                        self.instr.metrics.inc("observer.backpressure_deferred");
-                    } else if paced {
+                    if paced {
                         let lagging: Vec<u16> =
                             self.observer.lagging_devices(epoch).into_iter().collect();
                         if !lagging.is_empty() {

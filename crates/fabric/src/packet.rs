@@ -6,7 +6,7 @@
 //! shim is stored decoded; [`Packet::header_bytes`] exercises the real
 //! codec for the wire-format tests.
 
-use wire::{FlowKey, PacketType, SnapshotHeader};
+use wire::{FlowKey, PacketType, SnapshotHeader, WIRE_LEN};
 
 /// Why a packet exists (workload vs. protocol machinery).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +81,8 @@ impl Packet {
 
     /// Encode the shim header (exercises the codec; the simulator otherwise
     /// keeps it decoded).
-    pub fn header_bytes(&self) -> Option<Vec<u8>> {
-        self.snapshot.map(|h| h.encode_to_vec())
+    pub fn header_bytes(&self) -> Option<[u8; WIRE_LEN]> {
+        self.snapshot.map(|h| h.encode())
     }
 
     /// Whether the packet carries a data-type shim (not initiation).
@@ -120,7 +120,7 @@ mod tests {
         assert!(!p.has_data_shim());
         // Round-trips through the codec.
         let bytes = p.header_bytes().unwrap();
-        let decoded = SnapshotHeader::decode(&mut bytes.as_slice()).unwrap();
+        let decoded = SnapshotHeader::decode(&bytes).unwrap();
         assert_eq!(decoded, hdr);
     }
 

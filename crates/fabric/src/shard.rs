@@ -386,8 +386,9 @@ pub struct ShardedTestbed {
 impl ShardedTestbed {
     /// Build a sharded testbed over `topo` with `shards` shards and start
     /// the driver loops on the control domain. `shards` is a simulation
-    /// *configuration* (it selects the partition); worker threads are
-    /// chosen separately from `SPEEDLIGHT_JOBS` at run time.
+    /// *configuration* (it selects the partition); the worker-thread
+    /// count is resolved separately, by `parfan::resolved_jobs`, at run
+    /// time.
     pub fn new(
         topo: Topology,
         cfg: TestbedConfig,

@@ -40,7 +40,7 @@ pub const THREADING_CRATES: &[&str] = &["parfan", THREADED_CRATE];
 /// The sharded DES runtime is the one such site: its `thread::scope`
 /// workers execute the conservative window-barrier protocol, whose
 /// output is byte-identical at any worker count (worker threads resolve
-/// through `parfan::resolved_jobs`, so `SPEEDLIGHT_JOBS` still governs),
+/// through `parfan::resolved_jobs`, so a `with_jobs` scope still governs),
 /// so the determinism rationale behind the crate allowlist holds there.
 pub const THREADING_FILES: &[(&str, &str)] = &[("netsim", "src/shard.rs")];
 
@@ -214,7 +214,7 @@ impl Rule for HashCollection {
 /// threaded `emulation` runtime. An ad-hoc `thread::spawn` anywhere else
 /// either breaks determinism outright or bypasses parfan's discipline —
 /// input-ordered results, labeled panic propagation, and the
-/// `SPEEDLIGHT_JOBS` override would no longer govern it.
+/// `with_jobs` scope would no longer govern it.
 pub struct Threading;
 
 impl Rule for Threading {
@@ -254,11 +254,11 @@ impl Rule for Threading {
                     .is_some_and(|n| is_punct(n, '(') || is_punct(n, ':'));
             let bad = if module_hit || fn_hit {
                 Some(
-                    "thread creation outside parfan/emulation; route parallel work through `parfan::map` so ordering, panic labeling, and SPEEDLIGHT_JOBS still apply",
+                    "thread creation outside parfan/emulation; route parallel work through `parfan::map` so ordering, panic labeling, and `with_jobs` scopes still apply",
                 )
             } else if ident(&toks[i]) == Some("available_parallelism") {
                 Some(
-                    "core-count probe outside parfan; use `parfan::resolved_jobs()` so the SPEEDLIGHT_JOBS override is honored",
+                    "core-count probe outside parfan; use `parfan::resolved_jobs()` so a `with_jobs` scope is honored",
                 )
             } else {
                 None

@@ -61,11 +61,11 @@ pub const DISPATCH_ROOTS: &[(&str, &str)] = &[
     ("netsim", "run_until"),
 ];
 
-/// Sanctioned configuration points: the only functions allowed to read
-/// the process environment. Everything is funneled through these so a
-/// run's inputs are enumerable (and loggable) in one place.
-pub const SANCTIONED_ENV_FNS: &[(&str, &str)] =
-    &[("conformance", "artifact_dir"), ("parfan", "resolved_jobs")];
+/// Sanctioned configuration points: the only library functions allowed to
+/// read the process environment. The one entry is a path (where
+/// divergence artifacts go: a deployment setting); nothing that feeds a
+/// run reads the environment at all.
+pub const SANCTIONED_ENV_FNS: &[(&str, &str)] = &[("conformance", "artifact_dir")];
 
 /// A reachability region with parent pointers for chain reconstruction.
 pub struct Region {

@@ -61,25 +61,41 @@ fn every_sanctioned_env_fn_exists_and_reads_the_environment() {
     // deleted must take its exemption with it, and one that stopped
     // reading the environment no longer needs it.
     let files = invariants::workspace_files(&invariants::workspace_root());
-    let fns: Vec<_> = files
+    let env_readers: Vec<_> = files
         .iter()
         .flat_map(|f| invariants::items::parse_items(f).fns)
         .filter(|f| !f.is_test)
+        .filter(|f| {
+            f.sources
+                .iter()
+                .any(|s| s.kind == invariants::items::SourceKind::EnvRead)
+        })
         .collect();
     for &(krate, name) in invariants::taint::SANCTIONED_ENV_FNS {
-        let reads_env = fns.iter().any(|f| {
-            f.crate_name == krate
-                && f.name == name
-                && f.sources
-                    .iter()
-                    .any(|s| s.kind == invariants::items::SourceKind::EnvRead)
-        });
         assert!(
-            reads_env,
+            env_readers
+                .iter()
+                .any(|f| f.crate_name == krate && f.name == name),
             "SANCTIONED_ENV_FNS names `{krate}::{name}`, but the workspace has no \
              such function with an env read in its body — drop the sanction"
         );
     }
+    // And the converse: the sanctions are the whole list. A binary may
+    // read the environment at its edge (`src/bin/`, `examples/`); library
+    // code may not, whether or not a digest sink happens to reach the read.
+    let unsanctioned: Vec<String> = env_readers
+        .iter()
+        .filter(|f| f.file.split('/').any(|c| c == "src") && !f.file.contains("src/bin/"))
+        .filter(|f| {
+            !invariants::taint::SANCTIONED_ENV_FNS
+                .contains(&(f.crate_name.as_str(), f.name.as_str()))
+        })
+        .map(|f| format!("{} ({}:{})", f.label(), f.file, f.line))
+        .collect();
+    assert!(
+        unsanctioned.is_empty(),
+        "library functions read the environment without a sanction: {unsanctioned:?}"
+    );
 }
 
 #[test]

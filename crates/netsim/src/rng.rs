@@ -1,16 +1,14 @@
 //! Deterministic, forkable random source.
 //!
-//! [`SimRng`] wraps a xoshiro256++ generator (implemented here so that the
-//! stream is stable regardless of `rand` version bumps) and implements
-//! [`rand::RngCore`], so all of `rand`'s extension methods work on it.
+//! [`SimRng`] is a xoshiro256++ generator, implemented here so that the
+//! stream is this repository's own and no dependency bump can move it.
+//! Every draw goes through its inherent methods.
 //!
 //! The important extra over a plain RNG is [`SimRng::fork`]: each simulated
 //! component derives an *independent* child stream from a string label, so
 //! adding random draws to one component never perturbs another. This is what
 //! keeps experiments comparable across configurations (common random
 //! numbers).
-
-use rand::{Error, RngCore, SeedableRng};
 
 /// xoshiro256++ state.
 #[derive(Debug, Clone)]
@@ -145,41 +143,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_raw() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        SimRng::new(u64::from_le_bytes(seed))
-    }
-}
-
 /// RAII guard that echoes an RNG seed if the current thread panics while
 /// the guard is alive.
 ///
@@ -226,7 +189,7 @@ mod tests {
         let mut a = SimRng::new(42);
         let mut b = SimRng::new(42);
         for _ in 0..1000 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next_raw(), b.next_raw());
         }
     }
 
@@ -234,7 +197,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next_raw() == b.next_raw()).count();
         assert_eq!(same, 0);
     }
 
@@ -243,10 +206,10 @@ mod tests {
         let parent = SimRng::new(7);
         let mut c1 = parent.fork("link");
         let mut parent2 = parent.clone();
-        parent2.next_u64(); // draw from a clone of the parent
+        parent2.next_raw(); // draw from a clone of the parent
         let mut c2 = parent.fork("link");
         for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
+            assert_eq!(c1.next_raw(), c2.next_raw());
         }
     }
 
@@ -255,7 +218,7 @@ mod tests {
         let parent = SimRng::new(7);
         let mut a = parent.fork("a");
         let mut b = parent.fork("b");
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next_raw() == b.next_raw()).count();
         assert_eq!(same, 0);
     }
 
@@ -264,7 +227,7 @@ mod tests {
         let parent = SimRng::new(7);
         let mut a = parent.fork_idx("port", 0);
         let mut b = parent.fork_idx("port", 1);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next_raw() == b.next_raw()).count();
         assert_eq!(same, 0);
     }
 
@@ -311,13 +274,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fill_bytes_handles_remainders() {
-        let mut r = SimRng::new(6);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

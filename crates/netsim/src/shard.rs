@@ -47,9 +47,10 @@
 //!
 //! Windows execute on a pool of long-lived workers (spawned once per
 //! `run_until`, reused across every window) synchronized by barriers;
-//! worker count is `min(shards, parfan::resolved_jobs())`, so
-//! `SPEEDLIGHT_JOBS`/`with_jobs` govern it like every other parallel
-//! site. With one worker the loop runs inline with no threads at all.
+//! worker count is `min(shards, parfan::resolved_jobs())` — the
+//! innermost `with_jobs` scope, else the parallelism the OS grants the
+//! process — like every other parallel site. With one worker the loop
+//! runs inline with no threads at all.
 //! Worker panics are caught, the window round is completed so no barrier
 //! deadlocks, and the payload is re-thrown on the coordinator.
 

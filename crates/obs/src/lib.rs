@@ -2,7 +2,7 @@
 //!
 //! Every evaluation number in this repository comes out of a deterministic
 //! simulation, and DESIGN.md §10's contract says results are byte-identical
-//! at any `SPEEDLIGHT_JOBS`. This crate extends that contract to
+//! at any worker count. This crate extends that contract to
 //! *introspection*: structured events ([`Event`]), spans ([`Span`]), and a
 //! metrics registry ([`metrics::Metrics`]) whose serialized output is part
 //! of the deterministic surface.

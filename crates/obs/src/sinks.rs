@@ -3,7 +3,6 @@
 //! writer, and the [`TraceSink`] runtime selector used by the fabric.
 
 use std::collections::VecDeque;
-use std::io::Write;
 
 use crate::{Event, Sink};
 
@@ -80,20 +79,6 @@ impl JsonlSink {
     pub fn take_lines(&mut self) -> Vec<String> {
         std::mem::take(&mut self.lines)
     }
-
-    /// Consume the sink into its lines.
-    pub fn into_lines(self) -> Vec<String> {
-        self.lines
-    }
-
-    /// Write all lines (each newline-terminated) to `w`.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        for line in &self.lines {
-            w.write_all(line.as_bytes())?;
-            w.write_all(b"\n")?;
-        }
-        Ok(())
-    }
 }
 
 impl Sink for JsonlSink {
@@ -116,7 +101,7 @@ pub fn render_lines(lines: &[String]) -> String {
 /// Merge per-job trace buffers from a parfan fan-out in **input order** —
 /// job 0's lines first, then job 1's, and so on. Because parfan returns
 /// results in input order regardless of worker count (DESIGN.md §10), the
-/// merged trace is byte-identical at any `SPEEDLIGHT_JOBS`.
+/// merged trace is byte-identical at any worker count.
 pub fn merge_job_lines(per_job: Vec<Vec<String>>) -> Vec<String> {
     let total = per_job.iter().map(Vec::len).sum();
     let mut merged = Vec::with_capacity(total);
@@ -176,18 +161,6 @@ pub fn stderr_line(line: &str) {
     // invariants: allow-path — obs/src/sinks.rs is the raw-print rule's
     // designated exemption; see crates/invariants/src/rules.rs.
     eprintln!("{line}");
-}
-
-/// A sink that renders each event straight to stderr as JSONL. Useful for
-/// ad-hoc debugging (no [`TraceSink`] variant wraps it on purpose — it
-/// is not a deterministic output surface).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StderrSink;
-
-impl Sink for StderrSink {
-    fn record(&mut self, ev: Event) {
-        stderr_line(&ev.to_jsonl());
-    }
 }
 
 /// Runtime-selected trace sink: the concrete type the fabric embeds so a

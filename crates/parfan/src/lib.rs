@@ -26,10 +26,13 @@
 //!   (`F: Sync`, `T: Sync`) refuses closures that capture `&mut`.
 //!
 //! Worker count resolves, in order: a scoped [`with_jobs`] override (used
-//! by the serial-vs-parallel equality tests), the `SPEEDLIGHT_JOBS`
-//! environment variable, then [`std::thread::available_parallelism`].
-//! Workers claim fixed-size chunks of the index space from a shared atomic
-//! cursor — work-stealing granularity without any ordering consequence.
+//! by the serial-vs-parallel equality tests), then
+//! [`std::thread::available_parallelism`]. There is no knob: a value that
+//! cannot change any output is a resource limit, and the OS already has
+//! the controls for that (`taskset`, cgroup CPU quotas), which
+//! `available_parallelism` honours. Workers claim fixed-size chunks of
+//! the index space from a shared atomic cursor — work-stealing
+//! granularity without any ordering consequence.
 //!
 //! No entry point reads the wall clock, so the conformance and sweep
 //! paths that feed digests are clock-free end to end; speedups are
@@ -70,44 +73,25 @@ impl Default for Config {
     }
 }
 
-/// Parse a `SPEEDLIGHT_JOBS`-style value. Accepts a positive integer;
-/// anything else (empty, zero, garbage) falls back to `fallback` so a
-/// typo'd environment can never wedge a run at zero workers.
-pub fn parse_jobs(raw: Option<&str>, fallback: usize) -> usize {
-    match raw.map(str::trim) {
-        Some(s) if !s.is_empty() => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => fallback,
-        },
-        _ => fallback,
-    }
-}
-
 /// A captured worker panic: job index, human-readable label, raw payload.
 type CapturedPanic = (usize, String, Box<dyn Any + Send>);
 
-fn hardware_jobs() -> usize {
+/// The worker count fan-outs use by default: the innermost [`with_jobs`]
+/// override if any, else the parallelism the OS makes available to this
+/// process (affinity mask and cgroup CPU quota included, so `taskset -c 0`
+/// forces the strictly serial path).
+pub fn resolved_jobs() -> usize {
+    if let Some(n) = JOBS_OVERRIDE.with(Cell::get) {
+        return n.max(1);
+    }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// The worker count fan-outs use by default: the innermost [`with_jobs`]
-/// override if any, else the `SPEEDLIGHT_JOBS` environment variable (`1`
-/// forces the strictly serial path), else the machine's available
-/// parallelism.
-pub fn resolved_jobs() -> usize {
-    if let Some(n) = JOBS_OVERRIDE.with(Cell::get) {
-        return n.max(1);
-    }
-    let env = std::env::var("SPEEDLIGHT_JOBS").ok();
-    parse_jobs(env.as_deref(), hardware_jobs())
-}
-
 /// Run `f` with the default worker count pinned to `jobs` on this thread
 /// (restored on exit, even across unwinds). This is how the equality
-/// tests compare `jobs = 1` against `jobs = 4` without racing on the
-/// process environment.
+/// tests compare `jobs = 1` against `jobs = 4` on any machine.
 pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {

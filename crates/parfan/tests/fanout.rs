@@ -1,7 +1,7 @@
 //! parfan unit suite: input-order preservation, panic propagation with the
-//! job label, `SPEEDLIGHT_JOBS` resolution, and the serial fallback.
+//! job label, `with_jobs` scoping, and the serial fallback.
 
-use parfan::{map, map_cfg, map_labeled, parse_jobs, resolved_jobs, with_jobs, Config};
+use parfan::{map, map_cfg, map_labeled, resolved_jobs, with_jobs, Config};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -160,22 +160,6 @@ fn with_jobs_overrides_and_restores() {
     // Restored even when the body unwinds.
     let _ = catch_unwind(AssertUnwindSafe(|| with_jobs(7, || panic!("boom"))));
     assert_eq!(resolved_jobs(), outer);
-}
-
-#[test]
-fn jobs_env_parsing() {
-    assert_eq!(parse_jobs(Some("4"), 9), 4);
-    assert_eq!(parse_jobs(Some(" 2 "), 9), 2);
-    assert_eq!(
-        parse_jobs(Some("1"), 9),
-        1,
-        "SPEEDLIGHT_JOBS=1 forces serial"
-    );
-    assert_eq!(parse_jobs(Some("0"), 9), 9, "zero falls back");
-    assert_eq!(parse_jobs(Some("-3"), 9), 9);
-    assert_eq!(parse_jobs(Some("lots"), 9), 9);
-    assert_eq!(parse_jobs(Some(""), 9), 9);
-    assert_eq!(parse_jobs(None, 9), 9);
 }
 
 #[test]

@@ -14,7 +14,6 @@
 //! packets that already carry a snapshot header from ones that do not (§10,
 //! "Partial Deployment").
 
-use bytes::{Buf, BufMut};
 use std::fmt;
 
 /// Two-byte magic marking a Speedlight shim header.
@@ -87,45 +86,36 @@ impl SnapshotHeader {
         }
     }
 
-    /// Serialize into a buffer (appends [`WIRE_LEN`] bytes).
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u16(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(self.packet_type.to_byte());
-        buf.put_u16(self.snapshot_id);
-        buf.put_u16(self.channel_id);
+    /// Serialize to the fixed [`WIRE_LEN`]-byte wire form.
+    pub fn encode(&self) -> [u8; WIRE_LEN] {
+        let [m0, m1] = MAGIC.to_be_bytes();
+        let ty = self.packet_type.to_byte();
+        let [s0, s1] = self.snapshot_id.to_be_bytes();
+        let [c0, c1] = self.channel_id.to_be_bytes();
+        [m0, m1, VERSION, ty, s0, s1, c0, c1]
     }
 
-    /// Serialize into a fresh byte vector.
-    pub fn encode_to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(WIRE_LEN);
-        self.encode(&mut v);
-        v
-    }
-
-    /// Deserialize, consuming [`WIRE_LEN`] bytes from the buffer.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        if buf.remaining() < WIRE_LEN {
+    /// Deserialize from the first [`WIRE_LEN`] bytes of `bytes`; anything
+    /// past them is the caller's (the payload) and is neither read nor
+    /// required.
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let Some(&[m0, m1, version, ty, s0, s1, c0, c1]) = bytes.first_chunk::<WIRE_LEN>() else {
             return Err(DecodeError::Truncated {
                 need: WIRE_LEN,
-                have: buf.remaining(),
+                have: bytes.len(),
             });
-        }
-        let magic = buf.get_u16();
+        };
+        let magic = u16::from_be_bytes([m0, m1]);
         if magic != MAGIC {
             return Err(DecodeError::BadMagic(magic));
         }
-        let version = buf.get_u8();
         if version != VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let packet_type = PacketType::from_byte(buf.get_u8())?;
-        let snapshot_id = buf.get_u16();
-        let channel_id = buf.get_u16();
         Ok(SnapshotHeader {
-            packet_type,
-            snapshot_id,
-            channel_id,
+            packet_type: PacketType::from_byte(ty)?,
+            snapshot_id: u16::from_be_bytes([s0, s1]),
+            channel_id: u16::from_be_bytes([c0, c1]),
         })
     }
 
@@ -184,17 +174,16 @@ mod tests {
             snapshot_id: 0xBEEF,
             channel_id: 17,
         };
-        let bytes = hdr.encode_to_vec();
-        assert_eq!(bytes.len(), WIRE_LEN);
-        let decoded = SnapshotHeader::decode(&mut bytes.as_slice()).unwrap();
+        let bytes = hdr.encode();
+        let decoded = SnapshotHeader::decode(&bytes).unwrap();
         assert_eq!(decoded, hdr);
     }
 
     #[test]
     fn roundtrip_initiation_header() {
         let hdr = SnapshotHeader::initiation(3);
-        let bytes = hdr.encode_to_vec();
-        let decoded = SnapshotHeader::decode(&mut bytes.as_slice()).unwrap();
+        let bytes = hdr.encode();
+        let decoded = SnapshotHeader::decode(&bytes).unwrap();
         assert_eq!(decoded.packet_type, PacketType::Initiation);
         assert_eq!(decoded.snapshot_id, 3);
     }
@@ -202,9 +191,9 @@ mod tests {
     #[test]
     fn truncated_input_is_rejected() {
         let hdr = SnapshotHeader::data(1);
-        let bytes = hdr.encode_to_vec();
+        let bytes = hdr.encode();
         for n in 0..WIRE_LEN {
-            let err = SnapshotHeader::decode(&mut &bytes[..n]).unwrap_err();
+            let err = SnapshotHeader::decode(&bytes[..n]).unwrap_err();
             assert_eq!(
                 err,
                 DecodeError::Truncated {
@@ -217,48 +206,49 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = SnapshotHeader::data(1).encode_to_vec();
+        let mut bytes = SnapshotHeader::data(1).encode();
         bytes[0] ^= 0xFF;
         assert!(matches!(
-            SnapshotHeader::decode(&mut bytes.as_slice()),
+            SnapshotHeader::decode(&bytes),
             Err(DecodeError::BadMagic(_))
         ));
     }
 
     #[test]
     fn bad_version_is_rejected() {
-        let mut bytes = SnapshotHeader::data(1).encode_to_vec();
+        let mut bytes = SnapshotHeader::data(1).encode();
         bytes[2] = 99;
         assert_eq!(
-            SnapshotHeader::decode(&mut bytes.as_slice()),
+            SnapshotHeader::decode(&bytes),
             Err(DecodeError::BadVersion(99))
         );
     }
 
     #[test]
     fn bad_packet_type_is_rejected() {
-        let mut bytes = SnapshotHeader::data(1).encode_to_vec();
+        let mut bytes = SnapshotHeader::data(1).encode();
         bytes[3] = 7;
         assert_eq!(
-            SnapshotHeader::decode(&mut bytes.as_slice()),
+            SnapshotHeader::decode(&bytes),
             Err(DecodeError::BadPacketType(7))
         );
     }
 
     #[test]
     fn presence_probe() {
-        let bytes = SnapshotHeader::data(5).encode_to_vec();
+        let bytes = SnapshotHeader::data(5).encode();
         assert!(SnapshotHeader::present(&bytes));
         assert!(!SnapshotHeader::present(&bytes[..2]));
         assert!(!SnapshotHeader::present(&[0u8; 16]));
     }
 
     #[test]
-    fn decode_consumes_exactly_wire_len() {
-        let mut bytes = SnapshotHeader::data(5).encode_to_vec();
+    fn trailing_bytes_are_the_callers() {
+        let hdr = SnapshotHeader::data(5);
+        let mut bytes = hdr.encode().to_vec();
         bytes.extend_from_slice(b"payload");
-        let mut slice = bytes.as_slice();
-        SnapshotHeader::decode(&mut slice).unwrap();
-        assert_eq!(slice, b"payload");
+        // Ignored when present, not required when absent.
+        assert_eq!(SnapshotHeader::decode(&bytes), Ok(hdr));
+        assert_eq!(SnapshotHeader::decode(&bytes[..WIRE_LEN]), Ok(hdr));
     }
 }

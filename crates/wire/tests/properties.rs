@@ -19,9 +19,8 @@ proptest! {
     /// Encode/decode round-trips every representable header.
     #[test]
     fn header_roundtrip(hdr in any_header()) {
-        let bytes = hdr.encode_to_vec();
-        prop_assert_eq!(bytes.len(), WIRE_LEN);
-        let decoded = SnapshotHeader::decode(&mut bytes.as_slice()).unwrap();
+        let bytes: [u8; WIRE_LEN] = hdr.encode();
+        let decoded = SnapshotHeader::decode(&bytes).unwrap();
         prop_assert_eq!(decoded, hdr);
         prop_assert!(SnapshotHeader::present(&bytes));
     }
@@ -30,12 +29,10 @@ proptest! {
     /// and version prefix were valid.
     #[test]
     fn decode_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..32)) {
-        let mut slice = bytes.as_slice();
-        match SnapshotHeader::decode(&mut slice) {
+        match SnapshotHeader::decode(&bytes) {
             Ok(hdr) => {
-                // Re-encoding reproduces the consumed prefix.
-                let reenc = hdr.encode_to_vec();
-                prop_assert_eq!(reenc.as_slice(), &bytes[..WIRE_LEN]);
+                // Re-encoding reproduces the decoded prefix.
+                prop_assert_eq!(&hdr.encode()[..], &bytes[..WIRE_LEN]);
             }
             Err(DecodeError::Truncated { need, have }) => {
                 prop_assert_eq!(need, WIRE_LEN);
@@ -63,11 +60,11 @@ proptest! {
     /// Corrupting the magic or version always fails cleanly.
     #[test]
     fn corrupt_prefix_is_rejected(hdr in any_header(), flip in 0usize..3, bit in 0u8..8) {
-        let mut bytes = hdr.encode_to_vec();
+        let mut bytes = hdr.encode();
         let orig = bytes[flip];
         bytes[flip] ^= 1 << bit;
         prop_assume!(bytes[flip] != orig);
-        let out = SnapshotHeader::decode(&mut bytes.as_slice());
+        let out = SnapshotHeader::decode(&bytes);
         prop_assert!(
             matches!(out, Err(DecodeError::BadMagic(_)) | Err(DecodeError::BadVersion(_))),
             "corrupted prefix accepted: {out:?}"
