@@ -1,10 +1,14 @@
 //! The `bench_netsim` digest pins, run against the binary itself.
 //!
 //! Serial: with tracing at its default (`TraceSink::Off`) and no
-//! `--profile-out`, fig9 and smoke must reproduce the committed serial
-//! snapshot digests byte-for-byte. This is the "no hot-path tax when
-//! disabled" contract: the profiler hooks compile to a branch on a `None`
-//! option, and the digest pin proves they never perturb the simulation.
+//! `--profile-out`, fig9, smoke and the serial fat_tree:8 run must
+//! reproduce the committed serial snapshot digests byte-for-byte. This is
+//! the "no hot-path tax when disabled" contract: the profiler hooks
+//! compile to a branch on a `None` option, and the digest pin proves they
+//! never perturb the simulation. The fat-tree pin is also the one run
+//! whose digest depends on the event queue holding `(time, insertion
+//! order)` across same-instant bursts of thousands of events;
+//! `fabric/tests/queue_order.rs` derives it from the reference queue.
 //!
 //! Sharded: the fig9 profile written at 2 and at 4 shards must be the
 //! same bytes and carry the committed profile digest. The child resolves
@@ -13,8 +17,12 @@
 
 use std::process::Command;
 
-/// `(scenario, serial snapshot digest at --seed 9)`.
-const SERIAL_PINS: &[(&str, &str)] = &[("fig9", "94f4c88c10ba015f"), ("smoke", "7dc7a4db56455a62")];
+/// `(what to run, serial snapshot digest at --seed 9)`.
+const SERIAL_PINS: &[(&[&str], &str)] = &[
+    (&["--scenario", "fig9"], "94f4c88c10ba015f"),
+    (&["--scenario", "smoke"], "7dc7a4db56455a62"),
+    (&["--topology", "fat_tree:8"], "35debf7fe444bc6a"),
+];
 
 const PINNED_FIG9_SHARDED_PROFILE_DIGEST: &str = "73ad5b8b1f85e9d1";
 
@@ -28,15 +36,8 @@ fn bench_netsim(args: &[&str]) {
 
 #[test]
 fn serial_digests_with_profiling_disabled() {
-    for (scenario, digest) in SERIAL_PINS {
-        bench_netsim(&[
-            "--scenario",
-            scenario,
-            "--seed",
-            "9",
-            "--expect-digest",
-            digest,
-        ]);
+    for (run, digest) in SERIAL_PINS {
+        bench_netsim(&[run, &["--seed", "9", "--expect-digest", digest][..]].concat());
     }
 }
 

@@ -6,45 +6,62 @@
 //!
 //! # Structure
 //!
-//! [`EventQueue`] is a two-list queue tuned for the packet-level workloads
-//! this simulator runs, where the pending set is shallow (tens of events)
-//! and almost every push lands within a few microseconds of the current
-//! simulated time:
+//! One private ordering core, `Calendar`, pops in `(time, tie)` order and
+//! sits under both public queues: [`EventQueue`] passes its insertion
+//! sequence as the tie, [`crate::shard::KeyedQueue`] passes the event's
+//! canonical key. The core has two tiers:
 //!
-//! * a **near list**: events due before `horizon`, kept sorted ascending
-//!   by `(time, seq)` in a `VecDeque`. The next event pops from the front
-//!   in O(1), and — because handlers almost always schedule *later* than
-//!   everything already pending — the common push is an O(1) `push_back`
-//!   (a mid-list push falls back to a short binary search + insert);
-//! * a **far heap** for events at or beyond the horizon (periodic driver
-//!   ticks, timeouts). When the near list drains, the horizon re-anchors
-//!   past the heap minimum and due events migrate over in one batch —
-//!   already in ascending order, so the refill needs no sort.
+//! * a **calendar** over the near window `[anchor, anchor + 65 536 ns)`:
+//!   2 048 buckets of 32 ns, each an intrusive singly linked list in
+//!   `(time, tie)` order over one slab of nodes with a LIFO free list (the
+//!   live slab is the pending depth, so it stays cache-resident), and an
+//!   occupancy bitmap searched with `trailing_zeros` from a cursor that
+//!   moves forward on pop and back on an earlier push. A push is a bucket
+//!   index and a tail append; it walks the bucket's list from the head
+//!   only when it lands out of order inside one 32 ns bucket. A pop is a
+//!   bitmap scan and an unlink. Neither moves any other entry;
+//! * a **far heap** for events past the window (periodic driver ticks,
+//!   timeouts). When the calendar drains, the window re-anchors at the
+//!   heap minimum and *everything* inside the new window migrates over —
+//!   in ascending order, so each migration is a tail append.
 //!
-//! Compared to a plain `BinaryHeap`, the common case replaces two O(log n)
-//! sift chains over large entries with two O(1) deque operations, and
+//! The packet-level workloads push almost every event a few microseconds
+//! ahead of the clock, but almost never *behind everything pending*: on
+//! the two-list queue this core replaced (a sorted deque in front of the
+//! heap), 98.3 % of near pushes on the leaf-spine testbed and 99.94 % on
+//! fat_tree:8 were a binary search and a mid-deque insert — on the fat
+//! tree a 2.6 KB `memmove` per event. The calendar's cost does not depend
+//! on where in the window a push lands.
 //! [`EventQueue::pop_at_or_before`] folds the driver loop's peek-then-pop
 //! pair into one operation.
 //!
 //! The retained [`reference::BinaryHeapQueue`] implements the identical
 //! `(time, insertion-order)` contract on a plain binary heap; the
 //! differential proptest in `tests/queue_differential.rs` checks that the
-//! two pop byte-identical sequences under randomized interleavings.
+//! two pop byte-identical sequences under randomized interleavings, and
+//! `fabric/tests/queue_order.rs` checks it on a whole fat-tree run.
 
 use crate::time::Instant;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
-/// How far past the far-heap minimum the horizon re-anchors when the near
-/// list refills: wide enough to swallow the packet-scale event cloud
-/// (serialization + propagation + PCIe delays are all ≪ 64 µs), narrow
-/// enough that millisecond-scale periodic events stay in the far heap.
-const HORIZON_NS: u64 = 65_536;
+/// log2 of a calendar bucket's width in nanoseconds.
+const BUCKET_SHIFT: u32 = 5;
 
-/// Cap on how many far-heap entries one refill migrates. Bounds the cost of
-/// a single `settle` when a burst scheduled many events inside one horizon
-/// window.
-const REFILL_MAX: usize = 256;
+/// Buckets in the calendar.
+const BUCKETS: usize = 2048;
+
+/// Width of the near window: wide enough to swallow the packet-scale
+/// event cloud (serialization + propagation + PCIe delays are all ≪
+/// 64 µs), narrow enough that millisecond-scale periodic events stay in
+/// the far heap.
+const HORIZON_NS: u64 = (BUCKETS as u64) << BUCKET_SHIFT;
+
+/// "No node": ends a bucket's list and the free list. The slab never
+/// grows to this index, so looking it up finds nothing — which is how the
+/// link code tells an empty list from a node without a panicking branch.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -80,21 +97,252 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One slab slot: a pending event linked into its bucket's list, or a
+/// free slot (`event` is `None`) linked into the free list.
+#[derive(Debug)]
+struct Node<E> {
+    time: Instant,
+    tie: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// The ends of one calendar bucket's list, [`NIL`] when it is empty.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+/// The ordering core under [`EventQueue`] and
+/// [`crate::shard::KeyedQueue`]: a priority queue popping in `(time,
+/// tie)` order. Entries with an equal `(time, tie)` pop in insertion order
+/// from the calendar and in unspecified order from the far heap; neither
+/// caller produces such a pair.
+#[derive(Debug)]
+pub(crate) struct Calendar<E> {
+    slab: Vec<Node<E>>,
+    /// Most recently freed slot, [`NIL`] when every slot is live.
+    free: u32,
+    buckets: Vec<Bucket>,
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `b` is non-empty.
+    occupied: [u64; BUCKETS / 64],
+    /// No bucket below this one is occupied.
+    cursor: usize,
+    /// Events in the calendar.
+    near_len: usize,
+    /// Time at which bucket 0 starts. Earlier times (legal on the raw
+    /// queue) sort into bucket 0 too.
+    anchor: u64,
+    /// Latest time the calendar holds — inclusive, so the window can end
+    /// at `u64::MAX`. Every far entry is past it, so the global minimum is
+    /// in the calendar whenever the calendar is non-empty.
+    last: u64,
+    /// Events past `last`; `Entry::seq` carries the tie.
+    far: BinaryHeap<Entry<E>>,
+    popped: u64,
+}
+
+impl<E> Calendar<E> {
+    pub(crate) fn new() -> Self {
+        Calendar {
+            slab: Vec::new(),
+            free: NIL,
+            buckets: vec![
+                Bucket {
+                    head: NIL,
+                    tail: NIL
+                };
+                BUCKETS
+            ],
+            occupied: [0; BUCKETS / 64],
+            cursor: 0,
+            near_len: 0,
+            anchor: 0,
+            last: HORIZON_NS - 1,
+            far: BinaryHeap::new(),
+            popped: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, time: Instant, tie: u64, event: E) {
+        if time.as_nanos() <= self.last {
+            self.link(time, tie, event);
+        } else {
+            self.far.push(Entry {
+                time,
+                seq: tie,
+                event,
+            });
+        }
+    }
+
+    /// Store `node` in a slab slot and return its index.
+    #[inline]
+    fn alloc(&mut self, node: Node<E>) -> u32 {
+        let idx = self.free;
+        // The most recently freed slot is the one still in cache.
+        if let Some(slot) = self.slab.get_mut(idx as usize) {
+            self.free = slot.next;
+            *slot = node;
+            return idx;
+        }
+        let fresh = self.slab.len();
+        assert!(
+            fresh < NIL as usize,
+            "more than 2^32 - 1 events pending in one calendar"
+        );
+        self.slab.push(node);
+        fresh as u32
+    }
+
+    /// Link an event at or before `last` into its bucket, keeping the
+    /// bucket's list in `(time, tie)` order.
+    #[inline]
+    fn link(&mut self, time: Instant, tie: u64, event: E) {
+        let b = (time.as_nanos().saturating_sub(self.anchor) >> BUCKET_SHIFT) as usize;
+        let idx = self.alloc(Node {
+            time,
+            tie,
+            next: NIL,
+            event: Some(event),
+        });
+        // `time <= last` keeps `b` below `BUCKETS`, so the lookup cannot
+        // miss; it is written as one that cannot panic either.
+        let Some(bucket) = self.buckets.get_mut(b) else {
+            return;
+        };
+        match self.slab.get_mut(bucket.tail as usize) {
+            // Empty bucket (its tail is NIL).
+            None => {
+                *bucket = Bucket {
+                    head: idx,
+                    tail: idx,
+                };
+                if let Some(word) = self.occupied.get_mut(b >> 6) {
+                    *word |= 1 << (b & 63);
+                }
+                if b < self.cursor {
+                    self.cursor = b;
+                }
+            }
+            // At or after the bucket's last entry: the common case.
+            Some(tail) if (tail.time, tail.tie) <= (time, tie) => {
+                tail.next = idx;
+                bucket.tail = idx;
+            }
+            // Out of order inside one bucket: walk from the head to the
+            // first entry that sorts after the new one (the tail does).
+            Some(_) => {
+                let (mut prev, mut cur) = (NIL, bucket.head);
+                while let Some(n) = self.slab.get(cur as usize) {
+                    if (n.time, n.tie) > (time, tie) {
+                        break;
+                    }
+                    (prev, cur) = (cur, n.next);
+                }
+                if let Some(new) = self.slab.get_mut(idx as usize) {
+                    new.next = cur;
+                }
+                match self.slab.get_mut(prev as usize) {
+                    Some(p) => p.next = idx,
+                    None => bucket.head = idx,
+                }
+            }
+        }
+        self.near_len += 1;
+    }
+
+    /// Re-anchor the drained calendar at the far-heap minimum and migrate
+    /// every far event inside the new window. The heap yields them in
+    /// ascending `(time, tie)` order, so each one is a tail append.
+    fn refill(&mut self) {
+        let Some(head) = self.far.peek() else {
+            return;
+        };
+        self.anchor = head.time.as_nanos();
+        self.last = self.anchor.saturating_add(HORIZON_NS - 1);
+        self.cursor = 0;
+        loop {
+            let Some(top) = self.far.peek_mut() else {
+                break;
+            };
+            if top.time.as_nanos() > self.last {
+                break;
+            }
+            let e = PeekMut::pop(top);
+            self.link(e.time, e.seq, e.event);
+        }
+    }
+
+    /// The first occupied bucket and the slab index of its head.
+    #[inline]
+    fn first(&self) -> Option<(usize, u32)> {
+        if self.near_len == 0 {
+            return None;
+        }
+        let mut w = self.cursor >> 6;
+        loop {
+            let word = *self.occupied.get(w)?;
+            if word != 0 {
+                let b = (w << 6) | word.trailing_zeros() as usize;
+                return Some((b, self.buckets.get(b)?.head));
+            }
+            w += 1;
+        }
+    }
+
+    /// Remove and return the earliest `(time, tie, event)` if it fires at
+    /// or before `deadline`.
+    #[inline]
+    pub(crate) fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, u64, E)> {
+        if self.near_len == 0 {
+            self.refill();
+        }
+        let (b, idx) = self.first()?;
+        let node = self.slab.get_mut(idx as usize)?;
+        if node.time > deadline {
+            return None;
+        }
+        let event = node.event.take()?;
+        let (time, tie, next) = (node.time, node.tie, node.next);
+        node.next = self.free;
+        self.free = idx;
+        let bucket = self.buckets.get_mut(b)?;
+        bucket.head = next;
+        if next == NIL {
+            bucket.tail = NIL;
+            *self.occupied.get_mut(b >> 6)? &= !(1 << (b & 63));
+        }
+        self.cursor = b;
+        self.near_len -= 1;
+        self.popped += 1;
+        Some((time, tie, event))
+    }
+
+    pub(crate) fn peek_time(&self) -> Option<Instant> {
+        match self.first() {
+            // calendar <= last < far
+            Some((_, idx)) => self.slab.get(idx as usize).map(|n| n.time),
+            None => self.far.peek().map(|e| e.time),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.near_len + self.far.len()
+    }
+
+    pub(crate) fn popped(&self) -> u64 {
+        self.popped
+    }
+}
+
 /// An event queue ordering events by `(time, insertion order)`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events with `time < horizon`, sorted ascending by `(time, seq)`;
-    /// the next event to fire is at the front, and the common push (later
-    /// than everything pending) is an O(1) `push_back`.
-    near: VecDeque<Entry<E>>,
-    /// Events with `time >= horizon`.
-    far: BinaryHeap<Entry<E>>,
-    /// Exclusive upper bound on times stored in `near`. Every far entry is
-    /// at or past it, so the global minimum is always in `near` when it is
-    /// non-empty.
-    horizon: u64,
+    core: Calendar<E>,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -107,11 +355,8 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            near: VecDeque::new(),
-            far: BinaryHeap::new(),
-            horizon: 0,
+            core: Calendar::new(),
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -120,77 +365,13 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Instant, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
-            time: at,
-            seq,
-            event,
-        };
-        if at.as_nanos() < self.horizon {
-            let key = entry.key();
-            match self.near.back() {
-                // Common case: later than everything pending (the seq
-                // tie-break makes a same-instant re-push later too).
-                Some(b) if key < b.key() => {
-                    // Ascending order: insert before the first element
-                    // whose key exceeds ours.
-                    let idx = self.near.partition_point(|e| e.key() < key);
-                    self.near.insert(idx, entry);
-                }
-                _ => self.near.push_back(entry),
-            }
-        } else {
-            self.far.push(entry);
-        }
-    }
-
-    /// Refill the near list from the far heap (no-op unless the near list
-    /// is empty and the far heap is not).
-    fn settle(&mut self) {
-        if !self.near.is_empty() {
-            return;
-        }
-        let Some(head) = self.far.peek() else {
-            return;
-        };
-        // Re-anchor the horizon one window past the heap minimum,
-        // saturating at the end of representable time.
-        self.horizon = head.time.as_nanos().saturating_add(HORIZON_NS);
-        // The heap minimum always migrates — even at u64::MAX, where the
-        // saturated (exclusive) horizon cannot strictly exceed it. It is
-        // the global minimum, so popping it first preserves order; later
-        // same-instant pushes carry larger seqs and sort behind it. The
-        // heap pops in ascending key order, so appending keeps the near
-        // list sorted — no sort pass needed.
-        self.near.push_back(self.far.pop().expect("peeked"));
-        while self.near.len() < REFILL_MAX {
-            match self.far.peek() {
-                Some(e) if e.time.as_nanos() < self.horizon => {
-                    self.near.push_back(self.far.pop().expect("peeked"));
-                }
-                _ => break,
-            }
-        }
-        if self.near.len() == REFILL_MAX {
-            // Migration stopped early: lower the horizon to just above the
-            // last migrated entry (the largest key that moved over) so the
-            // near/far split invariant holds.
-            self.horizon = self
-                .near
-                .back()
-                .expect("non-empty")
-                .time
-                .as_nanos()
-                .saturating_add(1);
-        }
+        self.core.push(at, seq, event);
     }
 
     /// Remove and return the earliest event, with its firing time.
     #[inline]
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        self.settle();
-        let e = self.near.pop_front()?;
-        self.popped += 1;
-        Some((e.time, e.event))
+        self.pop_at_or_before(Instant::from_nanos(u64::MAX))
     }
 
     /// Remove and return the earliest event if it fires at or before
@@ -201,38 +382,28 @@ impl<E> EventQueue<E> {
     /// peek-then-pop pair.
     #[inline]
     pub fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, E)> {
-        self.settle();
-        let e = self.near.front()?;
-        if e.time > deadline {
-            return None;
-        }
-        let e = self.near.pop_front().expect("checked non-empty");
-        self.popped += 1;
-        Some((e.time, e.event))
+        let (time, _seq, event) = self.core.pop_at_or_before(deadline)?;
+        Some((time, event))
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Instant> {
-        match self.near.front() {
-            // near < horizon <= far
-            Some(e) => Some(e.time),
-            None => self.far.peek().map(|e| e.time),
-        }
+        self.core.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near.len() + self.far.len()
+        self.core.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.near.is_empty() && self.far.is_empty()
+        self.core.len() == 0
     }
 
     /// Total number of events popped so far (for run statistics / guards).
     pub fn popped(&self) -> u64 {
-        self.popped
+        self.core.popped()
     }
 }
 
@@ -384,17 +555,25 @@ mod tests {
     }
 
     #[test]
-    fn push_before_the_horizon_still_pops_first() {
-        // After the horizon advanced, a push at an earlier time (legal for
-        // the raw queue; the Scheduler forbids it) must still pop before
-        // everything later.
+    fn push_below_the_anchor_still_pops_first() {
+        // After the window re-anchored, a push at an earlier time (legal
+        // for the raw queue; the Scheduler forbids it) sorts into the first
+        // bucket and pops before everything later.
         let mut q = EventQueue::new();
-        q.push(t(10_000), 1);
-        q.push(t(20_000), 2);
-        assert_eq!(q.pop(), Some((t(10_000), 1)));
-        q.push(t(10_500), 3);
-        assert_eq!(q.pop(), Some((t(10_500), 3)));
-        assert_eq!(q.pop(), Some((t(20_000), 2)));
+        q.push(t(1_000_000), 1);
+        q.push(t(1_000_020), 2);
+        q.push(t(1_020_000), 3);
+        assert_eq!(q.pop(), Some((t(1_000_000), 1)));
+        assert_eq!(q.core.anchor, 1_000_000);
+        q.push(t(999_000), 4);
+        q.push(t(10), 5);
+        q.push(t(1_000_010), 6);
+        assert_eq!(q.peek_time(), Some(t(10)));
+        assert_eq!(q.pop(), Some((t(10), 5)));
+        assert_eq!(q.pop(), Some((t(999_000), 4)));
+        assert_eq!(q.pop(), Some((t(1_000_010), 6)));
+        assert_eq!(q.pop(), Some((t(1_000_020), 2)));
+        assert_eq!(q.pop(), Some((t(1_020_000), 3)));
     }
 
     #[test]
@@ -414,16 +593,18 @@ mod tests {
     #[test]
     fn ties_straddling_storage_tiers_pop_fifo() {
         // Same instant, pushed at different queue phases (far heap, then
-        // near list after the horizon advanced): FIFO must hold.
+        // the calendar once the window re-anchored): FIFO must hold.
         let mut q = EventQueue::new();
-        q.push(t(300), 0);
-        q.push(t(300), 1);
-        assert_eq!(q.pop(), Some((t(300), 0)));
-        q.push(t(300), 2); // lands in the near list now
-        q.push(t(300), 3);
-        assert_eq!(q.pop(), Some((t(300), 1)));
-        assert_eq!(q.pop(), Some((t(300), 2)));
-        assert_eq!(q.pop(), Some((t(300), 3)));
+        q.push(t(1_000_300), 0);
+        q.push(t(1_000_300), 1);
+        assert_eq!(q.core.far.len(), 2);
+        assert_eq!(q.pop(), Some((t(1_000_300), 0)));
+        q.push(t(1_000_300), 2);
+        q.push(t(1_000_300), 3);
+        assert_eq!(q.core.far.len(), 0);
+        assert_eq!(q.pop(), Some((t(1_000_300), 1)));
+        assert_eq!(q.pop(), Some((t(1_000_300), 2)));
+        assert_eq!(q.pop(), Some((t(1_000_300), 3)));
     }
 
     #[test]
@@ -439,30 +620,51 @@ mod tests {
     }
 
     #[test]
-    fn oversized_refill_batches_stay_ordered() {
-        // More same-window events than one refill migrates: the horizon
-        // clamps and later pops trigger further refills, in order.
+    fn a_refill_migrates_the_whole_window_in_order() {
+        // Many more far events inside one window than any bounded batch
+        // would move: the first pop migrates them all, in order.
         let mut q = EventQueue::new();
-        let n = REFILL_MAX * 3 + 7;
-        // Seed the horizon forward, then pop to re-anchor at the batch.
-        q.push(t(1), 0);
-        assert_eq!(q.pop(), Some((t(1), 0)));
+        let n = 775;
         for i in 0..n {
-            q.push(t(1_000 + (i % 13) as u64), i);
+            q.push(t(1_000_000 + (i % 13) as u64), i);
         }
-        let mut popped = Vec::with_capacity(n);
+        assert_eq!(q.pop(), Some((t(1_000_000), 0)));
+        assert_eq!((q.core.near_len, q.core.far.len()), (n - 1, 0));
+        let mut popped = vec![(t(1_000_000), 0)];
         while let Some((time, i)) = q.pop() {
             popped.push((time, i));
         }
         assert_eq!(popped.len(), n);
         for w in popped.windows(2) {
-            assert!(
-                (w[0].0, w[0].1) < (w[1].0, w[1].1),
-                "out of order: {:?} then {:?}",
-                w[0],
-                w[1]
-            );
+            assert!(w[0] < w[1], "out of order: {:?} then {:?}", w[0], w[1]);
         }
+    }
+
+    #[test]
+    fn out_of_order_pushes_inside_one_bucket_sort_by_time_then_tie() {
+        // Times 0..32 share bucket 0; so does anything below the anchor.
+        let mut q = Calendar::new();
+        for (tie, ns) in [(4, 20), (9, 7), (2, 7), (5, 31), (1, 20), (7, 0)] {
+            q.push(t(ns), tie, (ns, tie));
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_at_or_before(t(u64::MAX)))
+            .map(|(_, _, e)| e)
+            .collect();
+        assert_eq!(order, [(0, 7), (7, 2), (7, 9), (20, 1), (20, 4), (31, 5)]);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_so_the_slab_is_the_peak_depth() {
+        let mut q = EventQueue::new();
+        for i in 0..8u64 {
+            q.push(t(i * 100), i);
+        }
+        for i in 8..10_000u64 {
+            assert!(q.pop().is_some());
+            q.push(t(i * 100), i); // crosses the window many times
+        }
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.core.slab.len(), 8);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! One logical simulation is partitioned into N shards, each owning a
 //! disjoint set of event *domains* (the world decides what a domain is —
 //! the fabric maps devices, hosts, and the control plane onto them). Each
-//! shard has its own [`KeyedQueue`]; cross-shard follow-ups travel as
-//! timestamped messages routed between windows.
+//! shard has its own [`KeyedQueue`] — the serial engine's calendar core
+//! ordered by `(time, key)` instead of `(time, insertion order)`;
+//! cross-shard follow-ups travel as timestamped messages routed between
+//! windows.
 //!
 //! # Window-barrier protocol
 //!
@@ -54,9 +56,9 @@
 //! Worker panics are caught, the window round is completed so no barrier
 //! deadlocks, and the payload is re-thrown on the coordinator.
 
+use crate::queue::Calendar;
 use crate::sim::RunOutcome;
 use crate::time::{Duration, Instant};
-use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
@@ -76,41 +78,17 @@ pub fn pack_key(src_domain: u32, seq: u64) -> u64 {
     (u64::from(src_domain) << KEY_SEQ_BITS) | seq
 }
 
-/// A pending event with its canonical `(time, key)` position.
-struct Entry<E> {
-    time: Instant,
-    key: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    // Inverted: `BinaryHeap` is a max-heap, we want the earliest
-    // `(time, key)` on top.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.time, other.key).cmp(&(self.time, self.key))
-    }
-}
-
 /// A shard-local event queue ordered by `(time, key)`.
 ///
-/// Unlike [`crate::queue::EventQueue`] — whose contract is `(time,
-/// insertion order)` and whose two-list layout exploits it — the keyed
-/// queue's order is a property of the *events themselves*, which is what
-/// makes per-shard pop sequences independent of how events were routed.
+/// It is the calendar core of [`crate::queue`] — the one under
+/// [`crate::queue::EventQueue`] — with the event's canonical key as the
+/// tie-break in place of an insertion sequence: the order is a property
+/// of the *events themselves*, which is what makes per-shard pop
+/// sequences independent of how events were routed. Two events with the
+/// same `(time, key)` pop in unspecified order; [`pack_key`] never
+/// produces such a pair.
 pub struct KeyedQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    popped: u64,
+    core: Calendar<E>,
 }
 
 impl<E> Default for KeyedQueue<E> {
@@ -123,41 +101,38 @@ impl<E> KeyedQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         KeyedQueue {
-            heap: BinaryHeap::new(),
-            popped: 0,
+            core: Calendar::new(),
         }
     }
 
     /// Insert `event` at `(time, key)`.
     pub fn push(&mut self, time: Instant, key: u64, event: E) {
-        self.heap.push(Entry { time, key, event });
+        self.core.push(time, key, event);
     }
 
     /// Remove and return the earliest `(time, key, event)`.
     pub fn pop(&mut self) -> Option<(Instant, u64, E)> {
-        let e = self.heap.pop()?;
-        self.popped += 1;
-        Some((e.time, e.key, e.event))
+        self.core.pop_at_or_before(Instant::from_nanos(u64::MAX))
     }
 
     /// Earliest pending time, if any.
     pub fn peek_time(&self) -> Option<Instant> {
-        self.heap.peek().map(|e| e.time)
+        self.core.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.core.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.core.len() == 0
     }
 
     /// Total events popped over the queue's lifetime.
     pub fn popped(&self) -> u64 {
-        self.popped
+        self.core.popped()
     }
 }
 

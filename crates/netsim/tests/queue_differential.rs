@@ -1,38 +1,56 @@
-//! Differential tests: the production two-list [`EventQueue`] must pop a
-//! byte-identical `(time, event)` sequence to the retained
-//! [`BinaryHeapQueue`] reference under arbitrary interleavings of pushes
-//! and pops — including same-instant FIFO ties and times that straddle the
-//! near/far horizon.
+//! Differential tests of the two public queues over the one calendar core.
+//!
+//! [`EventQueue`] must pop a byte-identical `(time, event)` sequence to the
+//! retained [`BinaryHeapQueue`] reference under arbitrary interleavings of
+//! pushes and pops — including same-instant FIFO ties, same-instant bursts
+//! of hundreds of events, and times that straddle the near/far horizon.
+//! [`KeyedQueue`] must pop the same scripts in `(time, key)` order, held
+//! against a `BinaryHeap` of `(time, key, ordinal)` tuples.
 
 use netsim::queue::reference::BinaryHeapQueue;
 use netsim::queue::EventQueue;
 use netsim::rng::SimRng;
+use netsim::shard::{pack_key, KeyedQueue};
 use netsim::time::Instant;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One scripted operation against both queues.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push at this time (the event payload is the op's ordinal).
+    /// Push at this time (the event payload is the push's ordinal).
     Push(u64),
+    /// Push this many events at one instant: a same-instant run longer
+    /// than any batch the queue could move internally.
+    Burst(usize, u64),
     /// Pop unconditionally.
     Pop,
     /// Pop with a deadline.
     PopAtOrBefore(u64),
 }
 
+/// Longest generated same-instant burst.
+const BURST_MAX: u64 = 700;
+
 /// Decode a raw `(selector, value)` pair into an operation. The time
 /// scale mixes a tight cluster (guaranteed same-instant ties), an
-/// in-window range, far-future times that land in the far heap and
-/// exercise refills, and the u64 saturation edge.
+/// in-window range, times a nanosecond or two either side of a window
+/// boundary, far-future times that land in the far heap and exercise
+/// refills, a tight cluster *inside* the far range (so bursts, pops and
+/// later pushes meet at one far instant), and the u64 saturation edge.
+/// One push in sixteen is a burst.
 fn decode_op(sel: u8, raw: u64) -> Op {
     let time = match sel % 10 {
         0..=3 => raw % 8,
-        4..=6 => raw % 60_000,
-        7 | 8 => raw % 10_000_000,
+        4 | 5 => raw % 60_000,
+        6 => 65_536 * (1 + raw % 3) - 2 + (raw >> 8) % 4,
+        7 => raw % 10_000_000,
+        8 => 5_000_000 + raw % 4,
         _ => u64::MAX - (raw % 2),
     };
     match (sel / 10) % 10 {
+        0..=4 if raw >> 60 == 0 => Op::Burst(1 + ((raw >> 32) % BURST_MAX) as usize, time),
         0..=4 => Op::Push(time),
         5..=7 => Op::Pop,
         _ => Op::PopAtOrBefore(time),
@@ -48,11 +66,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn run_differential(ops: &[Op]) -> Result<u64, TestCaseError> {
     let mut dut: EventQueue<usize> = EventQueue::new();
     let mut refq: BinaryHeapQueue<usize> = BinaryHeapQueue::new();
+    let mut pushed = 0usize;
+    let mut push = |dut: &mut EventQueue<usize>, refq: &mut BinaryHeapQueue<usize>, t: u64| {
+        dut.push(Instant::from_nanos(t), pushed);
+        refq.push(Instant::from_nanos(t), pushed);
+        pushed += 1;
+    };
     for (i, op) in ops.iter().enumerate() {
         match *op {
-            Op::Push(t) => {
-                dut.push(Instant::from_nanos(t), i);
-                refq.push(Instant::from_nanos(t), i);
+            Op::Push(t) => push(&mut dut, &mut refq, t),
+            Op::Burst(n, t) => {
+                for _ in 0..n {
+                    push(&mut dut, &mut refq, t);
+                }
             }
             Op::Pop => {
                 prop_assert_eq!(dut.pop(), refq.pop(), "pop diverged at op {}", i);
@@ -87,14 +113,83 @@ fn run_differential(ops: &[Op]) -> Result<u64, TestCaseError> {
     Ok(dut.popped())
 }
 
+/// Drive a [`KeyedQueue`] and a heap of `(time, key, ordinal)` tuples
+/// through `ops` (a deadline pop is a plain pop here: the keyed queue has
+/// none) and assert identical observable behavior at every step; returns
+/// the number of events popped. Keys are what the sharded engine's are:
+/// unique, and not monotone in push order — a scrambled 5-bit domain
+/// above the ordinal — so same-instant runs land out of key order.
+fn run_keyed_differential(ops: &[Op]) -> Result<u64, TestCaseError> {
+    let mut dut: KeyedQueue<usize> = KeyedQueue::new();
+    let mut model: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+    let mut pushed = 0usize;
+    let mut popped = 0u64;
+    let mut push = |dut: &mut KeyedQueue<usize>, model: &mut BinaryHeap<_>, t: u64| {
+        let domain = (pushed as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+        let key = pack_key(domain as u32, pushed as u64);
+        dut.push(Instant::from_nanos(t), key, pushed);
+        model.push(Reverse((t, key, pushed)));
+        pushed += 1;
+    };
+    let expected = |model: &mut BinaryHeap<Reverse<(u64, u64, usize)>>| {
+        model
+            .pop()
+            .map(|Reverse((t, key, i))| (Instant::from_nanos(t), key, i))
+    };
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Push(t) => push(&mut dut, &mut model, t),
+            Op::Burst(n, t) => {
+                for _ in 0..n {
+                    push(&mut dut, &mut model, t);
+                }
+            }
+            Op::Pop | Op::PopAtOrBefore(_) => {
+                let want = expected(&mut model);
+                popped += u64::from(want.is_some());
+                prop_assert_eq!(dut.pop(), want, "pop diverged at op {}", i);
+            }
+        }
+        prop_assert_eq!(dut.len(), model.len(), "len diverged at op {}", i);
+        prop_assert_eq!(dut.is_empty(), model.is_empty());
+        prop_assert_eq!(
+            dut.peek_time(),
+            model
+                .peek()
+                .map(|Reverse((t, _, _))| Instant::from_nanos(*t)),
+            "peek diverged at op {}",
+            i
+        );
+        prop_assert_eq!(dut.popped(), popped, "popped diverged at op {}", i);
+    }
+    loop {
+        let (a, b) = (dut.pop(), expected(&mut model));
+        prop_assert_eq!(a, b, "drain diverged");
+        if a.is_none() {
+            break;
+        }
+        popped += 1;
+    }
+    prop_assert_eq!(dut.popped(), popped);
+    Ok(popped)
+}
+
 proptest! {
     /// The two implementations are observationally identical on random
     /// push/pop interleavings.
     #[test]
-    fn two_list_queue_matches_binary_heap_reference(
+    fn calendar_queue_matches_binary_heap_reference(
         ops in proptest::collection::vec(op_strategy(), 1..400)
     ) {
         run_differential(&ops)?;
+    }
+
+    /// The keyed queue pops the same interleavings in `(time, key)` order.
+    #[test]
+    fn keyed_queue_matches_binary_heap_model(
+        ops in proptest::collection::vec(op_strategy(), 1..400)
+    ) {
+        run_keyed_differential(&ops)?;
     }
 }
 
@@ -121,4 +216,24 @@ fn pinned_regression_trace_seed_2018() {
     }
     let popped = run_differential(&ops).expect("differential trace must agree");
     assert!(popped > 0, "trace exercised no pops");
+    let popped = run_keyed_differential(&ops).expect("keyed trace must agree");
+    assert!(popped > 0, "keyed trace exercised no pops");
+}
+
+/// Pinned regression: a same-instant run longer than the 256-entry refill
+/// batch the two-list queue used to migrate. That queue lowered its
+/// horizon to `T + 1` when the batch filled, so a push *at `T`* entered
+/// the near list and popped ahead of the 344 earlier `T` events still in
+/// the far heap: pop 257 returned event 600 where the reference returns
+/// event 256.
+#[test]
+fn same_instant_push_does_not_overtake_a_long_burst() {
+    const T: u64 = 1_000_000;
+    let mut ops = vec![Op::Burst(600, T)];
+    for _ in 0..10 {
+        ops.push(Op::Pop);
+        ops.push(Op::Push(T));
+    }
+    let popped = run_differential(&ops).expect("burst trace must agree");
+    assert_eq!(popped, 610);
 }
