@@ -5,7 +5,8 @@
 //! match-action pipeline can do (§5.3):
 //!
 //! * register arrays of fixed size (`modulus` snapshot slots, one Last Seen
-//!   entry per upstream channel),
+//!   entry per upstream channel) — the slot file is logically `modulus`
+//!   deep and materialised up to the highest slot written, see below,
 //! * at most **one** slot written per packet — no looping over intermediate
 //!   snapshot IDs when the packet's ID and the local ID differ by more than
 //!   one (the control plane marks those epochs inconsistent, Fig. 7),
@@ -20,6 +21,21 @@
 //! packet counter, the byte count for a byte counter, `0` for metrics where
 //! channel state is meaningless). Per Fig. 3, the saved state excludes the
 //! packet that triggers the snapshot — its send belongs to the new epoch.
+//!
+//! # The register file is only as deep as the run has written
+//!
+//! The hardware array has `modulus` slots whether or not a snapshot ever
+//! lands in them; the model allocates a slot when a packet first advances
+//! the unit to it. The backing `Vec` starts empty and grows, with `Vec`'s
+//! own amortised doubling, to the highest slot an advancing packet has
+//! written, never past `modulus`. Every read treats the missing tail as
+//! what it would hold on the switch — zeroes: [`DataPlaneUnit::peek_slot`]
+//! gives `SnapSlot::default()`, [`DataPlaneUnit::take_slot`] gives `None`,
+//! an in-flight credit finds nothing written and adds nothing. An ID whose
+//! raw value is not below `modulus` is a caller bug and panics, in release
+//! builds too, as indexing a full-depth array would. A world of 1 280
+//! units at modulus 512 that takes four snapshots holds 5 slots a unit; at
+//! full depth it would zero-fill 15.7 MB once and never read it.
 
 use crate::id::{Epoch, WrappedId};
 use crate::types::{ChannelId, Direction, Notification, PacketVerdict, UnitId, CPU_CHANNEL};
@@ -66,6 +82,8 @@ pub struct PacketOutcome {
 pub struct DataPlaneUnit {
     cfg: UnitConfig,
     sid: WrappedId,
+    /// The snapshot value registers `[0, slots.len())`; every slot from
+    /// there up to `modulus` is still in its boot state and is not stored.
     slots: Vec<SnapSlot>,
     /// Last Seen per real upstream channel (kept even without channel state
     /// as the rollover reference; without channel state its updates are not
@@ -82,7 +100,7 @@ impl DataPlaneUnit {
         assert!(cfg.modulus >= 2, "modulus must allow progress");
         let zero = WrappedId::wrap(0, cfg.modulus);
         DataPlaneUnit {
-            slots: vec![SnapSlot::default(); usize::from(cfg.modulus)],
+            slots: Vec::new(),
             last_seen: vec![zero; usize::from(cfg.num_channels)],
             cpu_last_seen: zero,
             sid: zero,
@@ -176,7 +194,11 @@ impl DataPlaneUnit {
             // constraint); the control plane will mark them inconsistent.
             let adv = d_pkt - d_sid;
             self.sid = pkt_sid;
-            self.slots[usize::from(pkt_sid.raw())] = SnapSlot {
+            let idx = self.slot_index(pkt_sid);
+            if idx >= self.slots.len() {
+                self.slots.resize(idx + 1, SnapSlot::default());
+            }
+            self.slots[idx] = SnapSlot {
                 value: local_state,
                 channel: 0,
                 written: true,
@@ -199,9 +221,10 @@ impl DataPlaneUnit {
             // epoch iff the gap is exactly 1 — larger gaps are what Fig. 7
             // marks inconsistent.
             if self.cfg.channel_state && !is_initiation {
-                let slot = &mut self.slots[usize::from(self.sid.raw())];
-                if slot.written {
-                    slot.channel += contrib;
+                if let Some(slot) = self.slots.get_mut(usize::from(self.sid.raw())) {
+                    if slot.written {
+                        slot.channel += contrib;
+                    }
                 }
             }
             PacketVerdict::InFlight(d_sid - d_pkt)
@@ -256,7 +279,8 @@ impl DataPlaneUnit {
     /// Read and clear one snapshot slot (the control plane's register read;
     /// clearing implements the initialization check of Fig. 7 l.21).
     pub fn take_slot(&mut self, id: WrappedId) -> Option<SnapSlot> {
-        let slot = &mut self.slots[usize::from(id.raw())];
+        let idx = self.slot_index(id);
+        let slot = self.slots.get_mut(idx)?;
         if slot.written {
             let out = *slot;
             *slot = SnapSlot::default();
@@ -268,7 +292,21 @@ impl DataPlaneUnit {
 
     /// Inspect a slot without clearing it (tests and proactive CP polling).
     pub fn peek_slot(&self, id: WrappedId) -> SnapSlot {
-        self.slots[usize::from(id.raw())]
+        let idx = self.slot_index(id);
+        self.slots.get(idx).copied().unwrap_or_default()
+    }
+
+    /// Where `id` lives in the register file. The file is `modulus` deep
+    /// however much of it is materialised, so an ID from a larger ID space
+    /// is out of bounds: a caller bug, fatal in release builds too.
+    fn slot_index(&self, id: WrappedId) -> usize {
+        assert!(
+            id.raw() < self.cfg.modulus,
+            "snapshot slot {} outside this unit's {}-slot register file",
+            id.raw(),
+            self.cfg.modulus
+        );
+        usize::from(id.raw())
     }
 
     /// Snapshot the unit's registers as seen over the CPU interface —
@@ -482,5 +520,97 @@ mod tests {
         let out = u.on_packet(ChannelId(0), w(0, 8), 0, 1, false);
         assert_eq!(out.verdict, PacketVerdict::Current);
         assert_eq!(u.peek_slot(w(0, 8)).channel, 0);
+        assert!(u.slots.is_empty(), "a Current packet materialises nothing");
+    }
+
+    #[test]
+    fn fresh_register_file_reads_as_zeroes_at_every_index() {
+        let m = 8;
+        let mut u = unit(true, 1, m);
+        assert!(u.slots.is_empty());
+        for raw in [0, u.sid().raw(), m - 1] {
+            assert_eq!(u.peek_slot(w(raw, m)), SnapSlot::default());
+            assert_eq!(u.take_slot(w(raw, m)), None);
+        }
+        assert!(u.slots.is_empty(), "reads materialise nothing");
+        // One save at slot 5: the file is 6 deep, the slots below read as
+        // they did, the slots above are still not stored.
+        u.on_packet(ChannelId(0), w(5, m), 50, 1, false);
+        assert_eq!(u.slots.len(), 6);
+        assert_eq!(u.peek_slot(w(4, m)), SnapSlot::default());
+        assert_eq!(u.peek_slot(w(m - 1, m)), SnapSlot::default());
+        assert_eq!(u.take_slot(w(m - 1, m)), None);
+        assert_eq!(u.peek_slot(w(5, m)).value, 50);
+    }
+
+    #[test]
+    fn in_flight_credit_to_a_read_out_slot_is_a_noop() {
+        // The only slot an in-flight packet ever credits is the current
+        // one, which the advance that made it current also materialised;
+        // once the control plane has read it out, a late credit adds
+        // nothing and allocates nothing.
+        let mut u = unit(true, 2, 8);
+        u.on_packet(ChannelId(0), w(1, 8), 10, 1, false);
+        assert!(u.take_slot(w(1, 8)).is_some());
+        let out = u.on_packet(ChannelId(1), w(0, 8), 11, 7, false);
+        assert_eq!(out.verdict, PacketVerdict::InFlight(1));
+        assert_eq!(u.peek_slot(w(1, 8)), SnapSlot::default());
+        assert_eq!(u.slots.len(), 2);
+    }
+
+    #[test]
+    fn register_file_stops_growing_at_modulus_and_slots_are_reused() {
+        let m: u16 = 8;
+        let mut u = unit(true, 1, m);
+        for epoch in 1..=u64::from(m) + 3 {
+            let id = u.wrap(epoch);
+            // What the previous lap left in this slot, read or not, is
+            // overwritten by the save.
+            let out = u.on_packet(ChannelId(0), id, epoch * 10, 1, false);
+            assert_eq!(out.verdict, PacketVerdict::Advanced(1));
+            assert_eq!(u.peek_slot(id).value, epoch * 10);
+            assert!(u.slots.len() <= usize::from(m));
+            if epoch % 2 == 0 {
+                assert_eq!(u.take_slot(id).map(|s| s.value), Some(epoch * 10));
+                assert_eq!(u.take_slot(id), None);
+            }
+        }
+        assert_eq!(u.slots.len(), usize::from(m));
+        // Epoch m+3 reused slot 3; a skip over slots 4 and 5 leaves the
+        // previous lap's slots as they were, as on a full-depth file.
+        let out = u.on_packet(ChannelId(0), w(6, m), 999, 1, false);
+        assert_eq!(out.verdict, PacketVerdict::Advanced(3));
+        assert!(!u.peek_slot(w(4, m)).written, "taken on the first lap");
+        assert_eq!(
+            u.peek_slot(w(5, m)).value,
+            50,
+            "never taken, never rewritten"
+        );
+        assert_eq!(u.peek_slot(w(6, m)).value, 999);
+        assert_eq!(u.slots.len(), usize::from(m));
+    }
+
+    /// An ID from a larger ID space indexes past the `modulus`-deep file:
+    /// fatal whether or not the file is materialised that far, and in
+    /// release builds too (`cargo test --release -p speedlight-core`),
+    /// where the `debug_assert` on the modulus is compiled out.
+    #[test]
+    fn id_outside_the_modulus_panics_at_every_entry_point() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let foreign = w(8, 16);
+        let mut fresh = unit(true, 1, 8);
+        let mut full = unit(true, 1, 8);
+        for epoch in 1..=8 {
+            let id = full.wrap(epoch);
+            full.on_packet(ChannelId(0), id, 0, 1, false);
+        }
+        for u in [&mut fresh, &mut full] {
+            assert!(catch_unwind(AssertUnwindSafe(|| u.peek_slot(foreign))).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| u.take_slot(foreign))).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| {
+                u.on_packet(ChannelId(0), foreign, 0, 1, false)
+            }))
+            .is_err());
+        }
     }
 }

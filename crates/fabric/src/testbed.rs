@@ -103,7 +103,18 @@ impl Testbed {
         self.sim.schedule_at(at, NetEvent::PollSweep);
     }
 
-    /// Run the simulation until `deadline`.
+    /// Run the simulation until `deadline` (events at the deadline still
+    /// execute) and park the clock there.
+    ///
+    /// Resumable: with profiling off, advancing in any number of calls
+    /// to increasing deadlines is exactly the run one call to the last
+    /// deadline makes — same events, same order, same snapshots and
+    /// metrics (`tests/stepped_run.rs`), which is what lets a caller
+    /// watch the world between slices (`experiments::fig10` stops a rate
+    /// probe at its first notification drop). With profiling on every
+    /// call also closes the profile window open at its deadline, so the
+    /// simulation is still the same run but the profile's window counts
+    /// and stall sums depend on where the calls stopped.
     pub fn run_until(&mut self, deadline: Instant) {
         self.sim.run_until(deadline);
         // Close any profile window left open at the boundary — mirrors

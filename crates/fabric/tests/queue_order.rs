@@ -15,17 +15,15 @@
 //! for byte. That makes this test the authority for the serial fat-tree
 //! digest pinned in `bench/tests/noop_profile_digest.rs`.
 
-use fabric::network::{DriverConfig, NetEvent, Network, SnapshotRecord};
-use fabric::switchmod::SnapshotConfig;
+mod common;
+
+use fabric::network::{NetEvent, Network, SnapshotRecord};
 use fabric::testbed::{Testbed, TestbedConfig};
 use fabric::topology::Topology;
 use fabric::Source;
-use netsim::dist::Dist;
 use netsim::queue::reference::BinaryHeapQueue;
 use netsim::sim::{Scheduler, World};
 use netsim::time::{Duration, Instant};
-use telemetry::MetricKind;
-use workloads::PoissonSource;
 
 const SEED: u64 = 9;
 
@@ -35,36 +33,13 @@ const SEED: u64 = 9;
 /// 12 543 371 ns), so the run stops shortly after it.
 const HORIZON: Duration = Duration::from_millis(13);
 
-/// `bench_netsim`'s configuration.
 fn config() -> TestbedConfig {
-    let mut cfg = TestbedConfig::new(SnapshotConfig {
-        modulus: 512,
-        channel_state: true,
-        ingress_metric: MetricKind::PacketCount,
-        egress_metric: MetricKind::PacketCount,
-    });
-    cfg.seed = SEED;
-    cfg.driver = DriverConfig {
-        snapshot_period: Some(Duration::from_millis(4)),
-        ..DriverConfig::default()
-    };
-    cfg
+    common::config(SEED)
 }
 
-/// `bench_netsim`'s fat-tree traffic: 100 kpps of 700-byte packets per
-/// host, spread over every other host on 8 flows each.
+/// `bench_netsim`'s fat-tree traffic: 100 kpps per host.
 fn source(host: u32, num_hosts: u32) -> Box<dyn Source> {
-    let dsts = (0..num_hosts).filter(|&d| d != host).collect();
-    Box::new(
-        PoissonSource::new(
-            host,
-            dsts,
-            100_000.0,
-            Dist::constant(700.0),
-            SEED ^ u64::from(host),
-        )
-        .flows_per_dst(8),
-    )
+    common::source(host, num_hosts, 100_000.0, SEED)
 }
 
 /// `SnapshotRecord` has no `PartialEq`; its `Debug` form names every
