@@ -30,14 +30,15 @@
 //!                             count, observer-pipeline occupancy). A
 //!                             human stall summary (per shard when
 //!                             sharded) goes to stderr — the artifact
-//!                             itself is jobs- and shard-count-invariant.
+//!                             itself is shard-count-invariant.
+//!   --trace-out <path>        enable the JSONL trace sink and write the
+//!                             run's trace (inspect it with the
+//!                             `speedlight-trace` binary)
 //! ```
 //!
-//! With `SPEEDLIGHT_TRACE=<path>` in the environment, the run has the
-//! JSONL trace sink enabled and its trace is written to `<path>` (inspect
-//! it with the `speedlight-trace` binary). Tracing and profiling ride the
-//! one run; neither perturbs the simulation, so the digest is the same
-//! with them on or off (`--expect-digest` under both is how CI pins that).
+//! Tracing and profiling ride the one run; neither perturbs the
+//! simulation, so the digest is the same with them on or off
+//! (`--expect-digest` under both is how the tests pin that).
 
 use fabric::network::DriverConfig;
 use fabric::shard::{PartitionHint, ShardedTestbed};
@@ -364,7 +365,7 @@ fn main() -> ExitCode {
     let mut metrics_out_path: Option<String> = None;
     let mut profile_out_path: Option<String> = None;
     let mut expect_digest: Option<u64> = None;
-    let trace_path = std::env::var("SPEEDLIGHT_TRACE").ok();
+    let mut trace_path: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -388,6 +389,7 @@ fn main() -> ExitCode {
             "--seed" => seed = value("--seed").parse().expect("--seed takes a u64"),
             "--metrics-out" => metrics_out_path = Some(value("--metrics-out")),
             "--profile-out" => profile_out_path = Some(value("--profile-out")),
+            "--trace-out" => trace_path = Some(value("--trace-out")),
             "--expect-digest" => {
                 let raw = value("--expect-digest");
                 expect_digest = Some(u64::from_str_radix(&raw, 16).unwrap_or_else(|_| {

@@ -1,5 +1,5 @@
 //! `speedlight-trace`: human-readable views over a snapshot-lifecycle
-//! JSONL trace (as produced by `SPEEDLIGHT_TRACE=<path> bench_netsim`,
+//! JSONL trace (as produced by `bench_netsim --trace-out <path>`,
 //! `Testbed::enable_trace`, or the conformance golden files).
 //!
 //! ```text

@@ -10,10 +10,11 @@
 //! order)` across same-instant bursts of thousands of events;
 //! `fabric/tests/queue_order.rs` derives it from the reference queue.
 //!
-//! Sharded: the fig9 profile written at 2 and at 4 shards must be the
-//! same bytes and carry the committed profile digest. The child resolves
-//! its worker count from the OS like any user's run; the pin holds at any
-//! count, which is the point.
+//! Sharded: fig9 and fat_tree:8 must reproduce the committed sharded
+//! snapshot digests at 2 and at 4 shards, and the fig9 profile written at
+//! 2 and at 4 shards must be the same bytes and carry the committed
+//! profile digest. The child runs exactly as a user's run does: one
+//! thread, on any machine.
 
 use std::process::Command;
 
@@ -22,6 +23,13 @@ const SERIAL_PINS: &[(&[&str], &str)] = &[
     (&["--scenario", "fig9"], "94f4c88c10ba015f"),
     (&["--scenario", "smoke"], "7dc7a4db56455a62"),
     (&["--topology", "fat_tree:8"], "35debf7fe444bc6a"),
+];
+
+/// `(what to run, sharded snapshot digest at --seed 9)`, each at
+/// `--shards 2` and `--shards 4`.
+const SHARDED_PINS: &[(&[&str], &str)] = &[
+    (&["--topology", "fat_tree:8"], "23b6cafb5dcfc81c"),
+    (&["--scenario", "fig9"], "04d8a6024b1a0519"),
 ];
 
 const PINNED_FIG9_SHARDED_PROFILE_DIGEST: &str = "73ad5b8b1f85e9d1";
@@ -39,6 +47,30 @@ fn serial_digests_with_profiling_disabled() {
     for (run, digest) in SERIAL_PINS {
         bench_netsim(&[run, &["--seed", "9", "--expect-digest", digest][..]].concat());
     }
+}
+
+#[test]
+fn sharded_digests_at_two_and_four_shards() {
+    for (run, digest) in SHARDED_PINS {
+        for shards in ["2", "4"] {
+            let pin = ["--seed", "9", "--shards", shards, "--expect-digest", digest];
+            bench_netsim(&[run, &pin[..]].concat());
+        }
+    }
+}
+
+/// Tracing and profiling ride the one run and must not move its digest.
+#[test]
+fn fig9_digest_holds_with_trace_and_profile_on() {
+    let tmp = env!("CARGO_TARGET_TMPDIR");
+    let trace = format!("{tmp}/fig9-pin-trace.jsonl");
+    let profile = format!("{tmp}/fig9-pin-profile.json");
+    let (run, digest) = SERIAL_PINS[0];
+    let pin = ["--seed", "9", "--expect-digest", digest];
+    let outs = ["--trace-out", &trace, "--profile-out", &profile];
+    bench_netsim(&[run, &pin[..], &outs[..]].concat());
+    let lines = std::fs::read_to_string(&trace).unwrap_or_else(|e| panic!("read {trace}: {e}"));
+    assert!(lines.contains("\"ev\":\"trace.meta\""), "no trace header");
 }
 
 #[test]

@@ -69,7 +69,7 @@ const SHARDED_GOLDEN_PATH: &str = concat!(
 #[test]
 fn line2_channel_state_sharded_trace_matches_golden() {
     let sc = Scenario::from_spec(SPEC).expect("golden spec is valid");
-    let (run, lines, metrics, _) = parfan::with_jobs(1, || run_fabric_sharded_full(&sc, 1));
+    let (run, lines, metrics, _) = run_fabric_sharded_full(&sc, 1);
     assert_eq!(run.snapshots.len(), sc.snapshots);
     assert!(!lines.is_empty());
 
@@ -77,8 +77,7 @@ fn line2_channel_state_sharded_trace_matches_golden() {
     got.push('\n');
 
     for shards in [2usize, 4] {
-        let (_, other_lines, other_metrics, _) =
-            parfan::with_jobs(shards, || run_fabric_sharded_full(&sc, shards));
+        let (_, other_lines, other_metrics, _) = run_fabric_sharded_full(&sc, shards);
         let mut other = other_lines.join("\n");
         other.push('\n');
         assert!(

@@ -1,9 +1,7 @@
 //! The deterministic `speedlight-profile/v1` artifact (and the merged
-//! metrics JSON it travels with) must be byte-identical at every
-//! worker-thread count × shard count. Jobs are pinned with
-//! `parfan::with_jobs`; shards are an explicit simulation parameter — so
-//! one test process sweeps the whole {1,2,4} × {1,2,4} grid
-//! deterministically.
+//! metrics JSON it travels with) must be byte-identical at every shard
+//! count. Shards are an explicit simulation parameter, so one test
+//! process sweeps {1, 2, 4}.
 //!
 //! The fig9-style scenario (leaf-spine testbed, Hadoop workload,
 //! channel-state snapshots — the shape behind the paper's Fig. 9 sync
@@ -32,33 +30,25 @@ const GOLDEN_PATH: &str = concat!(
 /// The digest the committed golden file carries.
 const GOLDEN_DIGEST: &str = "868f566d895ba732";
 
-fn profile_at(sc: &Scenario, jobs: usize, shards: usize) -> (String, String) {
-    let (_, _, metrics, profile) = parfan::with_jobs(jobs, || run_fabric_sharded_full(sc, shards));
+fn profile_at(sc: &Scenario, shards: usize) -> (String, String) {
+    let (_, _, metrics, profile) = run_fabric_sharded_full(sc, shards);
     (metrics, profile)
 }
 
 #[test]
-fn fig9_profile_is_jobs_and_shard_count_invariant() {
+fn fig9_profile_is_shard_count_invariant() {
     let sc = Scenario::from_spec(matrix::spec(FIG9_SCENARIO)).expect("matrix spec parses");
-    let (ref_metrics, ref_profile) = profile_at(&sc, 1, 1);
+    let (ref_metrics, ref_profile) = profile_at(&sc, 1);
     assert!(ref_profile.contains("speedlight-profile/v1"));
     assert!(obs::profile::extract_digest(&ref_profile).is_some());
 
-    for jobs in [1usize, 2, 4] {
-        for shards in [1usize, 2, 4] {
-            if (jobs, shards) == (1, 1) {
-                continue;
-            }
-            let (metrics, profile) = profile_at(&sc, jobs, shards);
-            assert!(
-                profile == ref_profile,
-                "profile diverges at jobs={jobs} shards={shards}"
-            );
-            assert!(
-                metrics == ref_metrics,
-                "metrics diverge at jobs={jobs} shards={shards}"
-            );
-        }
+    for shards in [2usize, 4] {
+        let (metrics, profile) = profile_at(&sc, shards);
+        assert!(
+            profile == ref_profile,
+            "profile diverges at {shards} shards"
+        );
+        assert!(metrics == ref_metrics, "metrics diverge at {shards} shards");
     }
 
     if std::env::var_os("SPEEDLIGHT_BLESS").is_some() {
@@ -86,7 +76,7 @@ fn fig9_profile_is_jobs_and_shard_count_invariant() {
 #[test]
 fn fig9_profile_is_internally_consistent() {
     let sc = Scenario::from_spec(matrix::spec(FIG9_SCENARIO)).expect("matrix spec parses");
-    let (_, profile) = profile_at(&sc, 2, 2);
+    let (_, profile) = profile_at(&sc, 2);
 
     let field = |line: &str, key: &str| -> Option<u64> {
         let rest = line.split(&format!("\"{key}\":")).nth(1)?.trim_start();

@@ -1,10 +1,8 @@
 //! A representative matrix subset runs on the sharded fabric engine at
 //! 1, 2, and 4 shards, and the full artifact digest (snapshots + delivery
 //! log + golden trace) must be byte-identical at every shard count. The
-//! shard count is an explicit simulation parameter and every run pins its
-//! own worker count (one thread per shard; the 1-shard reference inline),
-//! so one test process covers the whole axis, barrier pool included, on
-//! any machine.
+//! shard count is an explicit simulation parameter, so one test process
+//! covers the whole axis.
 
 use conformance::runner::{run_fabric_sharded, sharded_digest};
 use conformance::{matrix, Scenario};
@@ -16,7 +14,7 @@ use conformance::{matrix, Scenario};
 const SUBSET: &[&str] = &["hadoop_ecmp_cs", "graphx_flowlet_nocs", "memcache_ecmp_cs"];
 
 fn digest_at(sc: &Scenario, shards: usize) -> u64 {
-    let (run, trace) = parfan::with_jobs(shards, || run_fabric_sharded(sc, shards));
+    let (run, trace) = run_fabric_sharded(sc, shards);
     sharded_digest(&run, &trace)
 }
 

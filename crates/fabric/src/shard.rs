@@ -27,8 +27,8 @@
 //! 3. **Lookahead windows** — every cross-*domain* emission is delayed by
 //!    at least the topology's minimum link propagation (naturally for
 //!    packets, clamped for control traffic), so the conservative
-//!    window-barrier protocol in [`netsim::shard`] can run each window in
-//!    parallel without ever reordering a domain's inputs.
+//!    window protocol in [`netsim::shard`] can run each window shard by
+//!    shard without ever reordering a domain's inputs.
 //!
 //! Outputs are combined by shard-count-independent merge rules
 //! (see [`ShardedTestbed`]): sums for disjoint counters, min/max/sum for
@@ -369,7 +369,7 @@ impl ShardWorld for NetShard {
 }
 
 /// A sharded deployment of the fig-8 testbed: the same construction
-/// surface as [`crate::testbed::Testbed`], executed by N shard workers
+/// surface as [`crate::testbed::Testbed`], executed as N shards
 /// with shard-count-independent merged outputs.
 pub struct ShardedTestbed {
     sim: ShardedSim<NetShard>,
@@ -386,9 +386,7 @@ pub struct ShardedTestbed {
 impl ShardedTestbed {
     /// Build a sharded testbed over `topo` with `shards` shards and start
     /// the driver loops on the control domain. `shards` is a simulation
-    /// *configuration* (it selects the partition); the worker-thread
-    /// count is resolved separately, by `parfan::resolved_jobs`, at run
-    /// time.
+    /// *configuration*: it selects the partition.
     pub fn new(
         topo: Topology,
         cfg: TestbedConfig,
@@ -459,7 +457,7 @@ impl ShardedTestbed {
         tb
     }
 
-    /// Number of shards (the simulation configuration, not thread count).
+    /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.sim.num_shards()
     }
@@ -604,12 +602,12 @@ impl ShardedTestbed {
     /// Total events dispatched across all shards. Includes link-shadow
     /// mirror deliveries, so the count may differ (slightly) across shard
     /// counts; it is a throughput measure, not a merged artifact.
-    pub fn events_dispatched(&mut self) -> u64 {
+    pub fn events_dispatched(&self) -> u64 {
         self.sim.events_dispatched()
     }
 
     /// Pending events across all shards.
-    pub fn pending(&mut self) -> u64 {
+    pub fn pending(&self) -> u64 {
         self.sim.pending()
     }
 
@@ -626,16 +624,16 @@ impl ShardedTestbed {
 
     /// Completed snapshots. Observer state lives on the control domain,
     /// so shard 0's replica holds the only populated record list.
-    pub fn snapshots(&mut self) -> &[SnapshotRecord] {
-        &self.sim.world_mut(0).net.instr.snapshots
+    pub fn snapshots(&self) -> &[SnapshotRecord] {
+        &self.sim.world(0).net.instr.snapshots
     }
 
     /// Packets delivered per host: elementwise sum over replicas (each
     /// host's slot is only ever touched by its owner).
-    pub fn host_rx(&mut self) -> Vec<u64> {
+    pub fn host_rx(&self) -> Vec<u64> {
         let mut merged: Vec<u64> = Vec::new();
         for i in 0..self.sim.num_shards() {
-            let rx = &self.sim.world_mut(i).net.instr.host_rx;
+            let rx = &self.sim.world(i).net.instr.host_rx;
             if merged.len() < rx.len() {
                 merged.resize(rx.len(), 0);
             }
@@ -650,11 +648,11 @@ impl ShardedTestbed {
     /// map: min of earliest, max of latest, sum of counts — the same
     /// fold the per-notification updates apply, so any grouping of
     /// devices onto shards reconstructs the same map.
-    pub fn sync_spreads(&mut self, min_units: u64) -> Vec<(Epoch, Duration)> {
+    pub fn sync_spreads(&self, min_units: u64) -> Vec<(Epoch, Duration)> {
         let mut merged: std::collections::BTreeMap<Epoch, (Instant, Instant, u64)> =
             std::collections::BTreeMap::new();
         for i in 0..self.sim.num_shards() {
-            for (&epoch, &(lo, hi, n)) in &self.sim.world_mut(i).net.instr.sync {
+            for (&epoch, &(lo, hi, n)) in &self.sim.world(i).net.instr.sync {
                 let e = merged.entry(epoch).or_insert((lo, hi, 0));
                 e.0 = e.0.min(lo);
                 e.1 = e.1.max(hi);
@@ -671,14 +669,14 @@ impl ShardedTestbed {
     /// Polling sweeps, merged: per sweep, the union of every shard's
     /// samples in `(read_time, unit)` order (a canonical order no serial
     /// interleaving is needed for).
-    pub fn polls(&mut self) -> Vec<PollSweepRecord> {
+    pub fn polls(&self) -> Vec<PollSweepRecord> {
         let mut sweeps = 0;
         for i in 0..self.sim.num_shards() {
-            sweeps = sweeps.max(self.sim.world_mut(i).net.instr.polls.len());
+            sweeps = sweeps.max(self.sim.world(i).net.instr.polls.len());
         }
         let mut merged = vec![PollSweepRecord::default(); sweeps];
         for i in 0..self.sim.num_shards() {
-            for (sweep, rec) in self.sim.world_mut(i).net.instr.polls.iter().enumerate() {
+            for (sweep, rec) in self.sim.world(i).net.instr.polls.iter().enumerate() {
                 if let Some(m) = merged.get_mut(sweep) {
                     m.samples.extend(rec.samples.iter().copied());
                 }
@@ -694,11 +692,11 @@ impl ShardedTestbed {
     /// grouped by receiving device (stable, so each device's processing
     /// order — which is shard-count-invariant — is preserved), devices in
     /// id order. Returns `None` when the log was never enabled.
-    pub fn delivery_log(&mut self) -> Option<Vec<DeliveryEvent>> {
+    pub fn delivery_log(&self) -> Option<Vec<DeliveryEvent>> {
         let mut merged: Vec<DeliveryEvent> = Vec::new();
         let mut enabled = false;
         for i in 0..self.sim.num_shards() {
-            if let Some(log) = &self.sim.world_mut(i).net.instr.delivery_log {
+            if let Some(log) = &self.sim.world(i).net.instr.delivery_log {
                 enabled = true;
                 merged.extend(log.iter().copied());
             }
@@ -748,7 +746,7 @@ impl ShardedTestbed {
     /// Take the merged profile: per-replica accounting cores summed
     /// domainwise. Each domain's counters live on exactly one replica
     /// (the owner's — inert replicas hold zeros), and every replica
-    /// counts every window (the barrier closes windows on all shards),
+    /// counts every window (every window closes on all shards),
     /// so the merge asserts window-count agreement and sums the rest.
     /// The observer-pipeline section comes from shard 0, where the
     /// control domain is pinned.
@@ -837,12 +835,8 @@ mod tests {
         tb
     }
 
-    /// Run to the 50 ms horizon on the calling thread. These tests compare
-    /// shard *placements*; the worker pool has its own tests in
-    /// `netsim::shard` and `tests/shard_equivalence.rs`, so neither
-    /// coverage nor duration here depends on the core count.
-    fn run_inline(tb: &mut ShardedTestbed) {
-        parfan::with_jobs(1, || tb.run_until(Instant::from_nanos(50_000_000)));
+    fn run_to_horizon(tb: &mut ShardedTestbed) {
+        tb.run_until(Instant::from_nanos(50_000_000));
     }
 
     /// Everything a run produces that the equivalence contract covers,
@@ -852,7 +846,7 @@ mod tests {
         tb.enable_trace();
         tb.enable_delivery_log();
         tb.snapshot_at(Instant::from_nanos(2_000_000));
-        run_inline(&mut tb);
+        run_to_horizon(&mut tb);
         let snaps = format!("{:?}", tb.snapshots());
         let misc = format!(
             "rx={:?} sync={:?} log={:?}",
@@ -917,7 +911,7 @@ mod tests {
     fn sharded_run_completes_snapshots() {
         let mut tb = sharded_leaf_spine(2, false);
         tb.snapshot_at(Instant::from_nanos(2_000_000));
-        run_inline(&mut tb);
+        run_to_horizon(&mut tb);
         assert_eq!(tb.snapshots().len(), 1, "snapshot must complete");
         assert!(!tb.snapshots()[0].forced);
         assert!(tb.snapshots()[0].snapshot.fully_consistent());
@@ -945,7 +939,7 @@ mod tests {
             let mut tb = sharded_leaf_spine(shards, true);
             tb.enable_profiling();
             tb.snapshot_at(Instant::from_nanos(2_000_000));
-            run_inline(&mut tb);
+            run_to_horizon(&mut tb);
             tb.take_profile().to_json()
         };
         let reference = render(1);
@@ -977,7 +971,7 @@ mod tests {
         tb.enable_trace();
         tb.enable_delivery_log();
         tb.snapshot_at(Instant::from_nanos(2_000_000));
-        run_inline(&mut tb);
+        run_to_horizon(&mut tb);
         let snaps = format!("{:?}", tb.snapshots());
         let misc = format!(
             "rx={:?} sync={:?} log={:?}",
@@ -1002,7 +996,7 @@ mod tests {
         let render = |shards: usize| {
             let mut tb = sharded_leaf_spine(shards, false);
             tb.snapshot_at(Instant::from_nanos(2_000_000));
-            run_inline(&mut tb);
+            run_to_horizon(&mut tb);
             tb.export_metrics()
         };
         let reference = render(1);

@@ -5,13 +5,7 @@
 //!
 //! Property test: random seeds × topologies (leaf-spine, fat-tree k=4,
 //! line) × shard counts, plus a pinned regression seed for the
-//! cross-shard in-flight-packet-at-barrier corner.
-//!
-//! Every run sits in a `parfan::with_jobs` scope, so what is covered and
-//! how long it takes do not depend on the machine's core count. The
-//! property compares shard *placement*, so both arms run inline
-//! (`with_jobs(1)`); the pinned seed runs each N-shard arm on N worker
-//! threads, so the barrier pool is crossed on every machine.
+//! cross-shard in-flight-packet-at-window-edge corner.
 
 use fabric::network::DriverConfig;
 use fabric::shard::{PartitionHint, ShardedTestbed};
@@ -68,9 +62,9 @@ impl Topo {
     }
 }
 
-/// Run one seeded scenario at `shards` on `jobs` worker threads and
-/// render every covered artifact to comparable bytes.
-fn artifacts(topo: Topo, shards: usize, seed: u64, jobs: usize) -> String {
+/// Run one seeded scenario at `shards` and render every covered artifact
+/// to comparable bytes.
+fn artifacts(topo: Topo, shards: usize, seed: u64) -> String {
     let (topology, hint) = topo.build();
     let snap = SnapshotConfig {
         modulus: 16,
@@ -104,7 +98,7 @@ fn artifacts(topo: Topo, shards: usize, seed: u64, jobs: usize) -> String {
     tb.enable_delivery_log();
     tb.snapshot_at(Instant::from_nanos(2_000_000));
     tb.snapshot_at(Instant::from_nanos(6_000_000));
-    parfan::with_jobs(jobs, || tb.run_until(Instant::from_nanos(30_000_000)));
+    tb.run_until(Instant::from_nanos(30_000_000));
     let snaps = format!("{:?}", tb.snapshots());
     let rx = format!("{:?}", tb.host_rx());
     let sync = format!("{:?}", tb.sync_spreads(1));
@@ -124,8 +118,8 @@ proptest! {
         shards in 2usize..=4,
     ) {
         let topo = [Topo::LeafSpine, Topo::FatTree4, Topo::Line5][topo_idx];
-        let reference = artifacts(topo, 1, seed, 1);
-        let got = artifacts(topo, shards, seed, 1);
+        let reference = artifacts(topo, 1, seed);
+        let got = artifacts(topo, shards, seed);
         prop_assert_eq!(
             got, reference,
             "artifacts diverge at {} shards (topo {:?}, seed {})", shards, topo, seed
@@ -134,16 +128,16 @@ proptest! {
 }
 
 /// Pinned regression corner: packets in flight across the leaf-spine cut
-/// at a window barrier. With 300 ns lookahead and continuous cross-leaf
+/// at a window edge. With 300 ns lookahead and continuous cross-leaf
 /// CBR, every window boundary has fabric packets mid-flight on cut links;
 /// seed 0xB412 historically exercised a delivery landing exactly on a
-/// window's horizon edge. The three shard placements, one worker thread
-/// per shard, must still execute it identically to the inline reference.
+/// window's horizon edge. The three shard placements must still execute
+/// it identically to the one-shard reference.
 #[test]
 fn pinned_seed_in_flight_packet_at_barrier() {
-    let reference = artifacts(Topo::LeafSpine, 1, 0xB412, 1);
+    let reference = artifacts(Topo::LeafSpine, 1, 0xB412);
     for shards in [2, 3, 4] {
-        let got = artifacts(Topo::LeafSpine, shards, 0xB412, shards);
+        let got = artifacts(Topo::LeafSpine, shards, 0xB412);
         assert_eq!(
             got, reference,
             "in-flight-at-barrier corner diverges at {shards} shards"

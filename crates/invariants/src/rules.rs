@@ -35,15 +35,6 @@ pub const THREADED_CRATE: &str = "emulation";
 /// must route through) and the threaded emulation runtime.
 pub const THREADING_CRATES: &[&str] = &["parfan", THREADED_CRATE];
 
-/// File-scoped sanctions for the threading rule: `(crate, path suffix)`
-/// pairs allowed to create threads even outside [`THREADING_CRATES`].
-/// The sharded DES runtime is the one such site: its `thread::scope`
-/// workers execute the conservative window-barrier protocol, whose
-/// output is byte-identical at any worker count (worker threads resolve
-/// through `parfan::resolved_jobs`, so a `with_jobs` scope still governs),
-/// so the determinism rationale behind the crate allowlist holds there.
-pub const THREADING_FILES: &[(&str, &str)] = &[("netsim", "src/shard.rs")];
-
 /// A lint rule: a name (used in `allow(...)` directives) plus a checker.
 pub trait Rule {
     /// Rule name as referenced by escape hatches.
@@ -226,13 +217,6 @@ impl Rule for Threading {
     }
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
         if THREADING_CRATES.contains(&file.crate_name.as_str()) {
-            return;
-        }
-        let path = file.path.to_string_lossy();
-        if THREADING_FILES
-            .iter()
-            .any(|(c, suffix)| *c == file.crate_name && path.ends_with(suffix))
-        {
             return;
         }
         let toks = &file.scan.tokens;

@@ -20,8 +20,8 @@
 //! 3. Every shard processes its events with `time < H` in `(time, key)`
 //!    order. Same-shard follow-ups go straight into the local queue;
 //!    cross-shard follow-ups are buffered in the shard's outbox.
-//! 4. Barrier. The coordinator drains outboxes in shard-index order and
-//!    pushes each message into its destination queue.
+//! 4. Window end. Outboxes are drained in shard-index order and each
+//!    message is pushed into its destination queue.
 //!
 //! The protocol is conservative: the world guarantees every cross-domain
 //! follow-up is scheduled at least `L` after the event that caused it, so
@@ -47,21 +47,14 @@
 //!
 //! # Workers
 //!
-//! Windows execute on a pool of long-lived workers (spawned once per
-//! `run_until`, reused across every window) synchronized by barriers;
-//! worker count is `min(shards, parfan::resolved_jobs())` — the
-//! innermost `with_jobs` scope, else the parallelism the OS grants the
-//! process — like every other parallel site. With one worker the loop
-//! runs inline with no threads at all.
-//! Worker panics are caught, the window round is completed so no barrier
-//! deadlocks, and the payload is re-thrown on the coordinator.
+//! Windows run on the calling thread, one shard after another. A window
+//! holds microseconds of work (≈ 80 events on `fat_tree:8`, ≈ 11 on the
+//! paper's leaf-spine), less than one barrier crossing costs. Threads go
+//! where runs are independent: `parfan` fans whole simulations out.
 
 use crate::queue::Calendar;
 use crate::sim::RunOutcome;
 use crate::time::{Duration, Instant};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
 
 /// Number of low bits of a packed key holding the per-source emission
 /// sequence; the bits above hold the source domain id.
@@ -155,9 +148,9 @@ pub struct Emit<E> {
 /// that makes the conservative protocol sound: any follow-up addressed
 /// to a *different shard's* domain must fire at least the configured
 /// lookahead after `now` (the runtime asserts it when routing).
-pub trait ShardWorld: Send {
+pub trait ShardWorld {
     /// The event alphabet.
-    type Event: Send;
+    type Event;
 
     /// Handle one owned event at `now`, appending every follow-up to
     /// `out` (same-shard follow-ups included).
@@ -193,20 +186,9 @@ pub struct ShardStats {
     pub messages: u64,
 }
 
-/// Lock a shard, riding through poisoning: a worker panic is re-thrown
-/// by the coordinator, so a poisoned mutex here only means "that panic
-/// is already being propagated" — the guard's data is still the best
-/// available state for the teardown path.
-fn lock<S: ShardWorld>(m: &Mutex<Shard<S>>) -> MutexGuard<'_, Shard<S>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// A sharded simulation: N shard worlds advancing in lockstep windows.
 pub struct ShardedSim<S: ShardWorld> {
-    shards: Vec<Mutex<Shard<S>>>,
+    shards: Vec<Shard<S>>,
     lookahead: Duration,
     now: Instant,
     stats: ShardStats,
@@ -226,13 +208,11 @@ impl<S: ShardWorld> ShardedSim<S> {
         ShardedSim {
             shards: worlds
                 .into_iter()
-                .map(|world| {
-                    Mutex::new(Shard {
-                        world,
-                        queue: KeyedQueue::new(),
-                        outbox: Vec::new(),
-                        scratch: Vec::new(),
-                    })
+                .map(|world| Shard {
+                    world,
+                    queue: KeyedQueue::new(),
+                    outbox: Vec::new(),
+                    scratch: Vec::new(),
                 })
                 .collect(),
             lookahead,
@@ -258,37 +238,31 @@ impl<S: ShardWorld> ShardedSim<S> {
     }
 
     /// Total events dispatched across all shards.
-    pub fn events_dispatched(&mut self) -> u64 {
-        self.shards
-            .iter_mut()
-            .map(|s| match s.get_mut() {
-                Ok(g) => g.queue.popped(),
-                Err(p) => p.into_inner().queue.popped(),
-            })
-            .sum()
+    pub fn events_dispatched(&self) -> u64 {
+        self.shards.iter().map(|s| s.queue.popped()).sum()
     }
 
     /// Total pending events across all shards.
-    pub fn pending(&mut self) -> u64 {
-        self.shards
-            .iter_mut()
-            .map(|s| match s.get_mut() {
-                Ok(g) => g.queue.len() as u64,
-                Err(p) => p.into_inner().queue.len() as u64,
-            })
-            .sum()
+    pub fn pending(&self) -> u64 {
+        self.shards.iter().map(|s| s.queue.len() as u64).sum()
+    }
+
+    /// Shard `i`'s world (inspection between runs). Panics if `i` is
+    /// out of range.
+    pub fn world(&self, i: usize) -> &S {
+        let Some(shard) = self.shards.get(i) else {
+            panic!("shard {i} out of range");
+        };
+        &shard.world
     }
 
     /// Exclusive access to shard `i`'s world (setup and inspection
     /// between runs). Panics if `i` is out of range.
     pub fn world_mut(&mut self, i: usize) -> &mut S {
-        let Some(m) = self.shards.get_mut(i) else {
+        let Some(shard) = self.shards.get_mut(i) else {
             panic!("shard {i} out of range");
         };
-        match m.get_mut() {
-            Ok(g) => &mut g.world,
-            Err(p) => &mut p.into_inner().world,
-        }
+        &mut shard.world
     }
 
     /// Schedule an external event on shard `shard` while the simulation
@@ -300,35 +274,26 @@ impl<S: ShardWorld> ShardedSim<S> {
             self.now,
             time
         );
-        let Some(m) = self.shards.get_mut(shard) else {
+        let Some(dest) = self.shards.get_mut(shard) else {
             panic!("shard {shard} out of range");
         };
-        match m.get_mut() {
-            Ok(g) => g.queue.push(time, key, event),
-            Err(p) => p.into_inner().queue.push(time, key, event),
-        }
+        dest.queue.push(time, key, event);
     }
 
     /// Minimum next-event time across all shards.
     fn min_next_time(&self) -> Option<Instant> {
-        self.shards
-            .iter()
-            .filter_map(|s| lock(s).queue.peek_time())
-            .min()
+        self.shards.iter().filter_map(|s| s.queue.peek_time()).min()
     }
 
     /// Drain every outbox in shard-index order into destination queues,
     /// asserting the conservative contract (`time ≥ window horizon`).
-    fn route_outboxes(&self, horizon: Instant) -> u64 {
+    fn route_outboxes(&mut self, horizon: Instant) -> u64 {
         let mut routed = 0;
         for src in 0..self.shards.len() {
-            let outbox = {
-                let Some(m) = self.shards.get(src) else {
-                    continue;
-                };
-                std::mem::take(&mut lock(m).outbox)
+            let Some(shard) = self.shards.get_mut(src) else {
+                continue;
             };
-            for emit in outbox {
+            for emit in std::mem::take(&mut shard.outbox) {
                 assert!(
                     emit.time >= horizon,
                     "cross-shard message inside its own window: at={}, horizon={} \
@@ -336,10 +301,10 @@ impl<S: ShardWorld> ShardedSim<S> {
                     emit.time,
                     horizon
                 );
-                let Some(dest) = self.shards.get(emit.dest) else {
+                let Some(dest) = self.shards.get_mut(emit.dest) else {
                     panic!("cross-shard message to unknown shard {}", emit.dest);
                 };
-                lock(dest).queue.push(emit.time, emit.key, emit.event);
+                dest.queue.push(emit.time, emit.key, emit.event);
                 routed += 1;
             }
         }
@@ -349,16 +314,6 @@ impl<S: ShardWorld> ShardedSim<S> {
     /// Run until every queue drains or `deadline` passes. Events at the
     /// deadline still execute (matching [`crate::sim::Simulation`]).
     pub fn run_until(&mut self, deadline: Instant) -> RunOutcome {
-        let workers = parfan::resolved_jobs().clamp(1, self.shards.len());
-        if workers <= 1 {
-            self.run_windows_inline(deadline)
-        } else {
-            self.run_windows_threaded(deadline, workers)
-        }
-    }
-
-    /// Single-threaded window loop (no worker pool at all).
-    fn run_windows_inline(&mut self, deadline: Instant) -> RunOutcome {
         let mut dispatched: u64 = 0;
         loop {
             let Some(t) = self.min_next_time() else {
@@ -369,160 +324,23 @@ impl<S: ShardWorld> ShardedSim<S> {
                 return RunOutcome::DeadlineReached;
             }
             let horizon = window_horizon(t, self.lookahead);
-            for (idx, shard) in self.shards.iter().enumerate() {
-                dispatched += process_window(&mut lock(shard), idx, horizon, deadline);
+            // Park where the window actually got to, so `inject` refuses
+            // an instant some domain has already passed.
+            let mut latest = t;
+            for (idx, shard) in self.shards.iter_mut().enumerate() {
+                let (count, last) = process_window(shard, idx, horizon, deadline);
+                dispatched += count;
+                latest = latest.max(last.unwrap_or(t));
             }
             self.stats.messages += self.route_outboxes(horizon);
             self.stats.windows += 1;
-            self.now = t;
+            self.now = latest;
             if let Some(limit) = self.max_events {
                 if dispatched >= limit {
                     return RunOutcome::EventLimit;
                 }
             }
         }
-    }
-
-    /// Window loop on a pool of long-lived barrier-synchronized workers.
-    /// Workers are spawned once and reused for every window; the
-    /// coordinator (this thread) computes bounds and routes outboxes.
-    fn run_windows_threaded(&mut self, deadline: Instant, workers: usize) -> RunOutcome {
-        let n = self.shards.len();
-        let sync = WindowSync {
-            start: Barrier::new(workers + 1),
-            done: Barrier::new(workers + 1),
-            horizon: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            dispatched: AtomicU64::new(0),
-            panicked: Mutex::new(None),
-        };
-        let shards = &self.shards;
-        let mut outcome = RunOutcome::Drained;
-        let mut windows = 0u64;
-        let mut messages = 0u64;
-        let mut now = self.now;
-        let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let sync = &sync;
-                scope.spawn(move || worker_loop(w, workers, n, shards, sync, deadline));
-            }
-            loop {
-                let next = self
-                    .shards
-                    .iter()
-                    .filter_map(|s| lock(s).queue.peek_time())
-                    .min();
-                let t = match next {
-                    None => {
-                        outcome = RunOutcome::Drained;
-                        break;
-                    }
-                    Some(t) if t > deadline => {
-                        now = deadline;
-                        outcome = RunOutcome::DeadlineReached;
-                        break;
-                    }
-                    Some(t) => t,
-                };
-                let horizon = window_horizon(t, self.lookahead);
-                sync.horizon.store(horizon.as_nanos(), Ordering::Release);
-                sync.start.wait();
-                // Workers process their shards' events in [.., horizon).
-                sync.done.wait();
-                if let Some(p) = take_panic(&sync.panicked) {
-                    // Re-thrown below, after workers are released.
-                    payload = Some(p);
-                    break;
-                }
-                messages += self.route_outboxes(horizon);
-                windows += 1;
-                now = t;
-                if let Some(limit) = self.max_events {
-                    if sync.dispatched.load(Ordering::Acquire) >= limit {
-                        outcome = RunOutcome::EventLimit;
-                        break;
-                    }
-                }
-            }
-            sync.stop.store(true, Ordering::Release);
-            sync.start.wait();
-        });
-        self.stats.windows += windows;
-        self.stats.messages += messages;
-        self.now = now;
-        if let Some(payload) = payload {
-            panic::resume_unwind(payload);
-        }
-        outcome
-    }
-}
-
-/// Shared coordination state for one threaded `run_until`.
-struct WindowSync {
-    start: Barrier,
-    done: Barrier,
-    /// Current window bound (exclusive), as nanos.
-    horizon: AtomicU64,
-    stop: AtomicBool,
-    /// Total events dispatched (all workers, all windows).
-    dispatched: AtomicU64,
-    /// First captured worker panic payload.
-    panicked: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// Take the captured panic payload, riding through poisoning (the mutex
-/// only holds a payload that is itself a panic being propagated).
-fn take_panic(
-    m: &Mutex<Option<Box<dyn std::any::Any + Send>>>,
-) -> Option<Box<dyn std::any::Any + Send>> {
-    match m.lock() {
-        Ok(mut g) => g.take(),
-        Err(poisoned) => poisoned.into_inner().take(),
-    }
-}
-
-/// One long-lived worker: wait for a window, process the shards it owns
-/// (`idx ≡ w mod workers`), repeat until stopped. Panics are captured so
-/// every barrier is always reached — the coordinator re-throws.
-fn worker_loop<S: ShardWorld>(
-    w: usize,
-    workers: usize,
-    n: usize,
-    shards: &[Mutex<Shard<S>>],
-    sync: &WindowSync,
-    deadline: Instant,
-) {
-    loop {
-        sync.start.wait();
-        if sync.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let horizon = Instant::from_nanos(sync.horizon.load(Ordering::Acquire));
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut dispatched = 0;
-            for idx in (w..n).step_by(workers) {
-                let Some(shard) = shards.get(idx) else {
-                    continue;
-                };
-                dispatched += process_window(&mut lock(shard), idx, horizon, deadline);
-            }
-            dispatched
-        }));
-        match result {
-            Ok(dispatched) => {
-                sync.dispatched.fetch_add(dispatched, Ordering::AcqRel);
-            }
-            Err(payload) => match sync.panicked.lock() {
-                Ok(mut g) => {
-                    g.get_or_insert(payload);
-                }
-                Err(poisoned) => {
-                    poisoned.into_inner().get_or_insert(payload);
-                }
-            },
-        }
-        sync.done.wait();
     }
 }
 
@@ -537,14 +355,15 @@ fn window_horizon(t: Instant, lookahead: Duration) -> Instant {
 /// fall inside this window — intra-domain cascades are not bounded by
 /// the lookahead), cross-shard into the outbox. Closes with exactly one
 /// [`ShardWorld::window_close`] call. Returns the number of events
-/// dispatched.
+/// dispatched and the instant of the last one.
 fn process_window<S: ShardWorld>(
     shard: &mut Shard<S>,
     own_idx: usize,
     horizon: Instant,
     deadline: Instant,
-) -> u64 {
+) -> (u64, Option<Instant>) {
     let mut dispatched = 0;
+    let mut last = None;
     loop {
         let due = matches!(shard.queue.peek_time(), Some(t) if t < horizon && t <= deadline);
         if !due {
@@ -557,6 +376,7 @@ fn process_window<S: ShardWorld>(
         scratch.clear();
         shard.world.dispatch(time, event, &mut scratch);
         dispatched += 1;
+        last = Some(time);
         for emit in scratch.drain(..) {
             assert!(
                 emit.time >= time,
@@ -573,7 +393,7 @@ fn process_window<S: ShardWorld>(
         shard.scratch = scratch;
     }
     shard.world.window_close(horizon);
-    dispatched
+    (dispatched, last)
 }
 
 #[cfg(test)]
@@ -582,8 +402,7 @@ mod tests {
 
     /// A toy world: each shard counts tokens it sees and forwards each
     /// token to the next shard (one lookahead later) until its hop
-    /// budget is spent. Optionally emits a same-time local echo (an
-    /// intra-window cascade) or panics on a marked token.
+    /// budget is spent.
     struct TokenWorld {
         shard: usize,
         shards: usize,
@@ -593,14 +412,12 @@ mod tests {
         log: Vec<(u64, u32)>,
         /// Horizons passed to `window_close`, in call order.
         closes: Vec<u64>,
-        panic_on: Option<u32>,
-        echo: bool,
     }
 
     #[derive(Clone, Copy)]
-    enum Tok {
-        Hop { id: u32, hops: u32 },
-        Echo { id: u32 },
+    struct Tok {
+        id: u32,
+        hops: u32,
     }
 
     impl TokenWorld {
@@ -612,49 +429,23 @@ mod tests {
                 seq: 0,
                 log: Vec::new(),
                 closes: Vec::new(),
-                panic_on: None,
-                echo: false,
             }
-        }
-
-        fn next_key(&mut self) -> u64 {
-            let key = pack_key(self.shard as u32, self.seq);
-            self.seq += 1;
-            key
         }
     }
 
     impl ShardWorld for TokenWorld {
         type Event = Tok;
 
-        fn dispatch(&mut self, now: Instant, event: Tok, out: &mut Vec<Emit<Tok>>) {
-            match event {
-                Tok::Hop { id, hops } => {
-                    if self.panic_on == Some(id) {
-                        panic!("token {id} tripped the wire");
-                    }
-                    self.log.push((now.as_nanos(), id));
-                    if self.echo {
-                        let key = self.next_key();
-                        self.log.push((now.as_nanos(), id + 1000));
-                        out.push(Emit {
-                            dest: self.shard,
-                            time: now,
-                            key,
-                            event: Tok::Echo { id },
-                        });
-                    }
-                    if hops > 0 {
-                        let key = self.next_key();
-                        out.push(Emit {
-                            dest: (self.shard + 1) % self.shards,
-                            time: now + self.hop_delay,
-                            key,
-                            event: Tok::Hop { id, hops: hops - 1 },
-                        });
-                    }
-                }
-                Tok::Echo { id } => self.log.push((now.as_nanos(), id + 2000)),
+        fn dispatch(&mut self, now: Instant, Tok { id, hops }: Tok, out: &mut Vec<Emit<Tok>>) {
+            self.log.push((now.as_nanos(), id));
+            if hops > 0 {
+                out.push(Emit {
+                    dest: (self.shard + 1) % self.shards,
+                    time: now + self.hop_delay,
+                    key: pack_key(self.shard as u32, self.seq),
+                    event: Tok { id, hops: hops - 1 },
+                });
+                self.seq += 1;
             }
         }
 
@@ -712,69 +503,50 @@ mod tests {
 
     #[test]
     fn run_reports_drained_deadline_and_event_limit() {
-        parfan::with_jobs(1, || {
-            // A 3-hop token across 2 shards: drains before a far deadline.
-            let mut sim = token_sim(2, L, L);
-            sim.inject(
-                0,
-                Instant::ZERO,
-                pack_key(2, 0),
-                Tok::Hop { id: 1, hops: 3 },
-            );
-            assert!(matches!(
-                sim.run_until(Instant::from_nanos(10_000)),
-                RunOutcome::Drained
-            ));
-            assert_eq!(sim.events_dispatched(), 4);
-            assert_eq!(sim.pending(), 0);
+        // A 3-hop token across 2 shards: drains before a far deadline.
+        let mut sim = token_sim(2, L, L);
+        sim.inject(0, Instant::ZERO, pack_key(2, 0), Tok { id: 1, hops: 3 });
+        assert!(matches!(
+            sim.run_until(Instant::from_nanos(10_000)),
+            RunOutcome::Drained
+        ));
+        assert_eq!(sim.events_dispatched(), 4);
+        assert_eq!(sim.pending(), 0);
 
-            // Same scenario, deadline mid-flight: parks at the deadline.
-            let mut sim = token_sim(2, L, L);
-            sim.inject(
-                0,
-                Instant::ZERO,
-                pack_key(2, 0),
-                Tok::Hop { id: 1, hops: 3 },
-            );
-            assert!(matches!(
-                sim.run_until(Instant::from_nanos(150)),
-                RunOutcome::DeadlineReached
-            ));
-            assert_eq!(sim.now(), Instant::from_nanos(150));
-            assert_eq!(sim.pending(), 1);
+        // Same scenario, deadline mid-flight: parks at the deadline.
+        let mut sim = token_sim(2, L, L);
+        sim.inject(0, Instant::ZERO, pack_key(2, 0), Tok { id: 1, hops: 3 });
+        assert!(matches!(
+            sim.run_until(Instant::from_nanos(150)),
+            RunOutcome::DeadlineReached
+        ));
+        assert_eq!(sim.now(), Instant::from_nanos(150));
+        assert_eq!(sim.pending(), 1);
 
-            // Event guard trips before the token finishes hopping.
-            let mut sim = token_sim(2, L, L);
-            sim.max_events = Some(2);
-            sim.inject(
-                0,
-                Instant::ZERO,
-                pack_key(2, 0),
-                Tok::Hop { id: 1, hops: 9 },
-            );
-            assert!(matches!(
-                sim.run_until(Instant::from_nanos(10_000)),
-                RunOutcome::EventLimit
-            ));
-        });
+        // Event guard trips before the token finishes hopping.
+        let mut sim = token_sim(2, L, L);
+        sim.max_events = Some(2);
+        sim.inject(0, Instant::ZERO, pack_key(2, 0), Tok { id: 1, hops: 9 });
+        assert!(matches!(
+            sim.run_until(Instant::from_nanos(10_000)),
+            RunOutcome::EventLimit
+        ));
     }
 
     #[test]
     fn deadline_events_still_execute() {
-        parfan::with_jobs(1, || {
-            let mut sim = token_sim(1, L, L);
-            sim.inject(
-                0,
-                Instant::from_nanos(500),
-                pack_key(1, 0),
-                Tok::Hop { id: 7, hops: 0 },
-            );
-            assert!(matches!(
-                sim.run_until(Instant::from_nanos(500)),
-                RunOutcome::Drained
-            ));
-            assert_eq!(sim.world_mut(0).log, [(500, 7)]);
-        });
+        let mut sim = token_sim(1, L, L);
+        sim.inject(
+            0,
+            Instant::from_nanos(500),
+            pack_key(1, 0),
+            Tok { id: 7, hops: 0 },
+        );
+        assert!(matches!(
+            sim.run_until(Instant::from_nanos(500)),
+            RunOutcome::Drained
+        ));
+        assert_eq!(sim.world(0).log, [(500, 7)]);
     }
 
     #[test]
@@ -785,139 +557,93 @@ mod tests {
             0,
             Instant::from_nanos(90),
             pack_key(1, 0),
-            Tok::Hop { id: 0, hops: 0 },
+            Tok { id: 0, hops: 0 },
         );
         // Parks at the deadline (50) without reaching the pending event.
-        parfan::with_jobs(1, || sim.run_until(Instant::from_nanos(50)));
+        sim.run_until(Instant::from_nanos(50));
         sim.inject(
             0,
             Instant::from_nanos(20),
             pack_key(1, 1),
-            Tok::Hop { id: 0, hops: 0 },
+            Tok { id: 0, hops: 0 },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot inject into the past")]
+    fn drained_run_parks_at_the_last_dispatched_instant() {
+        // One window [1000, 1100) dispatches both tokens; the clock must
+        // park at 1050, not at the window's start.
+        let mut sim = token_sim(1, L, L);
+        for (seq, at) in [(0, 1_000), (1, 1_050)] {
+            sim.inject(
+                0,
+                Instant::from_nanos(at),
+                pack_key(1, seq),
+                Tok { id: 0, hops: 0 },
+            );
+        }
+        assert!(matches!(
+            sim.run_until(Instant::from_nanos(10_000)),
+            RunOutcome::Drained
+        ));
+        assert_eq!(sim.world(0).log, [(1_000, 0), (1_050, 0)]);
+        sim.inject(
+            0,
+            Instant::from_nanos(1_010),
+            pack_key(1, 2),
+            Tok { id: 0, hops: 0 },
         );
     }
 
     #[test]
     #[should_panic(expected = "cross-shard message inside its own window")]
     fn lookahead_violation_is_caught_when_routing() {
-        parfan::with_jobs(1, || {
-            // Cross-shard hops scheduled closer than the lookahead break
-            // the conservative contract; the router must refuse.
-            let mut sim = token_sim(2, Duration::from_nanos(10), L);
+        // Cross-shard hops scheduled closer than the lookahead break
+        // the conservative contract; the router must refuse.
+        let mut sim = token_sim(2, Duration::from_nanos(10), L);
+        sim.inject(0, Instant::ZERO, pack_key(2, 0), Tok { id: 1, hops: 1 });
+        sim.run_until(Instant::from_nanos(1_000));
+    }
+
+    /// Run a multi-token scenario and return the per-shard `window_close`
+    /// horizon sequences.
+    fn run_scenario_closes(shards: usize) -> Vec<Vec<u64>> {
+        let mut sim = token_sim(shards, L, L);
+        for id in 0..6u32 {
+            let shard = (id as usize) % shards;
             sim.inject(
-                0,
-                Instant::ZERO,
-                pack_key(2, 0),
-                Tok::Hop { id: 1, hops: 1 },
+                shard,
+                Instant::from_nanos(u64::from(id) * 7),
+                pack_key(shards as u32, u64::from(id)),
+                Tok { id, hops: 5 },
             );
-            sim.run_until(Instant::from_nanos(1_000));
-        });
-    }
-
-    /// Run the same multi-token scenario and return every shard's log
-    /// plus the window/message stats.
-    fn run_scenario(shards: usize, jobs: usize) -> (Vec<Vec<(u64, u32)>>, u64, u64) {
-        parfan::with_jobs(jobs, || {
-            let mut sim = token_sim(shards, L, L);
-            for s in 0..shards {
-                sim.world_mut(s).echo = true;
-            }
-            for id in 0..6u32 {
-                let shard = (id as usize) % shards;
-                sim.inject(
-                    shard,
-                    Instant::from_nanos(u64::from(id) * 7),
-                    pack_key(shards as u32, u64::from(id)),
-                    Tok::Hop { id, hops: 5 },
-                );
-            }
-            let outcome = sim.run_until(Instant::from_nanos(100_000));
-            assert!(matches!(outcome, RunOutcome::Drained));
-            let logs = (0..shards)
-                .map(|s| std::mem::take(&mut sim.world_mut(s).log))
-                .collect();
-            (logs, sim.stats().windows, sim.stats().messages)
-        })
-    }
-
-    #[test]
-    fn inline_and_threaded_runs_are_identical() {
-        let (inline_logs, inline_w, inline_m) = run_scenario(4, 1);
-        let (threaded_logs, threaded_w, threaded_m) = run_scenario(4, 4);
-        assert_eq!(inline_logs, threaded_logs);
-        assert_eq!(inline_w, threaded_w);
-        assert_eq!(inline_m, threaded_m);
-        assert!(inline_m > 0, "scenario must actually cross shards");
-    }
-
-    /// Same scenario as `run_scenario`, returning the per-shard
-    /// `window_close` horizon sequences.
-    fn run_scenario_closes(shards: usize, jobs: usize) -> Vec<Vec<u64>> {
-        parfan::with_jobs(jobs, || {
-            let mut sim = token_sim(shards, L, L);
-            for id in 0..6u32 {
-                let shard = (id as usize) % shards;
-                sim.inject(
-                    shard,
-                    Instant::from_nanos(u64::from(id) * 7),
-                    pack_key(shards as u32, u64::from(id)),
-                    Tok::Hop { id, hops: 5 },
-                );
-            }
-            assert!(matches!(
-                sim.run_until(Instant::from_nanos(100_000)),
-                RunOutcome::Drained
-            ));
-            let windows = sim.stats().windows;
-            let closes: Vec<Vec<u64>> = (0..shards)
-                .map(|s| std::mem::take(&mut sim.world_mut(s).closes))
-                .collect();
-            for c in &closes {
-                assert_eq!(
-                    c.len() as u64,
-                    windows,
-                    "window_close must fire on every shard at every window"
-                );
-            }
-            closes
-        })
+        }
+        assert!(matches!(
+            sim.run_until(Instant::from_nanos(100_000)),
+            RunOutcome::Drained
+        ));
+        let windows = sim.stats().windows;
+        let closes: Vec<Vec<u64>> = (0..shards)
+            .map(|s| std::mem::take(&mut sim.world_mut(s).closes))
+            .collect();
+        for c in &closes {
+            assert_eq!(
+                c.len() as u64,
+                windows,
+                "window_close must fire on every shard at every window"
+            );
+        }
+        closes
     }
 
     #[test]
     fn window_close_fires_identically_on_every_shard() {
-        let closes = run_scenario_closes(3, 1);
+        let closes = run_scenario_closes(3);
         // Every shard sees the same horizon sequence: the window schedule
         // is global, not per-shard.
         assert!(closes.iter().all(|c| *c == closes[0]));
         assert!(!closes[0].is_empty());
         assert!(closes[0].windows(2).all(|w| w[0] < w[1]));
-        // And the threaded pool sees the identical schedule.
-        assert_eq!(closes, run_scenario_closes(3, 3));
-    }
-
-    #[test]
-    fn worker_panic_propagates_and_sim_survives() {
-        parfan::with_jobs(3, || {
-            let mut sim = token_sim(3, L, L);
-            sim.world_mut(1).panic_on = Some(4);
-            sim.inject(
-                0,
-                Instant::ZERO,
-                pack_key(3, 0),
-                Tok::Hop { id: 4, hops: 4 },
-            );
-            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                sim.run_until(Instant::from_nanos(10_000))
-            }))
-            .expect_err("the marked token must blow up a worker");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("token 4 tripped the wire"), "got: {msg}");
-            // The pool wound down cleanly: the sim is still usable.
-            sim.world_mut(1).panic_on = None;
-            assert!(matches!(
-                sim.run_until(Instant::from_nanos(10_000)),
-                RunOutcome::Drained
-            ));
-        });
     }
 }

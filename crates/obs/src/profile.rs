@@ -4,7 +4,7 @@
 //!
 //! Everything here is integer sim-time arithmetic — the profile is part
 //! of the byte-identical surface and must render the same bytes at any
-//! worker count × shard count. The key to that is accounting **per
+//! shard count. The key to that is accounting **per
 //! partition domain**, not per OS shard: a domain's event stream is the
 //! sharded engine's invariant unit (DESIGN.md §15), while the packing of
 //! domains onto shards is exactly what varies. Per-shard views are a
