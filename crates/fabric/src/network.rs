@@ -336,7 +336,7 @@ struct ShardedMode {
     /// Per-domain packet-id counters (devices, hosts, control, external).
     pkt_ctrs: Vec<u64>,
     /// Domain of the event currently being handled (set by the shard
-    /// trampoline before each dispatch).
+    /// world before each dispatch).
     cur_domain: u32,
 }
 
@@ -359,17 +359,92 @@ impl ShardedMode {
     }
 }
 
+/// Where the event interpreter schedules follow-ups. The serial engine
+/// hands it the real [`Scheduler`]; the profiled serial run and the
+/// sharded engine (`crate::shard`) hand it adapters that classify each
+/// follow-up on its way to the one queue it ends up in.
+pub(crate) trait Sched {
+    /// The instant of the event being handled.
+    fn now(&self) -> Instant;
+
+    /// Schedule `event` at the absolute instant `at`.
+    fn at(&mut self, at: Instant, event: NetEvent);
+
+    /// Schedule `event` to fire `delay` from now.
+    #[inline]
+    fn after(&mut self, delay: Duration, event: NetEvent) {
+        self.at(self.now() + delay, event);
+    }
+
+    /// Schedule `event` for the current instant.
+    #[inline]
+    fn now_event(&mut self, event: NetEvent) {
+        self.at(self.now(), event);
+    }
+}
+
+impl Sched for Scheduler<NetEvent> {
+    #[inline]
+    fn now(&self) -> Instant {
+        Scheduler::now(self)
+    }
+
+    #[inline]
+    fn at(&mut self, at: Instant, event: NetEvent) {
+        Scheduler::at(self, at, event);
+    }
+
+    #[inline]
+    fn after(&mut self, delay: Duration, event: NetEvent) {
+        Scheduler::after(self, delay, event);
+    }
+
+    #[inline]
+    fn now_event(&mut self, event: NetEvent) {
+        Scheduler::now_event(self, event);
+    }
+}
+
 /// Deterministic profiling state (see `obs::profile`): the domain
-/// classification table, the per-domain accounting core, and — for the
-/// serial engine only — a trampoline scheduler that intercepts each
-/// event's follow-ups so cross-domain emissions can be classified. The
-/// trampoline drains in `(time, insertion)` order and re-inserts in that
-/// order, which preserves the queue's same-time FIFO contract exactly:
-/// execution with profiling enabled is byte-identical to without.
+/// classification table and the per-domain accounting core.
 pub(crate) struct NetProfiler {
     pub(crate) table: DomainTable,
     pub(crate) core: obs::profile::DomainProfiler,
-    tramp: Scheduler<NetEvent>,
+}
+
+impl NetProfiler {
+    /// Count `ev`, emitted while handling an event of domain `src`, as a
+    /// message if it leaves that domain; returns its destination domain.
+    #[inline]
+    pub(crate) fn classify(&mut self, src: u32, ev: &NetEvent) -> u32 {
+        let dst = self.table.of(ev);
+        if dst != src {
+            self.core.msg(src as usize, dst as usize);
+        }
+        dst
+    }
+}
+
+/// The serial profiler's scheduler: counts each follow-up's cross-domain
+/// edge and forwards it to the real [`Scheduler`] in emission order — the
+/// order the unprofiled handler inserts in, so execution with profiling
+/// enabled is byte-identical to without.
+struct ProfiledSched<'a> {
+    sched: &'a mut Scheduler<NetEvent>,
+    prof: &'a mut NetProfiler,
+    /// Domain of the event being handled.
+    domain: u32,
+}
+
+impl Sched for ProfiledSched<'_> {
+    fn now(&self) -> Instant {
+        self.sched.now()
+    }
+
+    fn at(&mut self, at: Instant, event: NetEvent) {
+        self.prof.classify(self.domain, &event);
+        self.sched.at(at, event);
+    }
 }
 
 /// The simulated network (implements [`World`]).
@@ -577,7 +652,7 @@ impl Network {
     }
 
     /// Sharded mode: set the domain of the event about to be handled
-    /// (the shard trampoline calls this before every dispatch).
+    /// (the shard world calls this before every dispatch).
     pub fn set_current_domain(&mut self, domain: u32) {
         if let Some(sh) = &mut self.sharded {
             sh.cur_domain = domain;
@@ -703,32 +778,12 @@ impl Network {
         self.profiler = Some(Box::new(NetProfiler {
             table,
             core: obs::profile::DomainProfiler::new(table.count() as usize, lookahead.as_nanos()),
-            tramp: Scheduler::parked_at(Instant::ZERO),
         }));
     }
 
     /// True when the deterministic profiler is active.
     pub fn profiling_enabled(&self) -> bool {
         self.profiler.is_some()
-    }
-
-    /// Sharded engine: record one executed event (the shard trampoline
-    /// already classifies domains, so the serial trampoline is skipped).
-    #[inline]
-    pub fn profile_observe(&mut self, domain: u32, t_ns: u64) {
-        if let Some(p) = &mut self.profiler {
-            p.core.observe(domain as usize, t_ns);
-        }
-    }
-
-    /// Sharded engine: record one cross-domain emission.
-    #[inline]
-    pub fn profile_msg(&mut self, src: u32, dst: u32) {
-        if let Some(p) = &mut self.profiler {
-            if src != dst {
-                p.core.msg(src as usize, dst as usize);
-            }
-        }
     }
 
     /// Sharded engine: account the window that just closed at `horizon`.
@@ -746,10 +801,17 @@ impl Network {
         }
     }
 
-    /// Remove and return the profiling state (the sharded testbed merges
-    /// per-replica cores before rendering).
+    /// Remove and return the profiling state: for the duration of one
+    /// handler call, so a scheduling adapter can hold it while
+    /// [`Network::handle_event`] holds the network, and for good when the
+    /// sharded testbed merges per-replica cores before rendering.
     pub(crate) fn take_net_profiler(&mut self) -> Option<Box<NetProfiler>> {
         self.profiler.take()
+    }
+
+    /// Put back what [`Network::take_net_profiler`] lent out.
+    pub(crate) fn restore_net_profiler(&mut self, prof: Option<Box<NetProfiler>>) {
+        self.profiler = prof;
     }
 
     /// Render this replica's profile: per-domain accounting plus the
@@ -897,7 +959,7 @@ impl Network {
         sw: u16,
         n: Notification,
         now: Instant,
-        sched: &mut Scheduler<NetEvent>,
+        sched: &mut impl Sched,
     ) {
         let capacity = self.latency.cp_queue_capacity;
         let switch = &mut self.switches[usize::from(sw)];
@@ -945,7 +1007,7 @@ impl Network {
         channel: ChannelId,
         pkt: &mut Packet,
         now: Instant,
-        sched: &mut Scheduler<NetEvent>,
+        sched: &mut impl Sched,
         init_epoch: Option<Epoch>,
     ) {
         let uid = UnitId {
@@ -1117,7 +1179,7 @@ impl Network {
         in_port: u16,
         mut pkt: Packet,
         now: Instant,
-        sched: &mut Scheduler<NetEvent>,
+        sched: &mut impl Sched,
     ) {
         let out_port = {
             // Destructure so the ECMP pick can borrow the load balancer
@@ -1162,7 +1224,7 @@ impl Network {
 
     /// Transmit loop for a port: initiations are processed and die in
     /// place; the next real packet starts serializing.
-    fn start_tx(&mut self, sw: u16, port: u16, now: Instant, sched: &mut Scheduler<NetEvent>) {
+    fn start_tx(&mut self, sw: u16, port: u16, now: Instant, sched: &mut impl Sched) {
         loop {
             let popped = {
                 // One switch borrow for dequeue + idle flag + gauge.
@@ -1245,7 +1307,7 @@ impl Network {
         epoch: Epoch,
         target: Instant,
         devices: &[u16],
-        sched: &mut Scheduler<NetEvent>,
+        sched: &mut impl Sched,
         now: Instant,
     ) {
         for &sw in devices {
@@ -1339,7 +1401,7 @@ impl Network {
     /// Inject one round of keepalives at `sw`: every ingress unit's sid is
     /// broadcast through every egress queue, propagating snapshot IDs over
     /// silent channels (§6).
-    fn inject_keepalives(&mut self, sw: u16, now: Instant, sched: &mut Scheduler<NetEvent>) {
+    fn inject_keepalives(&mut self, sw: u16, now: Instant, sched: &mut impl Sched) {
         let ports = {
             let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
                 return;
@@ -1422,10 +1484,10 @@ impl World for Network {
     type Event = NetEvent;
 
     fn handle(&mut self, now: Instant, event: NetEvent, sched: &mut Scheduler<NetEvent>) {
-        // Profiled serial runs detour through the classification
-        // trampoline; sharded runs are profiled by the shard dispatch
-        // loop (`crate::shard`), which already classifies domains.
-        // Disabled profiling costs exactly this one branch.
+        // Profiled serial runs schedule through the classifying adapter;
+        // sharded runs are profiled by the shard world (`crate::shard`),
+        // which already classifies domains. Disabled profiling costs
+        // exactly this one branch.
         if self.profiler.is_some() && self.sharded.is_none() {
             self.handle_profiled(now, event, sched);
         } else {
@@ -1435,33 +1497,25 @@ impl World for Network {
 }
 
 impl Network {
-    /// Serial profiled dispatch: account the event under its domain, run
-    /// the real handler into the trampoline scheduler, then classify each
-    /// follow-up emission and forward it. The trampoline drains in
-    /// `(time, insertion)` order and `Scheduler::at` appends in that
-    /// order, so same-time FIFO ordering — the only insertion-order the
-    /// queue contract exposes — is preserved and the execution stays
-    /// byte-identical with profiling enabled.
+    /// Serial profiled dispatch: account the event under its domain and
+    /// run the real handler against [`ProfiledSched`].
     fn handle_profiled(&mut self, now: Instant, event: NetEvent, sched: &mut Scheduler<NetEvent>) {
         let Some(mut prof) = self.profiler.take() else {
             panic!("handle_profiled without a profiler");
         };
         let domain = prof.table.of(&event);
         prof.core.observe_windowed(domain as usize, now.as_nanos());
-        prof.tramp.repark(now);
-        self.handle_event(now, event, &mut prof.tramp);
-        while let Some((t, ev)) = prof.tramp.drain_next() {
-            let dst = prof.table.of(&ev);
-            if dst != domain {
-                prof.core.msg(domain as usize, dst as usize);
-            }
-            sched.at(t, ev);
-        }
+        let mut profiled = ProfiledSched {
+            sched,
+            prof: &mut prof,
+            domain,
+        };
+        self.handle_event(now, event, &mut profiled);
         self.profiler = Some(prof);
     }
 
     /// The event interpreter proper: every [`NetEvent`] arm.
-    fn handle_event(&mut self, now: Instant, event: NetEvent, sched: &mut Scheduler<NetEvent>) {
+    pub(crate) fn handle_event(&mut self, now: Instant, event: NetEvent, sched: &mut impl Sched) {
         match event {
             NetEvent::ArriveIngress { sw, port, mut pkt } => {
                 self.switches[usize::from(sw)].stats.ingress_packets += 1;

@@ -21,9 +21,17 @@
 //!    (see `Network::enable_sharded_mode`).
 //! 2. **Canonical event keys** — every emission carries a
 //!    `(source domain, per-domain sequence)` key
-//!    ([`netsim::shard::pack_key`]); each shard's queue is a min-heap on
-//!    `(time, key)`, so a shard processes any given multiset of events in
-//!    one canonical order.
+//!    ([`netsim::shard::pack_key`]); each shard's queue is a calendar
+//!    ordered by `(time, key)`, so a shard processes any given multiset
+//!    of events in one canonical order. The handler schedules straight
+//!    into that queue and a follow-up's sequence number is stamped as it
+//!    is emitted. Any stamping gives the same execution as long as it is
+//!    blockwise-monotone — one dispatch's keys form one contiguous block
+//!    of its domain's sequence, blocks follow dispatch order, and two
+//!    follow-ups of one dispatch at the same instant keep their emission
+//!    order — because keys only ever break ties between events at the
+//!    *same* instant: follow-ups at different instants are ordered by
+//!    time whatever their keys say.
 //! 3. **Lookahead windows** — every cross-*domain* emission is delayed by
 //!    at least the topology's minimum link propagation (naturally for
 //!    packets, clamped for control traffic), so the conservative
@@ -40,12 +48,14 @@
 //! serial [`crate::testbed::Testbed`] is untouched and remains the
 //! reference for all committed baselines.
 
-use crate::network::{NetEvent, Network, NotifFaultConfig, PollSweepRecord, SnapshotRecord};
+use crate::network::{
+    NetEvent, NetProfiler, Network, NotifFaultConfig, PollSweepRecord, Sched, SnapshotRecord,
+};
 use crate::topology::{PortPeer, Topology};
 use crate::traffic::Source;
 use netsim::rng::SeedEcho;
-use netsim::shard::{pack_key, Emit, ShardWorld, ShardedSim};
-use netsim::sim::{RunOutcome, Scheduler, World};
+use netsim::shard::{pack_key, Emit, EmitSink, ShardWorld, ShardedSim};
+use netsim::sim::RunOutcome;
 use netsim::time::{Duration, Instant};
 use speedlight_core::consistency::DeliveryEvent;
 use speedlight_core::Epoch;
@@ -300,9 +310,43 @@ struct NetShard {
     /// domains' slots advance, and they advance identically at any shard
     /// count (a domain's event stream is packing-independent).
     seqs: Vec<u64>,
-    /// Trampoline scheduler handed to `Network::handle`; parked at the
-    /// current event's time and drained after each dispatch.
-    sched: Scheduler<NetEvent>,
+}
+
+/// The scheduler a shard hands the event interpreter: borrows only. Each
+/// follow-up gets the next key of the dispatching domain, is classified
+/// to its destination domain's owner (counting the profiler's
+/// cross-domain edge), and goes to `emit` — once.
+struct ShardSched<'a, F> {
+    now: Instant,
+    /// Domain of the event being handled.
+    domain: u32,
+    /// That domain's next emission sequence number.
+    seq: &'a mut u64,
+    table: DomainTable,
+    owners: &'a [usize],
+    prof: Option<&'a mut NetProfiler>,
+    emit: F,
+}
+
+impl<F: FnMut(usize, Instant, u64, NetEvent)> Sched for ShardSched<'_, F> {
+    #[inline]
+    fn now(&self) -> Instant {
+        self.now
+    }
+
+    #[inline]
+    fn at(&mut self, at: Instant, event: NetEvent) {
+        let key = pack_key(self.domain, *self.seq);
+        *self.seq += 1;
+        let dest_domain = match &mut self.prof {
+            Some(prof) => prof.classify(self.domain, &event),
+            None => self.table.of(&event),
+        };
+        let Some(&dest) = self.owners.get(dest_domain as usize) else {
+            panic!("domain {dest_domain} has no owner entry");
+        };
+        (self.emit)(dest, at, key, event);
+    }
 }
 
 impl NetShard {
@@ -312,12 +356,15 @@ impl NetShard {
         };
         owner
     }
-}
 
-impl ShardWorld for NetShard {
-    type Event = NetEvent;
-
-    fn dispatch(&mut self, now: Instant, event: NetEvent, out: &mut Vec<Emit<NetEvent>>) {
+    /// Handle one event, handing each follow-up to `emit` as
+    /// `(dest shard, time, key, event)` in emission order.
+    fn run(
+        &mut self,
+        now: Instant,
+        event: NetEvent,
+        emit: impl FnMut(usize, Instant, u64, NetEvent),
+    ) {
         let domain = self.table.of(&event);
         if self.owner_of(domain) != self.shard {
             // The only event delivered off-owner is the link-state shadow:
@@ -337,27 +384,47 @@ impl ShardWorld for NetShard {
             );
         }
         self.net.set_current_domain(domain);
-        self.net.profile_observe(domain, now.as_nanos());
-        self.sched.repark(now);
-        World::handle(&mut self.net, now, event, &mut self.sched);
+        // The adapter holds the profiler while the handler holds the
+        // network.
+        let mut prof = self.net.take_net_profiler();
+        if let Some(p) = &mut prof {
+            p.core.observe(domain as usize, now.as_nanos());
+        }
         let Some(seq) = self.seqs.get_mut(domain as usize) else {
             panic!("domain {domain} has no sequence counter");
         };
-        while let Some((time, ev)) = self.sched.drain_next() {
-            let key = pack_key(domain, *seq);
-            *seq += 1;
-            let dest_domain = self.table.of(&ev);
-            self.net.profile_msg(domain, dest_domain);
-            let Some(&dest) = self.owners.get(dest_domain as usize) else {
-                panic!("domain {dest_domain} has no owner entry");
-            };
+        let mut sched = ShardSched {
+            now,
+            domain,
+            seq,
+            table: self.table,
+            owners: &self.owners,
+            prof: prof.as_deref_mut(),
+            emit,
+        };
+        self.net.handle_event(now, event, &mut sched);
+        self.net.restore_net_profiler(prof);
+    }
+}
+
+impl ShardWorld for NetShard {
+    type Event = NetEvent;
+
+    fn dispatch(&mut self, now: Instant, event: NetEvent, out: &mut Vec<Emit<NetEvent>>) {
+        self.run(now, event, |dest, time, key, event| {
             out.push(Emit {
                 dest,
                 time,
                 key,
-                event: ev,
+                event,
             });
-        }
+        });
+    }
+
+    fn dispatch_into(&mut self, now: Instant, event: NetEvent, sink: &mut EmitSink<'_, NetEvent>) {
+        self.run(now, event, |dest, time, key, event| {
+            sink.emit(dest, time, key, event);
+        });
     }
 
     fn window_close(&mut self, horizon: Instant) {
@@ -430,7 +497,6 @@ impl ShardedTestbed {
                     owners: owners.clone(),
                     shard,
                     seqs: vec![0; table.count() as usize],
-                    sched: Scheduler::parked_at(Instant::ZERO),
                 }
             })
             .collect();

@@ -18,8 +18,9 @@
 //!    constant chosen by the world (for the fabric: the minimum link
 //!    propagation delay on any inter-device edge).
 //! 3. Every shard processes its events with `time < H` in `(time, key)`
-//!    order. Same-shard follow-ups go straight into the local queue;
-//!    cross-shard follow-ups are buffered in the shard's outbox.
+//!    order. The world schedules each follow-up through an [`EmitSink`]
+//!    — one push: same-shard follow-ups straight into the local queue,
+//!    cross-shard ones into the shard's outbox.
 //! 4. Window end. Outboxes are drained in shard-index order and each
 //!    message is pushed into its destination queue.
 //!
@@ -105,7 +106,14 @@ impl<E> KeyedQueue<E> {
 
     /// Remove and return the earliest `(time, key, event)`.
     pub fn pop(&mut self) -> Option<(Instant, u64, E)> {
-        self.core.pop_at_or_before(Instant::from_nanos(u64::MAX))
+        self.pop_at_or_before(Instant::from_nanos(u64::MAX))
+    }
+
+    /// Remove and return the earliest `(time, key, event)` if it fires at
+    /// or before `deadline` — one queue operation where `peek_time` then
+    /// `pop` is two.
+    pub fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, u64, E)> {
+        self.core.pop_at_or_before(deadline)
     }
 
     /// Earliest pending time, if any.
@@ -141,6 +149,46 @@ pub struct Emit<E> {
     pub event: E,
 }
 
+/// Where a [`ShardWorld`] schedules the follow-ups of the event it is
+/// handling: the shard's own queue and outbox, lent for one dispatch.
+pub struct EmitSink<'a, E> {
+    queue: &'a mut KeyedQueue<E>,
+    outbox: &'a mut Vec<Emit<E>>,
+    /// Capture buffer for the default [`ShardWorld::dispatch_into`].
+    scratch: &'a mut Vec<Emit<E>>,
+    /// The dispatching shard's index.
+    shard: usize,
+    /// The instant of the event being handled.
+    now: Instant,
+}
+
+impl<E> EmitSink<'_, E> {
+    /// Schedule `event` at `(time, key)` on shard `dest`: one push, into
+    /// the local queue when `dest` is the dispatching shard, into its
+    /// outbox otherwise. Panics if `time` is before the event being
+    /// handled; the lookahead contract on cross-shard follow-ups is
+    /// checked when the outbox is routed.
+    #[inline]
+    pub fn emit(&mut self, dest: usize, time: Instant, key: u64, event: E) {
+        assert!(
+            time >= self.now,
+            "follow-up scheduled into the past: now={}, at={}",
+            self.now,
+            time
+        );
+        if dest == self.shard {
+            self.queue.push(time, key, event);
+        } else {
+            self.outbox.push(Emit {
+                dest,
+                time,
+                key,
+                event,
+            });
+        }
+    }
+}
+
 /// A world fragment owning one shard's domains.
 ///
 /// The implementor routes each follow-up to the shard owning its
@@ -148,6 +196,13 @@ pub struct Emit<E> {
 /// that makes the conservative protocol sound: any follow-up addressed
 /// to a *different shard's* domain must fire at least the configured
 /// lookahead after `now` (the runtime asserts it when routing).
+///
+/// A world implements [`ShardWorld::dispatch`] and, if follow-ups are
+/// its hot path, overrides [`ShardWorld::dispatch_into`] as well. The
+/// runtime calls only `dispatch_into`; `dispatch` is what its default
+/// body runs, so a world that collects follow-ups in a `Vec` anyway
+/// writes nothing else, and one that overrides the sink method saves the
+/// copy through that `Vec` for every follow-up.
 pub trait ShardWorld {
     /// The event alphabet.
     type Event;
@@ -155,6 +210,24 @@ pub trait ShardWorld {
     /// Handle one owned event at `now`, appending every follow-up to
     /// `out` (same-shard follow-ups included).
     fn dispatch(&mut self, now: Instant, event: Self::Event, out: &mut Vec<Emit<Self::Event>>);
+
+    /// Handle one owned event at `now`, scheduling every follow-up
+    /// through `sink` (same-shard follow-ups included). The default
+    /// collects them with [`ShardWorld::dispatch`] and emits them in
+    /// that order.
+    fn dispatch_into(
+        &mut self,
+        now: Instant,
+        event: Self::Event,
+        sink: &mut EmitSink<'_, Self::Event>,
+    ) {
+        let mut scratch = std::mem::take(sink.scratch);
+        self.dispatch(now, event, &mut scratch);
+        for e in scratch.drain(..) {
+            sink.emit(e.dest, e.time, e.key, e.event);
+        }
+        *sink.scratch = scratch;
+    }
 
     /// Called once per shard at the end of **every** window with the
     /// window's horizon (exclusive bound) — including windows in which
@@ -171,7 +244,8 @@ struct Shard<S: ShardWorld> {
     queue: KeyedQueue<S::Event>,
     /// Cross-shard follow-ups emitted this window, drained at the barrier.
     outbox: Vec<Emit<S::Event>>,
-    /// Reusable capture buffer for [`ShardWorld::dispatch`].
+    /// Reusable capture buffer for the default
+    /// [`ShardWorld::dispatch_into`].
     scratch: Vec<Emit<S::Event>>,
 }
 
@@ -287,13 +361,16 @@ impl<S: ShardWorld> ShardedSim<S> {
 
     /// Drain every outbox in shard-index order into destination queues,
     /// asserting the conservative contract (`time ≥ window horizon`).
+    /// Each buffer goes back to its shard, so its capacity survives the
+    /// barrier.
     fn route_outboxes(&mut self, horizon: Instant) -> u64 {
         let mut routed = 0;
         for src in 0..self.shards.len() {
             let Some(shard) = self.shards.get_mut(src) else {
                 continue;
             };
-            for emit in std::mem::take(&mut shard.outbox) {
+            let mut outbox = std::mem::take(&mut shard.outbox);
+            for emit in outbox.drain(..) {
                 assert!(
                     emit.time >= horizon,
                     "cross-shard message inside its own window: at={}, horizon={} \
@@ -306,6 +383,9 @@ impl<S: ShardWorld> ShardedSim<S> {
                 };
                 dest.queue.push(emit.time, emit.key, emit.event);
                 routed += 1;
+            }
+            if let Some(shard) = self.shards.get_mut(src) {
+                shard.outbox = outbox;
             }
         }
         routed
@@ -350,12 +430,13 @@ fn window_horizon(t: Instant, lookahead: Duration) -> Instant {
     Instant::from_nanos(t.as_nanos().saturating_add(lookahead.as_nanos()))
 }
 
-/// Process one shard's events in `[.., horizon) ∩ [.., deadline]`,
-/// capturing follow-ups: same-shard into the local queue (they may still
-/// fall inside this window — intra-domain cascades are not bounded by
-/// the lookahead), cross-shard into the outbox. Closes with exactly one
-/// [`ShardWorld::window_close`] call. Returns the number of events
-/// dispatched and the instant of the last one.
+/// Process one shard's events in `[.., horizon) ∩ [.., deadline]`. The
+/// world schedules follow-ups through an [`EmitSink`]: same-shard into
+/// the local queue (they may still fall inside this window — intra-domain
+/// cascades are not bounded by the lookahead), cross-shard into the
+/// outbox. Closes with exactly one [`ShardWorld::window_close`] call.
+/// Returns the number of events dispatched and the instant of the last
+/// one.
 fn process_window<S: ShardWorld>(
     shard: &mut Shard<S>,
     own_idx: usize,
@@ -364,33 +445,21 @@ fn process_window<S: ShardWorld>(
 ) -> (u64, Option<Instant>) {
     let mut dispatched = 0;
     let mut last = None;
-    loop {
-        let due = matches!(shard.queue.peek_time(), Some(t) if t < horizon && t <= deadline);
-        if !due {
-            break;
-        }
-        let Some((time, _key, event)) = shard.queue.pop() else {
-            break;
+    // `t < horizon && t <= deadline` as one bound, so each event costs one
+    // queue operation; `horizon ≥ lookahead > 0`, so the step back is
+    // well defined.
+    let bound = (horizon - Duration::from_nanos(1)).min(deadline);
+    while let Some((time, _key, event)) = shard.queue.pop_at_or_before(bound) {
+        let mut sink = EmitSink {
+            queue: &mut shard.queue,
+            outbox: &mut shard.outbox,
+            scratch: &mut shard.scratch,
+            shard: own_idx,
+            now: time,
         };
-        let mut scratch = std::mem::take(&mut shard.scratch);
-        scratch.clear();
-        shard.world.dispatch(time, event, &mut scratch);
+        shard.world.dispatch_into(time, event, &mut sink);
         dispatched += 1;
         last = Some(time);
-        for emit in scratch.drain(..) {
-            assert!(
-                emit.time >= time,
-                "follow-up scheduled into the past: now={}, at={}",
-                time,
-                emit.time
-            );
-            if emit.dest == own_idx {
-                shard.queue.push(emit.time, emit.key, emit.event);
-            } else {
-                shard.outbox.push(emit);
-            }
-        }
-        shard.scratch = scratch;
     }
     shard.world.window_close(horizon);
     (dispatched, last)
@@ -401,12 +470,17 @@ mod tests {
     use super::*;
 
     /// A toy world: each shard counts tokens it sees and forwards each
-    /// token to the next shard (one lookahead later) until its hop
+    /// token to the next shard (one `hop_delay` later) until its hop
     /// budget is spent.
     struct TokenWorld {
         shard: usize,
         shards: usize,
         hop_delay: Duration,
+        /// Each forwarding dispatch also emits — *after* the forward hop,
+        /// at this earlier offset — a local token that stops here.
+        echo: Option<Duration>,
+        /// Taken off every forward hop's instant (contract-breaking).
+        rewind: Duration,
         seq: u64,
         /// (time ns, token id) in dispatch order.
         log: Vec<(u64, u32)>,
@@ -426,9 +500,41 @@ mod tests {
                 shard,
                 shards,
                 hop_delay,
+                echo: None,
+                rewind: Duration::ZERO,
                 seq: 0,
                 log: Vec::new(),
                 closes: Vec::new(),
+            }
+        }
+
+        fn next_key(&mut self) -> u64 {
+            self.seq += 1;
+            pack_key(self.shard as u32, self.seq - 1)
+        }
+
+        /// The world's one behaviour, handing each follow-up to `emit` as
+        /// `(dest, time, key, token)`.
+        fn step(
+            &mut self,
+            now: Instant,
+            Tok { id, hops }: Tok,
+            mut emit: impl FnMut(usize, Instant, u64, Tok),
+        ) {
+            self.log.push((now.as_nanos(), id));
+            if hops == 0 {
+                return;
+            }
+            let key = self.next_key();
+            emit(
+                (self.shard + 1) % self.shards,
+                now + self.hop_delay - self.rewind,
+                key,
+                Tok { id, hops: hops - 1 },
+            );
+            if let Some(offset) = self.echo {
+                let key = self.next_key();
+                emit(self.shard, now + offset, key, Tok { id, hops: 0 });
             }
         }
     }
@@ -436,17 +542,15 @@ mod tests {
     impl ShardWorld for TokenWorld {
         type Event = Tok;
 
-        fn dispatch(&mut self, now: Instant, Tok { id, hops }: Tok, out: &mut Vec<Emit<Tok>>) {
-            self.log.push((now.as_nanos(), id));
-            if hops > 0 {
+        fn dispatch(&mut self, now: Instant, tok: Tok, out: &mut Vec<Emit<Tok>>) {
+            self.step(now, tok, |dest, time, key, event| {
                 out.push(Emit {
-                    dest: (self.shard + 1) % self.shards,
-                    time: now + self.hop_delay,
-                    key: pack_key(self.shard as u32, self.seq),
-                    event: Tok { id, hops: hops - 1 },
+                    dest,
+                    time,
+                    key,
+                    event,
                 });
-                self.seq += 1;
-            }
+            });
         }
 
         fn window_close(&mut self, horizon: Instant) {
@@ -454,15 +558,65 @@ mod tests {
         }
     }
 
+    impl AsRef<TokenWorld> for TokenWorld {
+        fn as_ref(&self) -> &TokenWorld {
+            self
+        }
+    }
+
+    /// [`TokenWorld`] scheduling through the sink: the runtime must never
+    /// reach its `dispatch`.
+    struct SinkTokenWorld(TokenWorld);
+
+    impl ShardWorld for SinkTokenWorld {
+        type Event = Tok;
+
+        fn dispatch(&mut self, _now: Instant, _tok: Tok, _out: &mut Vec<Emit<Tok>>) {
+            unreachable!("the runtime calls only `dispatch_into`");
+        }
+
+        fn dispatch_into(&mut self, now: Instant, tok: Tok, sink: &mut EmitSink<'_, Tok>) {
+            self.0.step(now, tok, |dest, time, key, event| {
+                sink.emit(dest, time, key, event);
+            });
+        }
+
+        fn window_close(&mut self, horizon: Instant) {
+            self.0.window_close(horizon);
+        }
+    }
+
+    impl From<TokenWorld> for SinkTokenWorld {
+        fn from(world: TokenWorld) -> Self {
+            SinkTokenWorld(world)
+        }
+    }
+
+    impl AsRef<TokenWorld> for SinkTokenWorld {
+        fn as_ref(&self) -> &TokenWorld {
+            &self.0
+        }
+    }
+
+    /// Either way into the runtime: [`TokenWorld`] through the default
+    /// `Vec` adapter, [`SinkTokenWorld`] through the sink.
+    trait Twin: ShardWorld<Event = Tok> + From<TokenWorld> + AsRef<TokenWorld> {}
+    impl<W: ShardWorld<Event = Tok> + From<TokenWorld> + AsRef<TokenWorld>> Twin for W {}
+
+    fn twin_sim<W: Twin>(
+        shards: usize,
+        lookahead: Duration,
+        world: impl Fn(usize) -> TokenWorld,
+    ) -> ShardedSim<W> {
+        ShardedSim::new((0..shards).map(|s| W::from(world(s))).collect(), lookahead)
+    }
+
     fn token_sim(
         shards: usize,
         hop_delay: Duration,
         lookahead: Duration,
     ) -> ShardedSim<TokenWorld> {
-        let worlds = (0..shards)
-            .map(|s| TokenWorld::new(s, shards, hop_delay))
-            .collect();
-        ShardedSim::new(worlds, lookahead)
+        twin_sim(shards, lookahead, |s| TokenWorld::new(s, shards, hop_delay))
     }
 
     const L: Duration = Duration::from_nanos(100);
@@ -596,14 +750,114 @@ mod tests {
         );
     }
 
+    /// Cross-shard hops scheduled closer than the lookahead break the
+    /// conservative contract; the router must refuse.
+    fn lookahead_violation<W: Twin>() {
+        let mut sim: ShardedSim<W> =
+            twin_sim(2, L, |s| TokenWorld::new(s, 2, Duration::from_nanos(10)));
+        sim.inject(0, Instant::ZERO, pack_key(2, 0), Tok { id: 1, hops: 1 });
+        sim.run_until(Instant::from_nanos(1_000));
+    }
+
     #[test]
     #[should_panic(expected = "cross-shard message inside its own window")]
     fn lookahead_violation_is_caught_when_routing() {
-        // Cross-shard hops scheduled closer than the lookahead break
-        // the conservative contract; the router must refuse.
-        let mut sim = token_sim(2, Duration::from_nanos(10), L);
-        sim.inject(0, Instant::ZERO, pack_key(2, 0), Tok { id: 1, hops: 1 });
+        lookahead_violation::<TokenWorld>();
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-shard message inside its own window")]
+    fn lookahead_violation_is_caught_when_routing_through_the_sink() {
+        lookahead_violation::<SinkTokenWorld>();
+    }
+
+    /// A follow-up one nanosecond before the event that caused it.
+    fn backdated_follow_up<W: Twin>() {
+        let mut sim: ShardedSim<W> = twin_sim(1, L, |s| TokenWorld {
+            rewind: Duration::from_nanos(1),
+            ..TokenWorld::new(s, 1, Duration::ZERO)
+        });
+        sim.inject(
+            0,
+            Instant::from_nanos(50),
+            pack_key(1, 0),
+            Tok { id: 1, hops: 1 },
+        );
         sim.run_until(Instant::from_nanos(1_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "follow-up scheduled into the past: now=50ns, at=49ns")]
+    fn follow_up_into_the_past_panics_through_the_default_adapter() {
+        backdated_follow_up::<TokenWorld>();
+    }
+
+    #[test]
+    #[should_panic(expected = "follow-up scheduled into the past: now=50ns, at=49ns")]
+    fn follow_up_into_the_past_panics_through_the_sink() {
+        backdated_follow_up::<SinkTokenWorld>();
+    }
+
+    /// Everything the runtime lets a caller observe, from a scenario in
+    /// which every forwarding dispatch emits two follow-ups with the
+    /// *later* instant first: the hop (cross-shard above one shard), then
+    /// the earlier local echo.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        logs: Vec<Vec<(u64, u32)>>,
+        closes: Vec<Vec<u64>>,
+        windows: u64,
+        messages: u64,
+        dispatched: u64,
+    }
+
+    fn echo_run<W: Twin>(shards: usize) -> Observed {
+        let mut sim: ShardedSim<W> = twin_sim(shards, L, |s| TokenWorld {
+            echo: Some(Duration::from_nanos(30)),
+            ..TokenWorld::new(s, shards, L)
+        });
+        for id in 0..6u32 {
+            sim.inject(
+                (id as usize) % shards,
+                Instant::from_nanos(u64::from(id) * 7),
+                pack_key(shards as u32, u64::from(id)),
+                Tok { id, hops: 5 },
+            );
+        }
+        assert!(matches!(
+            sim.run_until(Instant::from_nanos(100_000)),
+            RunOutcome::Drained
+        ));
+        let worlds = || (0..shards).map(|s| sim.world(s).as_ref());
+        Observed {
+            logs: worlds().map(|w| w.log.clone()).collect(),
+            closes: worlds().map(|w| w.closes.clone()).collect(),
+            windows: sim.stats().windows,
+            messages: sim.stats().messages,
+            dispatched: sim.events_dispatched(),
+        }
+    }
+
+    #[test]
+    fn sink_and_default_adapter_run_identically() {
+        for shards in [1, 2, 3] {
+            let via_vec = echo_run::<TokenWorld>(shards);
+            assert_eq!(
+                echo_run::<SinkTokenWorld>(shards),
+                via_vec,
+                "{shards} shards"
+            );
+            // 6 tokens × (6 hops + 5 echoes).
+            assert_eq!(via_vec.dispatched, 66);
+            assert_eq!(via_vec.messages, if shards == 1 { 0 } else { 30 });
+            // Token 0's echo, emitted after its hop to t=100, still ran
+            // at its own earlier instant: every shard's log is in time
+            // order.
+            assert!(via_vec.logs[0].contains(&(30, 0)));
+            for log in &via_vec.logs {
+                assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
+            }
+        }
     }
 
     /// Run a multi-token scenario and return the per-shard `window_close`

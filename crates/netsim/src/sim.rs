@@ -33,10 +33,17 @@ impl<E> Scheduler<E> {
     }
 
     /// Create a free-standing scheduler parked at `now` with an empty
-    /// queue. Shard runtimes use this as a capture trampoline: a handler
-    /// written against [`Scheduler`] runs unmodified, and the runtime
-    /// drains what it scheduled via [`Scheduler::drain_next`] to route
-    /// each follow-up to its owning shard.
+    /// queue: a capture trampoline. A handler written against
+    /// [`Scheduler`] runs into it unmodified, and the caller drains what
+    /// it scheduled via [`Scheduler::drain_next`].
+    ///
+    /// No engine uses one any more — the sharded runtime and the profiler
+    /// hand the handler an adapter that schedules straight into the real
+    /// queue. `parked_at`, [`Scheduler::repark`] and
+    /// [`Scheduler::drain_next`] stay for the two drivers that
+    /// re-implement the serial loop around a handler call: the
+    /// benchmark's frozen `traced.rs` and `fabric/tests/queue_order.rs`
+    /// (ROADMAP item 1(d) retires them).
     pub fn parked_at(now: Instant) -> Self {
         Scheduler {
             now,
@@ -44,9 +51,9 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Move a drained trampoline scheduler to a new instant. Panics if
-    /// events are still queued — reparking would silently reorder them
-    /// against the new clock.
+    /// Move a drained trampoline scheduler ([`Scheduler::parked_at`]) to
+    /// a new instant. Panics if events are still queued — reparking would
+    /// silently reorder them against the new clock.
     pub fn repark(&mut self, now: Instant) {
         assert!(
             self.queue.is_empty(),
@@ -56,9 +63,9 @@ impl<E> Scheduler<E> {
         self.now = now;
     }
 
-    /// Pop the next scheduled event in `(time, insertion order)`. Used by
-    /// shard runtimes to capture a handler's follow-ups instead of
-    /// dispatching them locally.
+    /// Pop the next scheduled event in `(time, insertion order)`: how the
+    /// owner of a trampoline scheduler ([`Scheduler::parked_at`])
+    /// collects a handler's follow-ups instead of dispatching them.
     pub fn drain_next(&mut self) -> Option<(Instant, E)> {
         self.queue.pop()
     }
