@@ -313,6 +313,7 @@ pub fn check_unit_sets(context: &str, a: &SubstrateRun, b: &SubstrateRun) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use speedlight_core::observer::UnitMap;
     use speedlight_core::types::ChannelId;
 
     fn uid() -> UnitId {
@@ -351,7 +352,7 @@ mod tests {
             epoch: 1,
             devices: [0].into(),
             excluded: BTreeSet::new(),
-            units: BTreeMap::from([(
+            units: UnitMap::from_iter([(
                 uid(),
                 UnitOutcome::Value {
                     local: 1,
@@ -369,13 +370,13 @@ mod tests {
         };
         let expect = Expectations::healthy(true);
         assert!(check_run(&run(&snap), &expect).is_empty());
-        snap.units.insert(
-            uid(),
-            UnitOutcome::Value {
-                local: 2,
-                channel: 0,
-            },
-        );
+        *snap
+            .units
+            .get_mut(&uid())
+            .expect("the unit is in the snapshot") = UnitOutcome::Value {
+            local: 2,
+            channel: 0,
+        };
         let divergences = check_run(&run(&snap), &expect);
         assert!(matches!(
             divergences.as_slice(),

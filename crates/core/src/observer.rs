@@ -15,6 +15,10 @@ use crate::control::{Report, ReportValue};
 use crate::id::Epoch;
 use crate::types::UnitId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::iter::Zip;
+use std::ops::Index;
+use std::sync::Arc;
 
 /// Observer configuration.
 #[derive(Debug, Clone)]
@@ -90,8 +94,130 @@ pub struct GlobalSnapshot {
     pub devices: BTreeSet<u16>,
     /// Devices excluded by timeout.
     pub excluded: BTreeSet<u16>,
-    /// Per-unit outcomes.
-    pub units: BTreeMap<UnitId, UnitOutcome>,
+    /// Per-unit outcomes, iterated in `UnitId` order. A snapshot sealed
+    /// by the [`PipelineObserver`](crate::pipeline::PipelineObserver)
+    /// shares its key column with every other snapshot sealed under the
+    /// same registration state and owns only its outcome column.
+    pub units: UnitMap,
+}
+
+/// A snapshot's per-unit outcomes as a sorted two-column map: a
+/// `UnitId`-sorted, duplicate-free key column beside an outcome column
+/// (`values[i]` belongs to `keys[i]`).
+///
+/// The key column is an `Arc`: the staged pipeline seals every snapshot of
+/// one registration state over its membership's own column, so a retained
+/// snapshot costs one [`UnitOutcome`] per unit and no keys or tree nodes.
+/// A map collected with [`FromIterator`] owns its column. Iteration is in
+/// `UnitId` order, lookups are a binary search, and equality compares
+/// content, never column identity.
+#[derive(Clone, PartialEq, Eq)]
+pub struct UnitMap {
+    /// Sorted, no duplicates; shared per registration state when sealed
+    /// by the pipeline.
+    pub(crate) keys: Arc<[UnitId]>,
+    /// One outcome per key, in key order.
+    pub(crate) values: Vec<UnitOutcome>,
+}
+
+impl UnitMap {
+    /// Number of units.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True when the map holds no unit.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The outcome of `unit`, if present.
+    pub fn get(&self, unit: &UnitId) -> Option<&UnitOutcome> {
+        let i = self.keys.binary_search(unit).ok()?;
+        self.values.get(i)
+    }
+
+    /// The outcome of `unit` for in-place edits, if present. Only the
+    /// outcome column is mutable; the (possibly shared) keys are not.
+    pub fn get_mut(&mut self, unit: &UnitId) -> Option<&mut UnitOutcome> {
+        let i = self.keys.binary_search(unit).ok()?;
+        self.values.get_mut(i)
+    }
+
+    /// The units, in `UnitId` order.
+    pub fn keys(&self) -> std::slice::Iter<'_, UnitId> {
+        self.keys.iter()
+    }
+
+    /// The outcomes, in their units' order.
+    pub fn values(&self) -> std::slice::Iter<'_, UnitOutcome> {
+        self.values.iter()
+    }
+
+    /// `(unit, outcome)` pairs in `UnitId` order.
+    pub fn iter(&self) -> Zip<std::slice::Iter<'_, UnitId>, std::slice::Iter<'_, UnitOutcome>> {
+        self.keys.iter().zip(&self.values)
+    }
+
+    /// `(unit, outcome)` pairs in `UnitId` order, outcomes mutable.
+    pub fn iter_mut(
+        &mut self,
+    ) -> Zip<std::slice::Iter<'_, UnitId>, std::slice::IterMut<'_, UnitOutcome>> {
+        self.keys.iter().zip(&mut self.values)
+    }
+}
+
+/// Printed as a map, exactly as the `BTreeMap` it replaced printed.
+impl fmt::Debug for UnitMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl Index<&UnitId> for UnitMap {
+    type Output = UnitOutcome;
+
+    /// Panics when `unit` is absent, as `BTreeMap`'s index does.
+    fn index(&self, unit: &UnitId) -> &UnitOutcome {
+        match self.get(unit) {
+            Some(outcome) => outcome,
+            None => panic!("no outcome for {unit:?} in the snapshot"),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a UnitMap {
+    type Item = (&'a UnitId, &'a UnitOutcome);
+    type IntoIter = Zip<std::slice::Iter<'a, UnitId>, std::slice::Iter<'a, UnitOutcome>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Collects into an owned key column. Of two pairs with one key the later
+/// wins, as in `BTreeMap`.
+impl FromIterator<(UnitId, UnitOutcome)> for UnitMap {
+    fn from_iter<I: IntoIterator<Item = (UnitId, UnitOutcome)>>(pairs: I) -> UnitMap {
+        let mut pairs: Vec<(UnitId, UnitOutcome)> = pairs.into_iter().collect();
+        // Stable, so of equal keys the later pair stays later.
+        pairs.sort_by_key(|&(unit, _)| unit);
+        let mut keys: Vec<UnitId> = Vec::with_capacity(pairs.len());
+        let mut values = Vec::with_capacity(pairs.len());
+        for (unit, outcome) in pairs {
+            match values.last_mut() {
+                Some(last) if keys.last() == Some(&unit) => *last = outcome,
+                _ => {
+                    keys.push(unit);
+                    values.push(outcome);
+                }
+            }
+        }
+        UnitMap {
+            keys: keys.into(),
+            values,
+        }
+    }
 }
 
 impl GlobalSnapshot {
@@ -416,7 +542,7 @@ impl Observer {
             epoch,
             devices: &p.device_set - &p.excluded,
             excluded: p.excluded,
-            units: p.values,
+            units: p.values.into_iter().collect(),
         })
     }
 }
@@ -649,7 +775,7 @@ mod tests {
             epoch: 1,
             devices: BTreeSet::from([0]),
             excluded: BTreeSet::new(),
-            units: BTreeMap::from([
+            units: UnitMap::from_iter([
                 (
                     UnitId::ingress(0, 0),
                     UnitOutcome::Value {
@@ -764,7 +890,7 @@ mod tests {
             epoch: 1,
             devices: BTreeSet::from([0]),
             excluded: BTreeSet::new(),
-            units: BTreeMap::from([
+            units: UnitMap::from_iter([
                 (
                     UnitId::ingress(0, 0),
                     UnitOutcome::Value {

@@ -49,7 +49,13 @@
 //!   size over devices that have delivered), not O(all units); the
 //!   reference observer clones both sets per epoch.
 //! * **finalize** — seals [`GlobalSnapshot`]s and emits the `obs.finalize`
-//!   event, identical byte-for-byte to the reference observer's.
+//!   event, identical byte-for-byte to the reference observer's. A sealed
+//!   snapshot's [`UnitMap`](crate::observer::UnitMap) pairs an `Arc` clone
+//!   of the membership's `UnitId`-sorted unit column with one outcome
+//!   column, filled in a single sequential pass: a slice copy per
+//!   delivered device, a `DeviceExcluded` fill per excluded one. No tree
+//!   is built, nothing is sorted, no key is copied, and every snapshot
+//!   sealed under one registration state shares one key column.
 //! * **persist-hook** — the bounded sealed queue, drained by the embedder
 //!   via [`PipelineObserver::take_finalized`] (the hook point where the
 //!   future snapshot store attaches). A full sealed queue stalls the
@@ -72,9 +78,10 @@
 
 use crate::control::Report;
 use crate::id::Epoch;
-use crate::observer::{GlobalSnapshot, ObserverConfig, UnitOutcome};
+use crate::observer::{GlobalSnapshot, ObserverConfig, UnitMap, UnitOutcome};
 use crate::types::UnitId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration for the staged pipeline.
@@ -302,17 +309,19 @@ impl PipelineStats {
 }
 
 /// One device's expected units plus a direct slot index. Slots are the
-/// hot-path currency: a `(group, slot)` pair plus the shared `units` Vec
-/// stand in for the unit everywhere below, so per-epoch state never needs
-/// a unit-keyed search structure at all — and the slot lookup itself is
-/// one table probe, not a search (a binary search over a fabric-sized
-/// unit space costs ~10 scattered cache lines per report; this costs one).
+/// hot-path currency: a `(group, slot)` pair plus the membership's shared
+/// unit column stand in for the unit everywhere below, so per-epoch state
+/// never needs a unit-keyed search structure at all — and the slot lookup
+/// itself is one table probe, not a search (a binary search over a
+/// fabric-sized unit space costs ~10 scattered cache lines per report;
+/// this costs one).
 #[derive(Debug)]
 struct DeviceGroup {
     /// The owning device: `unit.device` of every unit below.
     device: u16,
-    /// The device's expected units, sorted (slot → unit).
-    units: Vec<UnitId>,
+    /// The device's expected units: this range of the membership's unit
+    /// column, sorted (slot `i` ↔ `units[range.start + i]`).
+    range: Range<usize>,
     /// `(direction, port) → slot + 1`, 0 meaning "not expected".
     index: Vec<u32>,
     /// Ports per direction row of `index` (max expected port + 1).
@@ -320,7 +329,9 @@ struct DeviceGroup {
 }
 
 impl DeviceGroup {
-    fn new(device: u16, units: Vec<UnitId>) -> DeviceGroup {
+    /// The group of `device`, whose sorted `units` sit at `start..` of the
+    /// membership's unit column.
+    fn new(device: u16, start: usize, units: &[UnitId]) -> DeviceGroup {
         let ports_span = units
             .iter()
             .map(|u| usize::from(u.port) + 1)
@@ -334,7 +345,7 @@ impl DeviceGroup {
         }
         DeviceGroup {
             device,
-            units,
+            range: start..start + units.len(),
             index,
             ports_span,
         }
@@ -361,18 +372,23 @@ impl DeviceGroup {
     }
 
     fn len(&self) -> usize {
-        self.units.len()
+        self.range.len()
     }
 }
 
 /// Membership captured at epoch initiation: shared across every epoch
 /// issued under the same registration state (the memory win over the
-/// reference observer's per-epoch clones).
+/// reference observer's per-epoch clones) and by every snapshot sealed
+/// under it, whose key column is `units` itself.
 #[derive(Debug)]
 struct Membership {
     /// The registered devices — what a sealed snapshot's `devices` is
     /// built from. Never searched per report: `by_id` answers that.
     device_set: BTreeSet<u16>,
+    /// Every expected unit, `UnitId`-sorted: the groups' units laid end to
+    /// end in device order. Built once per registration state and handed
+    /// to each sealed snapshot as its key column.
+    units: Arc<[UnitId]>,
     /// One group per registered device (empty when it expects no unit)
     /// and per unregistered owner of a registered unit, in device order.
     groups: Vec<DeviceGroup>,
@@ -380,8 +396,6 @@ struct Membership {
     /// ids past the largest registered one are past the end. One probe
     /// answers both "registered?" and "which group?".
     by_id: Vec<Option<u32>>,
-    /// Total expected units across all groups (the completion target).
-    expected_total: usize,
 }
 
 /// One device's delivered state within an epoch: a slot bitmap (the
@@ -456,7 +470,7 @@ struct EpochAssembly {
 
 impl EpochAssembly {
     fn complete(&self) -> bool {
-        self.delivered == self.membership.expected_total
+        self.delivered == self.membership.units.len()
     }
 
     /// Each expected group beside its device's delivered state, in device
@@ -580,24 +594,26 @@ impl PipelineObserver {
         }
         let table_len = (self.devices.keys().next_back()).map_or(0, |&max| usize::from(max) + 1);
         let mut by_id = vec![None; table_len];
-        let mut expected_total = 0;
+        let mut column: Vec<UnitId> = Vec::new();
         let mut groups = Vec::with_capacity(grouped.len());
         for (device, mut units) in grouped {
             units.sort_unstable();
             units.dedup();
-            expected_total += units.len();
             if self.devices.contains_key(&device) {
                 if let Some(cell) = by_id.get_mut(usize::from(device)) {
                     *cell = Some(groups.len() as u32);
                 }
             }
-            groups.push(DeviceGroup::new(device, units));
+            groups.push(DeviceGroup::new(device, column.len(), &units));
+            // `UnitId` orders by device first, so groups laid end to end
+            // in device order keep the column sorted.
+            column.extend_from_slice(&units);
         }
         let m = Arc::new(Membership {
             device_set: self.devices.keys().copied().collect(),
+            units: column.into(),
             groups,
             by_id,
-            expected_total,
         });
         self.membership = Some(Arc::clone(&m));
         m
@@ -636,7 +652,7 @@ impl PipelineObserver {
             "snap.initiate",
             epoch = epoch,
             devices = membership.device_set.len(),
-            units = membership.expected_total,
+            units = membership.units.len(),
         );
         self.assemblies.insert(
             epoch,
@@ -925,27 +941,36 @@ impl PipelineObserver {
         self.stats.note_seal(epoch);
         self.finalized += 1;
         self.pending_values -= a.stored.min(self.pending_values);
-        // Build the unit-keyed outcome map once, here, from slot space:
-        // groups iterate in device order, each group is sorted and its
-        // outcomes sit in slot order, so the stream below is globally
-        // sorted and the BTreeMap bulk-builds from it instead of being
-        // searched per report.
-        let mut units: Vec<(UnitId, UnitOutcome)> = Vec::with_capacity(a.stored);
+        // The snapshot's keys are the membership's unit column itself;
+        // only the outcome column is built, in one sequential pass. Groups
+        // lie end to end in that column in device order and each group's
+        // outcomes sit in slot order, so a delivered group is one slice
+        // copy and an excluded group one fill: no tree, no sort, no key.
+        let mut values = Vec::with_capacity(a.membership.units.len());
         for (group, dev) in a.groups() {
             if a.excluded.contains(&group.device) {
-                let excluded = group.units.iter();
-                units.extend(excluded.map(|&u| (u, UnitOutcome::DeviceExcluded)));
+                values.resize(values.len() + group.len(), UnitOutcome::DeviceExcluded);
             } else {
-                let slots = group.units.iter().zip(&dev.outcomes).enumerate();
-                let delivered = slots.filter(|&(slot, _)| dev.is_set(slot as u32));
-                units.extend(delivered.map(|(_, (&u, &o))| (u, o)));
+                // Seal runs on a complete epoch, or after force-finalize
+                // excluded every device with an undelivered unit.
+                assert!(
+                    dev.count == group.len(),
+                    "epoch {epoch} sealed with device {} at {} of {} units",
+                    group.device,
+                    dev.count,
+                    group.len()
+                );
+                values.extend_from_slice(&dev.outcomes);
             }
         }
         Some(GlobalSnapshot {
             epoch,
             devices: &a.membership.device_set - &a.excluded,
             excluded: a.excluded,
-            units: units.into_iter().collect(),
+            units: UnitMap {
+                keys: Arc::clone(&a.membership.units),
+                values,
+            },
         })
     }
 
@@ -986,7 +1011,8 @@ impl PipelineObserver {
         };
         let mut out = Vec::new();
         for (group, dev) in a.groups().filter(|(g, d)| d.count < g.len()) {
-            let slots = group.units.iter().enumerate();
+            let units = a.membership.units.get(group.range.clone()).unwrap_or(&[]);
+            let slots = units.iter().enumerate();
             let missing = slots.filter(|&(slot, _)| !dev.is_set(slot as u32));
             out.extend(missing.map(|(_, &unit)| unit));
         }
@@ -1368,6 +1394,75 @@ mod tests {
             assert_eq!(epoch_heap_bytes(&p, e), want, "epoch {e}");
         }
         assert_eq!(p.assemblies[&2].devices[7].count, 1);
+    }
+
+    #[test]
+    fn sealed_snapshots_share_the_membership_key_column() {
+        use std::mem::size_of;
+        const DEVICES: u16 = 100;
+        const PORTS: u16 = 100;
+        const LAGGARD: u16 = 7;
+        let units = usize::from(DEVICES) * usize::from(PORTS);
+        let local = |u: UnitId| u64::from(u.device) * 1000 + u64::from(u.port);
+        let mut p = PipelineObserver::new(PipelineConfig::for_modulus(8));
+        for d in 0..DEVICES {
+            p.register_device(d, (0..PORTS).map(|port| UnitId::ingress(d, port)).collect());
+        }
+        let epochs = [1, 2, 3].map(|e| {
+            assert_eq!(p.begin_snapshot(), Some(e));
+            e
+        });
+        // Epochs 1 and 2 complete; in epoch 3 the laggard delivers one
+        // unit of its group and times out.
+        let mut sealed = Vec::new();
+        for epoch in epochs {
+            for d in 0..DEVICES {
+                let ports = if epoch == 3 && d == LAGGARD { 1 } else { PORTS };
+                for port in 0..ports {
+                    let unit = UnitId::ingress(d, port);
+                    sealed.extend(p.on_report(d, report(unit, epoch, local(unit))));
+                }
+            }
+        }
+        sealed.extend(p.force_finalize(3));
+        let [s1, s2, s3] = <[GlobalSnapshot; 3]>::try_from(sealed).expect("three seals");
+        assert_eq!(s3.excluded, BTreeSet::from([LAGGARD]));
+
+        // One key allocation, the membership's, behind all three.
+        let m = p
+            .membership
+            .as_ref()
+            .expect("built at the first initiation");
+        for s in [&s1, &s2, &s3] {
+            assert!(Arc::ptr_eq(&s.units.keys, &m.units), "epoch {}", s.epoch);
+            assert_eq!(s.units.len(), units);
+            // Each owns its outcome column and nothing more.
+            assert_eq!(
+                s.units.values.capacity() * size_of::<UnitOutcome>(),
+                units * size_of::<UnitOutcome>(),
+                "epoch {}",
+                s.epoch
+            );
+        }
+
+        // The forced seal reads DeviceExcluded across the laggard's whole
+        // range of the column (its delivered unit included) and every
+        // other device's values as delivered.
+        let range = m.groups[usize::from(LAGGARD)].range.clone();
+        assert_eq!(range.len(), usize::from(PORTS));
+        for (i, (&unit, &outcome)) in s3.units.iter().enumerate() {
+            if range.contains(&i) {
+                assert_eq!(unit.device, LAGGARD);
+                assert_eq!(outcome, UnitOutcome::DeviceExcluded, "{unit:?}");
+            } else {
+                let value = UnitOutcome::Value {
+                    local: local(unit),
+                    channel: 0,
+                };
+                assert_eq!(outcome, value, "{unit:?}");
+            }
+        }
+        assert_eq!(p.stats().discarded_values, 1);
     }
 
     #[test]

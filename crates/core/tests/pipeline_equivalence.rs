@@ -13,13 +13,18 @@
 //! values (the assemble stage's working set) must stay at one epoch's
 //! worth of units when epochs drain in order, even at 10⁵ channels — and
 //! the snapshots sealed at that scale must equal the reference's.
+//!
+//! And the map a snapshot carries: `UnitMap`, a sorted key column beside
+//! an outcome column, against `BTreeMap` as its reference on sequences
+//! with repeated keys, and a collected map against one the pipeline
+//! sealed over the membership's shared key column.
 
 use proptest::prelude::*;
 use speedlight_core::control::{Report, ReportValue};
-use speedlight_core::observer::{GlobalSnapshot, Observer, ObserverConfig};
+use speedlight_core::observer::{GlobalSnapshot, Observer, ObserverConfig, UnitMap, UnitOutcome};
 use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
 use speedlight_core::{Direction, Epoch, UnitId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const MODULUS: u16 = 8;
 
@@ -336,6 +341,156 @@ proptest! {
             + s.unexpected_unit
             + s.duplicate;
         prop_assert_eq!(s.offered, s.accepted + dropped);
+    }
+}
+
+/// Random `(unit, outcome)` sequences over a 36-unit key space (three ids
+/// of the pool, three ports, both directions), so keys repeat: each
+/// `repeat` re-emits an earlier pair's key with a fresh outcome at a later
+/// position, where larger and smaller keys may sit between the two.
+fn pairs_strategy() -> impl Strategy<Value = Vec<(UnitId, UnitOutcome)>> {
+    let outcome = || {
+        (0u8..5, 0u64..1000, 0u64..1000).prop_map(|(kind, local, channel)| match kind {
+            0 => UnitOutcome::Value { local, channel },
+            1 => UnitOutcome::Inferred { local },
+            2 => UnitOutcome::Inconsistent,
+            3 => UnitOutcome::Missing,
+            _ => UnitOutcome::DeviceExcluded,
+        })
+    };
+    let unit = (0usize..3, 0u16..3, any::<bool>()).prop_map(|(id, port, egress)| UnitId {
+        // Ids 0, 300 and u16::MAX: both ends of a device-indexed table.
+        device: ID_POOL[[0, 3, 5][id]],
+        port,
+        direction: if egress {
+            Direction::Egress
+        } else {
+            Direction::Ingress
+        },
+    });
+    let repeat = (0usize..64, 0usize..64, outcome());
+    (
+        proptest::collection::vec((unit, outcome()), 0..40),
+        proptest::collection::vec(repeat, 0..12),
+    )
+        .prop_map(|(mut pairs, repeats)| {
+            for (from, gap, outcome) in repeats {
+                if pairs.is_empty() {
+                    break;
+                }
+                let from = from % pairs.len();
+                let at = from + 1 + gap % (pairs.len() - from);
+                pairs.insert(at, (pairs[from].0, outcome));
+            }
+            pairs
+        })
+}
+
+/// Seal `content` through the pipeline: each device registers its units
+/// and reports their outcomes, except that a device holding any
+/// `DeviceExcluded` outcome reports nothing and is force-excluded.
+fn seal_through_pipeline(content: &BTreeMap<UnitId, UnitOutcome>) -> GlobalSnapshot {
+    let mut by_device: BTreeMap<u16, Vec<(UnitId, UnitOutcome)>> = BTreeMap::new();
+    for (&unit, &outcome) in content {
+        by_device
+            .entry(unit.device)
+            .or_default()
+            .push((unit, outcome));
+    }
+    let mut pipe = PipelineObserver::new(PipelineConfig::for_modulus(MODULUS));
+    for (&device, pairs) in &by_device {
+        pipe.register_device(device, pairs.iter().map(|&(unit, _)| unit).collect());
+    }
+    let epoch = pipe.begin_snapshot().expect("a device is registered");
+    let mut sealed = None;
+    for (&device, pairs) in &by_device {
+        for &(unit, outcome) in pairs {
+            let value = match outcome {
+                UnitOutcome::Value { local, channel } => ReportValue::Value { local, channel },
+                UnitOutcome::Inferred { local } => ReportValue::Inferred { local },
+                UnitOutcome::Inconsistent => ReportValue::Inconsistent,
+                UnitOutcome::Missing => ReportValue::Missing,
+                UnitOutcome::DeviceExcluded => continue,
+            };
+            let report = Report { unit, epoch, value };
+            sealed = sealed.or(pipe.on_report(device, report));
+        }
+    }
+    sealed
+        .or_else(|| pipe.force_finalize(epoch))
+        .expect("the epoch seals")
+}
+
+proptest! {
+    /// `UnitMap` — the sorted key column beside an outcome column that
+    /// replaced `BTreeMap<UnitId, UnitOutcome>` in `GlobalSnapshot` —
+    /// against the `BTreeMap` as its reference, and a collected map (owned
+    /// key column) against one the pipeline sealed (shared key column).
+    #[test]
+    fn unit_map_matches_btreemap(pairs in pairs_strategy()) {
+        // Sequential inserts: the later of two pairs with one key wins.
+        let mut reference = BTreeMap::new();
+        for &(unit, outcome) in &pairs {
+            reference.insert(unit, outcome);
+        }
+        let map: UnitMap = pairs.iter().copied().collect();
+
+        prop_assert_eq!(map.iter().collect::<Vec<_>>(), reference.iter().collect::<Vec<_>>());
+        prop_assert_eq!((&map).into_iter().collect::<Vec<_>>(), reference.iter().collect::<Vec<_>>());
+        prop_assert_eq!(map.len(), reference.len());
+        prop_assert_eq!(map.is_empty(), reference.is_empty());
+        prop_assert_eq!(map.keys().collect::<Vec<_>>(), reference.keys().collect::<Vec<_>>());
+        prop_assert_eq!(map.values().collect::<Vec<_>>(), reference.values().collect::<Vec<_>>());
+
+        let mut edited = map.clone();
+        for (unit, want) in &reference {
+            prop_assert_eq!(map.get(unit), Some(want));
+            prop_assert_eq!(&map[unit], want);
+            let cell = edited.get_mut(unit);
+            prop_assert_eq!(cell.as_deref(), Some(want));
+            if let Some(cell) = cell {
+                *cell = UnitOutcome::Missing;
+            }
+        }
+        // Every edit landed on its own unit, through `iter_mut` as well.
+        prop_assert!(edited.values().all(|o| *o == UnitOutcome::Missing));
+        for (_, outcome) in edited.iter_mut() {
+            *outcome = UnitOutcome::Inconsistent;
+        }
+        prop_assert!(edited.values().all(|o| *o == UnitOutcome::Inconsistent));
+        prop_assert_eq!(edited.keys().collect::<Vec<_>>(), reference.keys().collect::<Vec<_>>());
+
+        for device in [0, 300, u16::MAX, 1, 40_000] {
+            for port in 0..4 {
+                for unit in [UnitId::ingress(device, port), UnitId::egress(device, port)] {
+                    if !reference.contains_key(&unit) {
+                        prop_assert_eq!(map.get(&unit), None);
+                        prop_assert_eq!(edited.get_mut(&unit), None);
+                    }
+                }
+            }
+        }
+
+        if reference.is_empty() {
+            return Ok(());
+        }
+        // The same content through the pipeline: a device with any
+        // `DeviceExcluded` outcome is excluded whole.
+        let excluded: BTreeSet<u16> = reference
+            .iter()
+            .filter(|(_, o)| **o == UnitOutcome::DeviceExcluded)
+            .map(|(u, _)| u.device)
+            .collect();
+        let mut content = reference.clone();
+        for (unit, outcome) in content.iter_mut() {
+            if excluded.contains(&unit.device) {
+                *outcome = UnitOutcome::DeviceExcluded;
+            }
+        }
+        let sealed = seal_through_pipeline(&content);
+        prop_assert_eq!(&sealed.excluded, &excluded);
+        let owned: UnitMap = content.into_iter().collect();
+        prop_assert_eq!(sealed.units, owned);
     }
 }
 

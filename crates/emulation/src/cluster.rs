@@ -67,7 +67,7 @@ pub struct ClusterReport {
     pub snapshots: Vec<GlobalSnapshot>,
     /// Wall-clock sync spread per epoch (max − min progress stamp), µs.
     pub sync_spread_us: BTreeMap<Epoch, f64>,
-    /// Frames generated per host.
+    /// Frames generated, summed over both host generators.
     pub frames_sent: u64,
     /// Epochs that only finished via `force_finalize` (device timeout).
     pub forced_epochs: Vec<Epoch>,
@@ -158,7 +158,18 @@ impl Cluster {
                 std::thread::Builder::new()
                     .name(format!("host-{src}"))
                     .spawn(move || {
+                        // Paced against a schedule, so frames track wall
+                        // time at `host_rate` even when the thread wakes
+                        // late: one behind sends what is due (the inbox's
+                        // bound limits the burst), then sleeps only until
+                        // the next due instant.
+                        let mut due = WallInstant::now();
                         while !stop.load(Ordering::Acquire) {
+                            let now = WallInstant::now();
+                            if now < due {
+                                std::thread::sleep(due - now);
+                                continue;
+                            }
                             let frame = Frame {
                                 flow: FlowKey::tcp(src, dst, 10_000, 80),
                                 dst_host: dst,
@@ -170,7 +181,7 @@ impl Cluster {
                             }
                             // invariants: allow(relaxed-ordering) — pure frame statistic; no other memory depends on its order
                             sent.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(gap);
+                            due += gap;
                         }
                     })
                     .expect("spawn host"),
