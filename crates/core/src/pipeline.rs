@@ -62,11 +62,11 @@
 //!   finalize stage rather than dropping snapshots.
 //!
 //! Validate and assemble work in **slot space**: a device id indexes a
-//! table to its group, a `(direction, port)` indexes the group's table to
-//! a slot, and `(group, slot)` indexes the epoch's state. Between
-//! `offer_report` and the store of the outcome no structure keyed by
-//! device or unit is searched, except the epoch's `excluded` set, which
-//! is empty outside forced finalization.
+//! table to its group, the group maps `(direction, port)` to a slot — a
+//! multiply-add for the ports × directions run paths register, a search
+//! of its range of the unit column otherwise — and `(group, slot)` indexes
+//! the epoch's state. Nothing else is searched per report but the epoch's
+//! `excluded` set, which is empty outside forced finalization.
 //!
 //! **Equivalence contract:** driven synchronously (offer + pump per
 //! report, as the fabric does), the pipeline is observably identical to
@@ -79,7 +79,7 @@
 use crate::control::Report;
 use crate::id::Epoch;
 use crate::observer::{GlobalSnapshot, ObserverConfig, UnitMap, UnitOutcome};
-use crate::types::UnitId;
+use crate::types::{Direction, UnitId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
@@ -308,13 +308,11 @@ impl PipelineStats {
     }
 }
 
-/// One device's expected units plus a direct slot index. Slots are the
-/// hot-path currency: a `(group, slot)` pair plus the membership's shared
-/// unit column stand in for the unit everywhere below, so per-epoch state
-/// never needs a unit-keyed search structure at all — and the slot lookup
-/// itself is one table probe, not a search (a binary search over a
-/// fabric-sized unit space costs ~10 scattered cache lines per report;
-/// this costs one).
+/// One device's expected units. Slots are the hot-path currency: a
+/// `(group, slot)` pair plus the membership's shared unit column stand in
+/// for the unit everywhere below, so per-epoch state never needs a
+/// unit-keyed search structure, and a product group (every run path's)
+/// computes the slot from the report alone, reading nothing beyond this.
 #[derive(Debug)]
 struct DeviceGroup {
     /// The owning device: `unit.device` of every unit below.
@@ -322,53 +320,48 @@ struct DeviceGroup {
     /// The device's expected units: this range of the membership's unit
     /// column, sorted (slot `i` ↔ `units[range.start + i]`).
     range: Range<usize>,
-    /// `(direction, port) → slot + 1`, 0 meaning "not expected".
-    index: Vec<u32>,
-    /// Ports per direction row of `index` (max expected port + 1).
-    ports_span: usize,
+    shape: Shape,
+}
+
+/// How a group finds a unit's slot, its rank in `UnitId` order (port,
+/// then Ingress < Egress); decided once, at membership build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Exactly ports `0..P` in one direction: `slot = port`.
+    Ports(Direction),
+    /// Exactly ports `0..P` in both: `slot = 2·port + (direction == Egress)`.
+    PortPairs,
+    /// Anything else: a binary search of the group's range of the column.
+    Listed,
+}
+
+impl Shape {
+    /// The shape of `units`: sorted, deduplicated, all of one device, so
+    /// ports that count 0, 1, 2, … (`n` = 1) name one unit per port, and
+    /// ports that count 0, 0, 1, 1, … (`n` = 2) name both units of each.
+    fn of_units(units: &[UnitId]) -> Shape {
+        let counts =
+            |n: usize| (units.iter().enumerate()).all(|(i, u)| usize::from(u.port) == i / n);
+        match units.first().map(|u| u.direction) {
+            Some(d) if counts(1) && units.iter().all(|u| u.direction == d) => Shape::Ports(d),
+            Some(_) if units.len().is_multiple_of(2) && counts(2) => Shape::PortPairs,
+            _ => Shape::Listed,
+        }
+    }
 }
 
 impl DeviceGroup {
-    /// The group of `device`, whose sorted `units` sit at `start..` of the
-    /// membership's unit column.
-    fn new(device: u16, start: usize, units: &[UnitId]) -> DeviceGroup {
-        let ports_span = units
-            .iter()
-            .map(|u| usize::from(u.port) + 1)
-            .max()
-            .unwrap_or(0);
-        let mut index = vec![0u32; 2 * ports_span];
-        for (slot, u) in units.iter().enumerate() {
-            if let Some(cell) = Self::pos(u, ports_span).and_then(|pos| index.get_mut(pos)) {
-                *cell = slot as u32 + 1;
-            }
-        }
-        DeviceGroup {
-            device,
-            range: start..start + units.len(),
-            index,
-            ports_span,
-        }
-    }
-
-    /// Where `unit` sits in `index`. `None` for a port past the span: its
-    /// position would fall in the other direction's row and alias that
-    /// row's unit.
-    fn pos(unit: &UnitId, ports_span: usize) -> Option<usize> {
-        let dir = match unit.direction {
-            crate::types::Direction::Ingress => 0,
-            crate::types::Direction::Egress => 1,
-        };
+    /// The slot of `unit`, if expected. `column` is the membership's unit
+    /// column, which only a [`Shape::Listed`] group reads.
+    fn slot_of(&self, column: &[UnitId], unit: &UnitId) -> Option<u32> {
         let port = usize::from(unit.port);
-        (port < ports_span).then_some(dir * ports_span + port)
-    }
-
-    /// The slot of `unit`, if expected.
-    fn slot_of(&self, unit: &UnitId) -> Option<u32> {
-        match Self::pos(unit, self.ports_span).and_then(|pos| self.index.get(pos)) {
-            Some(&s) if s != 0 => Some(s - 1),
-            _ => None,
-        }
+        let slot = match self.shape {
+            Shape::Ports(direction) if unit.direction == direction => port,
+            Shape::Ports(_) => return None,
+            Shape::PortPairs => 2 * port + usize::from(unit.direction == Direction::Egress),
+            Shape::Listed => column.get(self.range.clone())?.binary_search(unit).ok()?,
+        };
+        (slot < self.len()).then_some(slot as u32)
     }
 
     fn len(&self) -> usize {
@@ -587,27 +580,33 @@ impl PipelineObserver {
         if let Some(m) = &self.membership {
             return Arc::clone(m);
         }
-        let mut grouped: BTreeMap<u16, Vec<UnitId>> =
-            self.devices.keys().map(|&d| (d, Vec::new())).collect();
-        for &u in self.devices.values().flatten() {
-            grouped.entry(u.device).or_default().push(u);
-        }
+        // `UnitId` orders by device first, so the sorted column holds each
+        // device's units as one run, the runs in device order.
+        let mut column: Vec<UnitId> = Vec::with_capacity(self.devices.values().map(Vec::len).sum());
+        column.extend(self.devices.values().flatten());
+        column.sort_unstable();
+        column.dedup();
+        let owners: BTreeSet<u16> = (column.chunk_by(|a, b| a.device == b.device))
+            .filter_map(|run| run.first().map(|u| u.device))
+            .chain(self.devices.keys().copied())
+            .collect();
         let table_len = (self.devices.keys().next_back()).map_or(0, |&max| usize::from(max) + 1);
         let mut by_id = vec![None; table_len];
-        let mut column: Vec<UnitId> = Vec::new();
-        let mut groups = Vec::with_capacity(grouped.len());
-        for (device, mut units) in grouped {
-            units.sort_unstable();
-            units.dedup();
-            if self.devices.contains_key(&device) {
-                if let Some(cell) = by_id.get_mut(usize::from(device)) {
-                    *cell = Some(groups.len() as u32);
-                }
+        let mut groups = Vec::with_capacity(owners.len());
+        let mut start = 0;
+        for device in owners {
+            let range = start..column.partition_point(|u| u.device <= device);
+            start = range.end;
+            let registered = self.devices.contains_key(&device);
+            if let Some(cell) = by_id.get_mut(usize::from(device)).filter(|_| registered) {
+                *cell = Some(groups.len() as u32);
             }
-            groups.push(DeviceGroup::new(device, column.len(), &units));
-            // `UnitId` orders by device first, so groups laid end to end
-            // in device order keep the column sorted.
-            column.extend_from_slice(&units);
+            let shape = Shape::of_units(column.get(range.clone()).unwrap_or_default());
+            groups.push(DeviceGroup {
+                device,
+                range,
+                shape,
+            });
         }
         let m = Arc::new(Membership {
             device_set: self.devices.keys().copied().collect(),
@@ -741,7 +740,7 @@ impl PipelineObserver {
             return Err(DropReason::ExcludedDevice);
         }
         (membership.groups.get(group as usize))
-            .and_then(|g| g.slot_of(&report.unit))
+            .and_then(|g| g.slot_of(&membership.units, &report.unit))
             .map(|slot| (group, slot))
             .ok_or(DropReason::UnexpectedUnit)
     }
@@ -1396,6 +1395,83 @@ mod tests {
         assert_eq!(p.assemblies[&2].devices[7].count, 1);
     }
 
+    /// Heap bytes `m` holds: its key column and its group and id tables.
+    /// (A group owns no heap; `device_set` is one tree entry per
+    /// registered device.)
+    fn membership_heap_bytes(m: &Membership) -> usize {
+        use std::mem::size_of;
+        m.units.len() * size_of::<UnitId>()
+            + m.groups.capacity() * size_of::<DeviceGroup>()
+            + m.by_id.capacity() * size_of::<Option<u32>>()
+    }
+
+    #[test]
+    fn membership_heap_does_not_depend_on_the_announced_port() {
+        use std::mem::size_of;
+        const DEVICES: u16 = 1000;
+        let mut p = PipelineObserver::new(PipelineConfig::for_modulus(8));
+        for d in 0..DEVICES {
+            p.register_device(d, vec![UnitId::ingress(d, u16::MAX)]);
+        }
+        assert_eq!(p.begin_snapshot(), Some(1));
+        let m = p
+            .membership
+            .as_ref()
+            .expect("built at the first initiation");
+        // The key column plus a constant per group and per id: not one
+        // byte for the 65 535 ports each device skips.
+        let n = usize::from(DEVICES);
+        assert_eq!(m.groups.len(), n);
+        assert_eq!(m.by_id.len(), n);
+        let want = n * (size_of::<UnitId>() + size_of::<DeviceGroup>() + size_of::<Option<u32>>());
+        assert_eq!(membership_heap_bytes(m), want);
+        // The top port is still the one unit each device is held to.
+        for unit in [
+            UnitId::egress(7, u16::MAX),
+            UnitId::ingress(7, u16::MAX - 1),
+        ] {
+            assert!(p.on_report(7, report(unit, 1, 1)).is_none());
+        }
+        assert_eq!(p.stats().unexpected_unit, 2);
+        assert!(p
+            .on_report(7, report(UnitId::ingress(7, u16::MAX), 1, 1))
+            .is_none());
+        assert_eq!(p.stats().accepted, 1);
+    }
+
+    #[test]
+    fn run_path_groups_take_the_arithmetic_branch() {
+        // What the fabric's switches and the emulation's devices register
+        // (both directions of ports 0..P, interleaved), and what the
+        // benchmark's fleet registers (ingress of ports 0..P).
+        const PORTS: u16 = 64;
+        let mut p = PipelineObserver::new(PipelineConfig::for_modulus(8));
+        let both = (0..PORTS).flat_map(|port| [UnitId::ingress(0, port), UnitId::egress(0, port)]);
+        p.register_device(0, both.collect());
+        p.register_device(1, (0..PORTS).map(|port| UnitId::ingress(1, port)).collect());
+        p.begin_snapshot().unwrap();
+        let m = p
+            .membership
+            .as_ref()
+            .expect("built at the first initiation");
+        let shapes: Vec<Shape> = m.groups.iter().map(|g| g.shape).collect();
+        assert_eq!(shapes, [Shape::PortPairs, Shape::Ports(Direction::Ingress)]);
+        for g in &m.groups {
+            for (slot, unit) in m.units[g.range.clone()].iter().enumerate() {
+                assert_eq!(g.slot_of(&m.units, unit), Some(slot as u32), "{unit:?}");
+            }
+            for port in [PORTS, u16::MAX] {
+                for unit in [
+                    UnitId::ingress(g.device, port),
+                    UnitId::egress(g.device, port),
+                ] {
+                    assert_eq!(g.slot_of(&m.units, &unit), None, "{unit:?}");
+                }
+            }
+        }
+        assert_eq!(m.groups[1].slot_of(&m.units, &UnitId::egress(1, 0)), None);
+    }
+
     #[test]
     fn sealed_snapshots_share_the_membership_key_column() {
         use std::mem::size_of;
@@ -1466,9 +1542,9 @@ mod tests {
     }
 
     #[test]
-    fn a_port_past_the_span_does_not_alias_the_other_direction() {
-        // Device 0 expects only egress port 0, so its index has one port
-        // per direction row; ingress port 1 must not read as egress 0.
+    fn an_egress_only_group_refuses_ingress() {
+        // Device 0 expects only egress port 0, a one-direction product:
+        // ingress port 1 must not read as egress 0.
         let mut p = PipelineObserver::new(PipelineConfig::for_modulus(8));
         p.register_device(0, vec![UnitId::egress(0, 0)]);
         p.begin_snapshot().unwrap();

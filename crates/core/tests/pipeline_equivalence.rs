@@ -18,6 +18,11 @@
 //! an outcome column, against `BTreeMap` as its reference on sequences
 //! with repeated keys, and a collected map against one the pipeline
 //! sealed over the membership's shared key column.
+//!
+//! And the unit → slot map validate computes, by arithmetic for a group of
+//! ports `0..P` in one or both directions and by search otherwise: every
+//! expected unit's value lands in its own cell, and every other unit of the
+//! device is refused, on sets one unit away from a product.
 
 use proptest::prelude::*;
 use speedlight_core::control::{Report, ReportValue};
@@ -102,11 +107,7 @@ fn fleet_strategy() -> impl Strategy<Value = Fleet> {
                         } else {
                             id
                         },
-                        direction: if egress {
-                            Direction::Egress
-                        } else {
-                            Direction::Ingress
-                        },
+                        direction: direction(egress),
                         port,
                     })
                     .collect();
@@ -137,6 +138,14 @@ fn fleet_strategy() -> impl Strategy<Value = Fleet> {
                 .collect();
             Fleet { devices, steps }
         })
+}
+
+fn direction(egress: bool) -> Direction {
+    if egress {
+        Direction::Egress
+    } else {
+        Direction::Ingress
+    }
 }
 
 fn report_for(unit: UnitId, epoch: Epoch) -> Report {
@@ -362,11 +371,7 @@ fn pairs_strategy() -> impl Strategy<Value = Vec<(UnitId, UnitOutcome)>> {
         // Ids 0, 300 and u16::MAX: both ends of a device-indexed table.
         device: ID_POOL[[0, 3, 5][id]],
         port,
-        direction: if egress {
-            Direction::Egress
-        } else {
-            Direction::Ingress
-        },
+        direction: direction(egress),
     });
     let repeat = (0usize..64, 0usize..64, outcome());
     (
@@ -491,6 +496,126 @@ proptest! {
         prop_assert_eq!(&sealed.excluded, &excluded);
         let owned: UnitMap = content.into_iter().collect();
         prop_assert_eq!(sealed.units, owned);
+    }
+}
+
+/// One device's registration for the slot test: the units it owns, in
+/// `UnitId` order, and the units of other devices registered beside them.
+#[derive(Debug, Clone)]
+struct OwnedSet {
+    owner: u16,
+    /// Sorted, deduplicated, all `owner`'s.
+    units: Vec<UnitId>,
+    /// Owned by other ids of the pool: their groups sit before or after
+    /// the owner's in the membership's unit column.
+    foreign: Vec<UnitId>,
+}
+
+/// Products of ports `0..P` in one direction and in both, products that
+/// lack their last unit or one direction of one port, a product with a hole,
+/// lone egress units — each possibly with a unit at port `u16::MAX` added,
+/// and with other devices' units registered alongside.
+fn owned_set_strategy() -> impl Strategy<Value = OwnedSet> {
+    (
+        0usize..ID_POOL.len(),
+        0u8..6,
+        1u16..40,
+        any::<bool>(),
+        0u16..40,
+        0u8..3,
+        proptest::collection::vec((0usize..ID_POOL.len(), 0u16..3, any::<bool>()), 0..3),
+    )
+        .prop_map(|(owner, kind, ports, egress, hole, top, foreign)| {
+            let owner_id = ID_POOL[owner];
+            let unit = |port, egress| UnitId {
+                device: owner_id,
+                port,
+                direction: direction(egress),
+            };
+            let one_way = (0..ports).map(|port| unit(port, egress));
+            let both_ways = (0..ports).flat_map(|port| [unit(port, false), unit(port, true)]);
+            let hole = hole % ports;
+            let mut units: Vec<UnitId> = match kind {
+                0 => one_way.collect(),
+                1 => both_ways.collect(),
+                2 => both_ways.take(2 * usize::from(ports) - 1).collect(),
+                3 => both_ways.filter(|&u| u != unit(hole, egress)).collect(),
+                4 => one_way.filter(|u| u.port != hole).collect(),
+                _ => vec![unit(hole, true)],
+            };
+            if top > 0 {
+                units.push(unit(u16::MAX, top == 2));
+            }
+            units.sort_unstable();
+            units.dedup();
+            let foreign = foreign
+                .into_iter()
+                .filter(|&(id, _, _)| id != owner)
+                .map(|(id, port, egress)| UnitId {
+                    device: ID_POOL[id],
+                    port,
+                    direction: direction(egress),
+                })
+                .collect();
+            OwnedSet {
+                owner: owner_id,
+                units,
+                foreign,
+            }
+        })
+}
+
+proptest! {
+    /// The pipeline's unit → slot map, seen from outside: every unit of a
+    /// group lands in its own cell of the sealed snapshot (its slot is its
+    /// index in the sorted set), whatever shape the group has, and every
+    /// unit outside the set — the other direction of an expected port, the
+    /// port one past a product, port `u16::MAX`, another device's unit
+    /// re-homed onto the owner — is refused as unexpected.
+    #[test]
+    fn slots_are_ranks_in_the_owners_sorted_set(set in owned_set_strategy()) {
+        let OwnedSet { owner, units, foreign } = &set;
+        let mut pipe = PipelineObserver::new(PipelineConfig::for_modulus(MODULUS));
+        let mut registered: Vec<UnitId> = foreign.clone();
+        registered.extend(units.iter().rev());
+        pipe.register_device(*owner, registered);
+        let epoch = pipe.begin_snapshot().expect("the owner is registered");
+
+        let ports = units.iter().map(|u| u.port).filter(|&p| p != u16::MAX);
+        let past = ports.max().map_or(0, |p| p + 1);
+        let mut probes: Vec<UnitId> = [0, 1, past, u16::MAX - 1, u16::MAX]
+            .into_iter()
+            .flat_map(|port| [UnitId::ingress(*owner, port), UnitId::egress(*owner, port)])
+            .collect();
+        probes.extend(units.iter().map(|u| UnitId {
+            direction: direction(u.direction == Direction::Ingress),
+            ..*u
+        }));
+        probes.extend(foreign.iter().map(|u| UnitId { device: *owner, ..*u }));
+        probes.sort_unstable();
+        probes.dedup();
+        probes.retain(|u| units.binary_search(u).is_err());
+        for &unit in &probes {
+            let value = ReportValue::Value { local: 0, channel: 0 };
+            let sealed = pipe.on_report(*owner, Report { unit, epoch, value });
+            prop_assert!(sealed.is_none());
+        }
+        prop_assert_eq!(pipe.stats().unexpected_unit, probes.len() as u64);
+        prop_assert_eq!(pipe.stats().accepted, 0);
+
+        let mut sealed = None;
+        for (i, &unit) in units.iter().enumerate() {
+            let value = ReportValue::Value { local: i as u64, channel: 0 };
+            sealed = sealed.or(pipe.on_report(*owner, Report { unit, epoch, value }));
+        }
+        prop_assert_eq!(pipe.stats().accepted, units.len() as u64);
+        // Foreign owners never report: their groups time out.
+        let snap = sealed.or_else(|| pipe.force_finalize(epoch)).expect("the epoch seals");
+        prop_assert!(!snap.excluded.contains(owner));
+        for (i, unit) in units.iter().enumerate() {
+            let want = UnitOutcome::Value { local: i as u64, channel: 0 };
+            prop_assert_eq!(snap.units.get(unit), Some(&want), "{:?}", unit);
+        }
     }
 }
 

@@ -43,7 +43,7 @@ impl<E> Scheduler<E> {
     /// [`Scheduler::drain_next`] stay for the two drivers that
     /// re-implement the serial loop around a handler call: the
     /// benchmark's frozen `traced.rs` and `fabric/tests/queue_order.rs`
-    /// (ROADMAP item 1(d) retires them).
+    /// (ROADMAP item 1(b) retires them).
     pub fn parked_at(now: Instant) -> Self {
         Scheduler {
             now,
