@@ -323,7 +323,6 @@ struct Host {
 /// * device-domain latency draws come from a per-device RNG forked from
 ///   the root seed by device id (the global stream stays exclusively
 ///   control-domain);
-/// * packet ids are per-domain counters tagged with the domain id;
 /// * every cross-domain follow-up is clamped to at least the lookahead,
 ///   which is what lets the conservative window protocol run shards in
 ///   parallel without ever reordering a domain's event stream.
@@ -333,24 +332,9 @@ struct ShardedMode {
     lookahead: Duration,
     /// Per-device latency RNGs, forked by device id.
     dev_rngs: Vec<SimRng>,
-    /// Per-domain packet-id counters (devices, hosts, control, external).
-    pkt_ctrs: Vec<u64>,
-    /// Domain of the event currently being handled (set by the shard
-    /// world before each dispatch).
-    cur_domain: u32,
 }
 
 impl ShardedMode {
-    fn next_pkt_id(&mut self) -> u64 {
-        let d = self.cur_domain;
-        let Some(ctr) = self.pkt_ctrs.get_mut(d as usize) else {
-            panic!("packet id requested for unknown domain {d}");
-        };
-        *ctr += 1;
-        assert!(*ctr < (1 << 32), "domain {d} packet-id counter overflow");
-        ((u64::from(d) + 1) << 32) | *ctr
-    }
-
     fn dev_rng(&mut self, sw: u16) -> &mut SimRng {
         let Some(rng) = self.dev_rngs.get_mut(usize::from(sw)) else {
             panic!("device RNG requested for unknown device {sw}");
@@ -459,7 +443,6 @@ pub struct Network {
     driver: DriverConfig,
     snapshot_cfg: SnapshotConfig,
     rng: SimRng,
-    next_pkt_id: u64,
     /// Epoch → issue time (retry/timeout bookkeeping).
     issued: BTreeMap<Epoch, Instant>,
     /// Epoch → last re-initiation time (retry pacing).
@@ -605,7 +588,6 @@ impl Network {
             driver,
             snapshot_cfg,
             rng,
-            next_pkt_id: 0,
             issued: BTreeMap::new(),
             retried: BTreeMap::new(),
             next_sweep: 0,
@@ -630,33 +612,18 @@ impl Network {
 
     /// Switch this network replica into sharded execution mode (see
     /// `crate::shard`). Must be called before any event is handled: the
-    /// mode changes which RNG stream device-domain draws consume and how
-    /// packet ids are assigned, so flipping it mid-run would splice two
-    /// incompatible executions. `num_domains` covers devices + hosts +
-    /// control + the external pseudo-domain; `lookahead` is the
-    /// conservative window the cross-domain clamps enforce.
-    pub fn enable_sharded_mode(&mut self, lookahead: Duration, num_domains: u32) {
-        assert_eq!(
-            self.next_pkt_id, 0,
-            "sharded mode must be set before any event"
-        );
+    /// mode changes which RNG stream device-domain draws consume, so
+    /// flipping it mid-run would splice two incompatible executions.
+    /// `lookahead` is the conservative window the cross-domain clamps
+    /// enforce.
+    pub fn enable_sharded_mode(&mut self, lookahead: Duration) {
         let dev_rngs = (0..self.switches.len() as u64)
             .map(|s| self.rng.fork_idx("dev", s))
             .collect();
         self.sharded = Some(ShardedMode {
             lookahead,
             dev_rngs,
-            pkt_ctrs: vec![0; num_domains as usize],
-            cur_domain: 0,
         });
-    }
-
-    /// Sharded mode: set the domain of the event about to be handled
-    /// (the shard world calls this before every dispatch).
-    pub fn set_current_domain(&mut self, domain: u32) {
-        if let Some(sh) = &mut self.sharded {
-            sh.cur_domain = domain;
-        }
     }
 
     /// In sharded mode, clamp a cross-domain delay to the lookahead; the
@@ -905,20 +872,6 @@ impl Network {
 
     fn wrap(&self, epoch: Epoch) -> WrappedId {
         WrappedId::wrap(epoch, self.snapshot_cfg.modulus)
-    }
-
-    fn next_id(&mut self) -> u64 {
-        match &mut self.sharded {
-            // Domain-scoped ids: each domain counts its own emissions, so
-            // the id stream a domain produces is independent of shard
-            // packing (a global counter would interleave differently at
-            // different shard counts).
-            Some(sh) => sh.next_pkt_id(),
-            None => {
-                self.next_pkt_id += 1;
-                self.next_pkt_id
-            }
-        }
     }
 
     /// Update sync instrumentation + shadow state from a notification at
@@ -1424,8 +1377,7 @@ impl Network {
                 .map(|u| u.sid());
             let Some(sid) = sid else { continue };
             for q in 0..ports {
-                let id = self.next_id();
-                let mut pkt = Packet::keepalive(id, u32::MAX);
+                let mut pkt = Packet::keepalive(u32::MAX);
                 pkt.snapshot = Some(SnapshotHeader {
                     packet_type: PacketType::Data,
                     snapshot_id: sid.raw(),
@@ -1587,13 +1539,12 @@ impl Network {
                     let ser = Duration::from_nanos(props.serialize_ns(em.bytes));
                     self.hosts[host as usize].nic_busy_until = start + ser;
                     let arrive = start + ser + Duration::from_nanos(props.prop_ns);
-                    let id = self.next_id();
                     sched.at(
                         arrive,
                         NetEvent::ArriveIngress {
                             sw,
                             port,
-                            pkt: Packet::data(id, em.flow, em.bytes),
+                            pkt: Packet::data(em.flow, em.bytes),
                         },
                     );
                 }
@@ -1669,8 +1620,7 @@ impl Network {
                     port = port,
                     epoch = epoch,
                 );
-                let id = self.next_id();
-                let mut pkt = Packet::initiation(id, self.wrap(epoch).raw());
+                let mut pkt = Packet::initiation(self.wrap(epoch).raw());
                 self.unit_process(
                     sw,
                     port,

@@ -22,8 +22,6 @@ pub enum PacketRole {
 /// A packet traversing the fabric.
 #[derive(Debug, Clone)]
 pub struct Packet {
-    /// Globally unique ID (debugging / audit logs).
-    pub id: u64,
     /// Flow five-tuple.
     pub flow: FlowKey,
     /// Destination host (routing key; `flow.dst` for data traffic).
@@ -38,9 +36,8 @@ pub struct Packet {
 
 impl Packet {
     /// A data packet from a host (no shim yet).
-    pub fn data(id: u64, flow: FlowKey, size: u32) -> Packet {
+    pub fn data(flow: FlowKey, size: u32) -> Packet {
         Packet {
-            id,
             flow,
             dst_host: flow.dst,
             size,
@@ -50,9 +47,8 @@ impl Packet {
     }
 
     /// A snapshot initiation for (wrapped) epoch `sid`.
-    pub fn initiation(id: u64, sid: u16) -> Packet {
+    pub fn initiation(sid: u16) -> Packet {
         Packet {
-            id,
             flow: FlowKey::tcp(u32::MAX, u32::MAX, 0, 0),
             dst_host: u32::MAX,
             size: 64,
@@ -63,9 +59,8 @@ impl Packet {
 
     /// A liveness keepalive broadcast (§6), carrying the sender's sid via
     /// normal egress processing.
-    pub fn keepalive(id: u64, dst_host: u32) -> Packet {
+    pub fn keepalive(dst_host: u32) -> Packet {
         Packet {
-            id,
             flow: FlowKey::tcp(u32::MAX - 1, dst_host, 0, 1),
             dst_host,
             size: 64,
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn data_packet_routes_to_flow_dst() {
-        let p = Packet::data(1, FlowKey::tcp(3, 9, 1000, 80), 1500);
+        let p = Packet::data(FlowKey::tcp(3, 9, 1000, 80), 1500);
         assert_eq!(p.dst_host, 9);
         assert!(p.snapshot.is_none());
         assert!(!p.is_initiation());
@@ -112,7 +107,7 @@ mod tests {
 
     #[test]
     fn initiation_packet_carries_shim() {
-        let p = Packet::initiation(2, 7);
+        let p = Packet::initiation(7);
         assert!(p.is_initiation());
         let hdr = p.snapshot.unwrap();
         assert_eq!(hdr.packet_type, PacketType::Initiation);
@@ -126,7 +121,7 @@ mod tests {
 
     #[test]
     fn shim_classification() {
-        let mut p = Packet::data(3, FlowKey::tcp(0, 1, 1, 1), 64);
+        let mut p = Packet::data(FlowKey::tcp(0, 1, 1, 1), 64);
         assert!(!p.has_data_shim());
         p.snapshot = Some(SnapshotHeader::data(4));
         assert!(p.has_data_shim());

@@ -10,15 +10,14 @@
 //! the domains it owns; all other state in the replica stays inert.
 //!
 //! Determinism contract (shard-count invariance): a domain's
-//! event stream, RNG draws, packet ids, and emitted follow-ups are
+//! event stream, RNG draws, and emitted follow-ups are
 //! functions of the domain alone, never of how domains are packed onto
 //! shards. Three mechanisms enforce this:
 //!
 //! 1. **Domain-scoped nondeterminism** — [`Network`] in sharded mode
 //!    draws device latencies from per-device RNGs forked from the root
-//!    seed by device id, allocates packet ids from per-domain counters,
-//!    and reserves the global stream for the control domain
-//!    (see `Network::enable_sharded_mode`).
+//!    seed by device id and reserves the global stream for the control
+//!    domain (see `Network::enable_sharded_mode`).
 //! 2. **Canonical event keys** — every emission carries a
 //!    `(source domain, per-domain sequence)` key
 //!    ([`netsim::shard::pack_key`]); each shard's queue is a calendar
@@ -67,7 +66,7 @@ use crate::testbed::TestbedConfig;
 /// Domain ids are dense: devices first (`0..num_switches`), then hosts
 /// (`num_switches..num_switches+num_hosts`), then the control domain,
 /// then one *external* pseudo-domain used to key testbed-level
-/// injections (it never executes events and never allocates packet ids).
+/// injections (it never executes events).
 #[derive(Debug, Clone, Copy)]
 pub struct DomainTable {
     num_switches: u32,
@@ -383,7 +382,6 @@ impl NetShard {
                 self.owner_of(domain)
             );
         }
-        self.net.set_current_domain(domain);
         // The adapter holds the profiler while the handler holds the
         // network.
         let mut prof = self.net.take_net_profiler();
@@ -490,7 +488,7 @@ impl ShardedTestbed {
                     cfg.queue_capacity_bytes,
                     cfg.seed,
                 );
-                net.enable_sharded_mode(lookahead, table.count());
+                net.enable_sharded_mode(lookahead);
                 NetShard {
                     net,
                     table,

@@ -383,8 +383,8 @@ mod tests {
     #[test]
     fn egress_port_tail_drops_on_overflow() {
         let mut port = EgressPort::new(3_000);
-        let qp = |id: u64| QueuedPacket {
-            pkt: Packet::data(id, wire::FlowKey::tcp(0, 1, 1, 1), 1_500),
+        let qp = |src_port: u16| QueuedPacket {
+            pkt: Packet::data(wire::FlowKey::tcp(0, 1, src_port, 1), 1_500),
             from_port: 0,
         };
         assert!(port.enqueue(qp(1)));
@@ -393,7 +393,7 @@ mod tests {
         assert_eq!(port.drops, 1);
         assert_eq!(port.queued_bytes, 3_000);
         let out = port.dequeue().unwrap();
-        assert_eq!(out.pkt.id, 1);
+        assert_eq!(out.pkt.flow.src_port, 1);
         assert_eq!(port.queued_bytes, 1_500);
         assert!(port.enqueue(qp(4)));
     }

@@ -12,28 +12,43 @@
 //! canonical key. The core has two tiers:
 //!
 //! * a **calendar** over the near window `[anchor, anchor + 65 536 ns)`:
-//!   2 048 buckets of 32 ns, each an intrusive singly linked list in
+//!   8 192 buckets of 8 ns, each an intrusive singly linked list in
 //!   `(time, tie)` order over one slab of nodes with a LIFO free list (the
 //!   live slab is the pending depth, so it stays cache-resident), and an
 //!   occupancy bitmap searched with `trailing_zeros` from a cursor that
 //!   moves forward on pop and back on an earlier push. A push is a bucket
 //!   index and a tail append; it walks the bucket's list from the head
-//!   only when it lands out of order inside one 32 ns bucket. A pop is a
+//!   only when it lands out of order inside one 8 ns bucket. A pop is a
 //!   bitmap scan and an unlink. Neither moves any other entry;
 //! * a **far heap** for events past the window (periodic driver ticks,
 //!   timeouts). When the calendar drains, the window re-anchors at the
 //!   heap minimum and *everything* inside the new window migrates over —
 //!   in ascending order, so each migration is a tail append.
 //!
-//! The packet-level workloads push almost every event a few microseconds
-//! ahead of the clock, but almost never *behind everything pending*: on
-//! the two-list queue this core replaced (a sorted deque in front of the
-//! heap), 98.3 % of near pushes on the leaf-spine testbed and 99.94 % on
-//! fat_tree:8 were a binary search and a mid-deque insert — on the fat
-//! tree a 2.6 KB `memmove` per event. The calendar's cost does not depend
-//! on where in the window a push lands.
-//! [`EventQueue::pop_at_or_before`] folds the driver loop's peek-then-pop
-//! pair into one operation.
+//! [`EventQueue`] puts a **same-instant lane** in front of the core: a
+//! FIFO of `(seq, event)` that takes every push at the instant of the last
+//! pop (what `Scheduler::now_event` does — a `StartTx` on an idle port, a
+//! control-plane kick). Lane entries share one instant and are appended in
+//! `seq` order, so the lane is sorted by construction, and a pop takes the
+//! lane's head only when its `(instant, seq)` is below the calendar's
+//! first `(time, tie)`. Both sides are sorted by the full key and the
+//! merge compares the full key, so pop order is exactly `(time, insertion
+//! order)` whatever the calendar holds at the lane's instant. The lane
+//! moves to a popped instant only while it is empty, so it never holds
+//! two instants, and the calendar does not re-anchor while the lane is
+//! pending (the window already ends at or after the lane's instant).
+//!
+//! The packet-level workloads push almost every event a few hundred
+//! nanoseconds to a few microseconds ahead of the clock, into the middle
+//! of what is pending. On `bench_netsim --topology fat_tree:8` (40 ms,
+//! 10 802 003 events) the 32 ns calendar this replaced walked a bucket's
+//! list on 6 520 107 of 10 666 137 near pushes (17.3 M nodes visited):
+//! 2 036 071 of the walks were same-instant pushes, which land behind
+//! everything at their instant and ahead of anything later in the bucket,
+//! and 4 484 036 were the rest. The lane takes all 2 439 863 same-instant
+//! pushes off the calendar, and 8 ns buckets cut the rest to 1 844 918
+//! walks and 3.2 M visits. [`EventQueue::pop_at_or_before`] folds the
+//! driver loop's peek-then-pop pair into one operation.
 //!
 //! The retained [`reference::BinaryHeapQueue`] implements the identical
 //! `(time, insertion-order)` contract on a plain binary heap; the
@@ -44,13 +59,13 @@
 use crate::time::Instant;
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// log2 of a calendar bucket's width in nanoseconds.
-const BUCKET_SHIFT: u32 = 5;
+const BUCKET_SHIFT: u32 = 3;
 
 /// Buckets in the calendar.
-const BUCKETS: usize = 2048;
+const BUCKETS: usize = 8192;
 
 /// Width of the near window: wide enough to swallow the packet-scale
 /// event cloud (serialization + propagation + PCIe delays are all ≪
@@ -293,16 +308,26 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Remove and return the earliest `(time, tie, event)` if it fires at
-    /// or before `deadline`.
+    /// Remove and return the earliest `(time, tie, event)` if `due` accepts
+    /// its `(time, tie)`.
     #[inline]
-    pub(crate) fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, u64, E)> {
+    pub(crate) fn pop_if(
+        &mut self,
+        due: impl FnOnce(Instant, u64) -> bool,
+    ) -> Option<(Instant, u64, E)> {
         if self.near_len == 0 {
             self.refill();
         }
+        self.pop_near_if(due)
+    }
+
+    /// [`Calendar::pop_if`] without the refill: `None` whenever the
+    /// window is drained, so the window never moves.
+    #[inline]
+    fn pop_near_if(&mut self, due: impl FnOnce(Instant, u64) -> bool) -> Option<(Instant, u64, E)> {
         let (b, idx) = self.first()?;
         let node = self.slab.get_mut(idx as usize)?;
-        if node.time > deadline {
+        if !due(node.time, node.tie) {
             return None;
         }
         let event = node.event.take()?;
@@ -342,6 +367,12 @@ impl<E> Calendar<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     core: Calendar<E>,
+    /// Events pushed at `lane_at`, as `(seq, event)` in push order — which
+    /// is `seq` order, so the lane is sorted by construction.
+    lane: VecDeque<(u64, E)>,
+    /// The lane's instant: the time of the last pop taken while the lane
+    /// was empty.
+    lane_at: Instant,
     next_seq: u64,
 }
 
@@ -356,6 +387,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             core: Calendar::new(),
+            lane: VecDeque::new(),
+            lane_at: Instant::ZERO,
             next_seq: 0,
         }
     }
@@ -365,7 +398,11 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Instant, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.core.push(at, seq, event);
+        if at == self.lane_at {
+            self.lane.push_back((seq, event));
+        } else {
+            self.core.push(at, seq, event);
+        }
     }
 
     /// Remove and return the earliest event, with its firing time.
@@ -382,28 +419,55 @@ impl<E> EventQueue<E> {
     /// peek-then-pop pair.
     #[inline]
     pub fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, E)> {
-        let (time, _seq, event) = self.core.pop_at_or_before(deadline)?;
-        Some((time, event))
+        let Some(&(seq, _)) = self.lane.front() else {
+            let (time, _seq, event) = self.core.pop_if(|time, _| time <= deadline)?;
+            self.lane_at = time;
+            return Some((time, event));
+        };
+        // Merge on the whole key: a calendar entry at the lane's instant
+        // pops first iff it was pushed first. Only the calendar's window
+        // can hold an entry below the lane (the far heap starts past the
+        // window's end, which is at or after the lane's instant), and it
+        // must not re-anchor while the lane is pending: the window would
+        // move past the instants the lane's events schedule at, and every
+        // push below it would walk the first bucket.
+        let lane = (self.lane_at, seq);
+        if let Some((time, _seq, event)) = self
+            .core
+            .pop_near_if(|time, tie| (time, tie) < lane && time <= deadline)
+        {
+            return Some((time, event));
+        }
+        if self.lane_at > deadline {
+            return None;
+        }
+        let (_seq, event) = self.lane.pop_front()?;
+        Some((self.lane_at, event))
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Instant> {
-        self.core.peek_time()
+        let core = self.core.peek_time();
+        if self.lane.is_empty() {
+            return core;
+        }
+        Some(core.map_or(self.lane_at, |t| t.min(self.lane_at)))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.core.len()
+        self.core.len() + self.lane.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.core.len() == 0
+        self.len() == 0
     }
 
     /// Total number of events popped so far (for run statistics / guards).
     pub fn popped(&self) -> u64 {
-        self.core.popped()
+        // Every event pushed is either pending or popped.
+        self.next_seq - self.len() as u64
     }
 }
 
@@ -593,7 +657,8 @@ mod tests {
     #[test]
     fn ties_straddling_storage_tiers_pop_fifo() {
         // Same instant, pushed at different queue phases (far heap, then
-        // the calendar once the window re-anchored): FIFO must hold.
+        // the same-instant lane once the window re-anchored and the first
+        // of them popped): FIFO must hold.
         let mut q = EventQueue::new();
         q.push(t(1_000_300), 0);
         q.push(t(1_000_300), 1);
@@ -642,15 +707,92 @@ mod tests {
 
     #[test]
     fn out_of_order_pushes_inside_one_bucket_sort_by_time_then_tie() {
-        // Times 0..32 share bucket 0; so does anything below the anchor.
+        // Times 0..8 share bucket 0; so does anything below the anchor.
         let mut q = Calendar::new();
-        for (tie, ns) in [(4, 20), (9, 7), (2, 7), (5, 31), (1, 20), (7, 0)] {
+        for (tie, ns) in [(4, 5), (9, 2), (2, 2), (5, 7), (1, 5), (7, 0)] {
             q.push(t(ns), tie, (ns, tie));
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop_at_or_before(t(u64::MAX)))
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_if(|_, _| true))
             .map(|(_, _, e)| e)
             .collect();
-        assert_eq!(order, [(0, 7), (7, 2), (7, 9), (20, 1), (20, 4), (31, 5)]);
+        assert_eq!(order, [(0, 7), (2, 2), (2, 9), (5, 1), (5, 4), (7, 5)]);
+    }
+
+    #[test]
+    fn the_lane_merges_with_calendar_entries_at_its_instant_by_seq() {
+        // Seqs 0 and 1 sit in the calendar at 500; seq 0 pops and puts the
+        // lane at 500; seq 2 takes the lane behind calendar seq 1, and a
+        // push below the lane's instant (legal on the raw queue) still
+        // pops first without moving the lane.
+        let mut q = EventQueue::new();
+        q.push(t(500), 0);
+        q.push(t(500), 1);
+        assert_eq!(q.pop(), Some((t(500), 0)));
+        q.push(t(500), 2);
+        q.push(t(200), 3);
+        assert_eq!(q.pop(), Some((t(200), 3)));
+        assert_eq!(q.lane_at, t(500));
+        q.push(t(500), 4);
+        assert_eq!(q.lane.len(), 2);
+        assert_eq!(q.pop(), Some((t(500), 1)));
+        assert_eq!(q.pop(), Some((t(500), 2)));
+        assert_eq!(q.pop(), Some((t(500), 4)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn popping_the_lane_does_not_re_anchor_a_drained_window() {
+        // The window holds nothing but a far event is pending: the lane's
+        // pop must leave the window where the lane's follow-ups land.
+        let mut q = EventQueue::new();
+        q.push(t(1_000), 0);
+        q.push(t(9_000_000), 1);
+        assert_eq!(q.pop(), Some((t(1_000), 0)));
+        q.push(t(1_000), 2);
+        assert_eq!(q.pop(), Some((t(1_000), 2)));
+        assert_eq!(q.core.anchor, 0);
+        q.push(t(1_400), 3);
+        assert_eq!(q.pop(), Some((t(1_400), 3)));
+        assert_eq!(q.pop(), Some((t(9_000_000), 1)));
+        assert_eq!(q.core.anchor, 9_000_000);
+    }
+
+    #[test]
+    fn counters_and_peek_count_lane_entries() {
+        let mut q = EventQueue::new();
+        q.push(t(40), 0);
+        assert_eq!(q.pop(), Some((t(40), 0)));
+        q.push(t(40), 1);
+        q.push(t(40), 2);
+        assert_eq!(q.core.len(), 0);
+        assert_eq!(q.lane.len(), 2);
+        assert_eq!(q.len(), 2);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(t(40)));
+        q.push(t(90), 3);
+        assert_eq!(q.peek_time(), Some(t(40)));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((t(40), 1)));
+        assert_eq!(q.popped(), 2);
+        assert_eq!(q.pop(), Some((t(40), 2)));
+        assert_eq!(q.popped(), 3);
+        assert_eq!(q.peek_time(), Some(t(90)));
+        assert_eq!(q.pop(), Some((t(90), 3)));
+        assert!(q.is_empty());
+        assert_eq!(q.popped(), 4);
+    }
+
+    #[test]
+    fn pop_at_or_before_holds_a_lane_head_past_the_deadline() {
+        let mut q = EventQueue::new();
+        q.push(t(300), "a");
+        assert_eq!(q.pop(), Some((t(300), "a")));
+        q.push(t(300), "b");
+        assert_eq!(q.lane.len(), 1);
+        assert_eq!(q.pop_at_or_before(t(299)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_at_or_before(t(300)), Some((t(300), "b")));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl<E> KeyedQueue<E> {
     /// or before `deadline` — one queue operation where `peek_time` then
     /// `pop` is two.
     pub fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, u64, E)> {
-        self.core.pop_at_or_before(deadline)
+        self.core.pop_if(|time, _| time <= deadline)
     }
 
     /// Earliest pending time, if any.
@@ -400,7 +400,7 @@ impl<S: ShardWorld> ShardedSim<S> {
                 return RunOutcome::Drained;
             };
             if t > deadline {
-                self.now = deadline;
+                self.now = self.now.max(deadline);
                 return RunOutcome::DeadlineReached;
             }
             let horizon = window_horizon(t, self.lookahead);
@@ -718,6 +718,27 @@ mod tests {
         sim.inject(
             0,
             Instant::from_nanos(20),
+            pack_key(1, 1),
+            Tok { id: 0, hops: 0 },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot inject into the past")]
+    fn an_earlier_deadline_does_not_rewind_the_clock() {
+        let mut sim = token_sim(1, L, L);
+        sim.inject(
+            0,
+            Instant::from_nanos(900),
+            pack_key(1, 0),
+            Tok { id: 0, hops: 0 },
+        );
+        sim.run_until(Instant::from_nanos(500));
+        sim.run_until(Instant::from_nanos(250));
+        assert_eq!(sim.now(), Instant::from_nanos(500));
+        sim.inject(
+            0,
+            Instant::from_nanos(300),
             pack_key(1, 1),
             Tok { id: 0, hops: 0 },
         );

@@ -99,6 +99,10 @@ impl<E> Scheduler<E> {
 
     /// Schedule `event` for the current instant (after already-queued events
     /// at this instant).
+    ///
+    /// In a running simulation the current instant is the last one popped,
+    /// so the push goes to the queue's same-instant lane: a FIFO append
+    /// that walks no calendar bucket (see [`crate::queue`]).
     pub fn now_event(&mut self, event: E) {
         self.queue.push(self.now, event);
     }
@@ -185,8 +189,9 @@ impl<W: World> Simulation<W> {
                     return RunOutcome::Drained;
                 }
                 // Park the clock at the deadline so subsequent scheduling is
-                // relative to where the run stopped.
-                self.sched.now = deadline;
+                // relative to where the run stopped — never behind where an
+                // earlier run already parked it.
+                self.sched.now = self.sched.now.max(deadline);
                 return RunOutcome::DeadlineReached;
             };
             self.sched.now = time;
@@ -256,6 +261,29 @@ mod tests {
         let outcome = sim.run_until(Instant::from_nanos(5_000));
         assert_eq!(outcome, RunOutcome::DeadlineReached);
         assert_eq!(sim.world().fired.len(), 6);
+    }
+
+    #[test]
+    fn an_earlier_deadline_does_not_rewind_the_clock() {
+        let mut sim = Simulation::new(Countdown { fired: vec![] });
+        sim.schedule_at(Instant::ZERO, Ev::Tick(100));
+        let outcome = sim.run_until(Instant::from_nanos(5_000));
+        assert_eq!(outcome, RunOutcome::DeadlineReached);
+        assert_eq!(sim.now(), Instant::from_nanos(5_000));
+        let outcome = sim.run_until(Instant::from_nanos(2_500));
+        assert_eq!(outcome, RunOutcome::DeadlineReached);
+        assert_eq!(sim.now(), Instant::from_nanos(5_000));
+        assert_eq!(sim.world().fired.len(), 6); // at 0 … 5000 ns
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn an_earlier_deadline_does_not_reopen_the_past_to_scheduling() {
+        let mut sim = Simulation::new(Countdown { fired: vec![] });
+        sim.schedule_at(Instant::ZERO, Ev::Tick(100));
+        sim.run_until(Instant::from_nanos(5_000));
+        sim.run_until(Instant::from_nanos(2_500));
+        sim.schedule_at(Instant::from_nanos(3_000), Ev::Tick(0));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! [`EventQueue`] must pop a byte-identical `(time, event)` sequence to the
 //! retained [`BinaryHeapQueue`] reference under arbitrary interleavings of
 //! pushes and pops — including same-instant FIFO ties, same-instant bursts
-//! of hundreds of events, and times that straddle the near/far horizon.
+//! of hundreds of events, pushes at and just below the last popped instant
+//! (where `EventQueue`'s same-instant lane merges with its calendar), and
+//! times that straddle the near/far horizon.
 //! [`KeyedQueue`] must pop the same scripts in `(time, key)` order, held
 //! against a `BinaryHeap` of `(time, key, ordinal)` tuples — and must pop
 //! one event sequence however a dispatch's keys were stamped, as long as
@@ -26,6 +28,16 @@ enum Op {
     /// Push this many events at one instant: a same-instant run longer
     /// than any batch the queue could move internally.
     Burst(usize, u64),
+    /// Push at the time of the last pop (zero before the first): what
+    /// `Scheduler::now_event` does, and what `EventQueue` keeps in its
+    /// same-instant lane.
+    PushNow,
+    /// Push this many events at the time of the last pop.
+    BurstNow(usize),
+    /// Push this many nanoseconds before the last pop (saturating at
+    /// zero): a calendar entry below the lane's instant, pushed after
+    /// everything in the lane.
+    PushBefore(u64),
     /// Pop unconditionally.
     Pop,
     /// Pop with a deadline.
@@ -41,7 +53,11 @@ const BURST_MAX: u64 = 700;
 /// boundary, far-future times that land in the far heap and exercise
 /// refills, a tight cluster *inside* the far range (so bursts, pops and
 /// later pushes meet at one far instant), and the u64 saturation edge.
-/// One push in sixteen is a burst.
+/// One raw push in sixteen is a burst. A fifth of the pushes land at the
+/// last pop's instant (one in eight of those a burst) and a fifth just
+/// below it, so the lane's merge meets calendar entries at its instant
+/// pushed before it (lower seqs) and entries below it pushed after it
+/// (higher seqs).
 fn decode_op(sel: u8, raw: u64) -> Op {
     let time = match sel % 10 {
         0..=3 => raw % 8,
@@ -51,11 +67,28 @@ fn decode_op(sel: u8, raw: u64) -> Op {
         8 => 5_000_000 + raw % 4,
         _ => u64::MAX - (raw % 2),
     };
+    let burst = 1 + ((raw >> 32) % BURST_MAX) as usize;
     match (sel / 10) % 10 {
-        0..=4 if raw >> 60 == 0 => Op::Burst(1 + ((raw >> 32) % BURST_MAX) as usize, time),
-        0..=4 => Op::Push(time),
+        0..=2 if raw >> 60 == 0 => Op::Burst(burst, time),
+        0..=2 => Op::Push(time),
+        3 if raw >> 61 == 0 => Op::BurstNow(burst),
+        3 => Op::PushNow,
+        4 => Op::PushBefore(1 + raw % 16),
         5..=7 => Op::Pop,
         _ => Op::PopAtOrBefore(time),
+    }
+}
+
+/// The instant a push op pushes at and how many events, given the last
+/// popped time; `None` for a pop.
+fn push_times(op: &Op, last_pop: u64) -> Option<(u64, usize)> {
+    match *op {
+        Op::Push(t) => Some((t, 1)),
+        Op::Burst(n, t) => Some((t, n)),
+        Op::PushNow => Some((last_pop, 1)),
+        Op::BurstNow(n) => Some((last_pop, n)),
+        Op::PushBefore(d) => Some((last_pop.saturating_sub(d), 1)),
+        Op::Pop | Op::PopAtOrBefore(_) => None,
     }
 }
 
@@ -69,39 +102,46 @@ fn run_differential(ops: &[Op]) -> Result<u64, TestCaseError> {
     let mut dut: EventQueue<usize> = EventQueue::new();
     let mut refq: BinaryHeapQueue<usize> = BinaryHeapQueue::new();
     let mut pushed = 0usize;
-    let mut push = |dut: &mut EventQueue<usize>, refq: &mut BinaryHeapQueue<usize>, t: u64| {
-        dut.push(Instant::from_nanos(t), pushed);
-        refq.push(Instant::from_nanos(t), pushed);
-        pushed += 1;
-    };
+    let mut last_pop = 0u64;
     for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Push(t) => push(&mut dut, &mut refq, t),
-            Op::Burst(n, t) => {
-                for _ in 0..n {
-                    push(&mut dut, &mut refq, t);
-                }
+        if let Some((t, n)) = push_times(op, last_pop) {
+            for _ in 0..n {
+                dut.push(Instant::from_nanos(t), pushed);
+                refq.push(Instant::from_nanos(t), pushed);
+                pushed += 1;
             }
+        }
+        let popped = match *op {
             Op::Pop => {
-                prop_assert_eq!(dut.pop(), refq.pop(), "pop diverged at op {}", i);
+                let want = refq.pop();
+                prop_assert_eq!(dut.pop(), want, "pop diverged at op {}", i);
+                want
             }
             Op::PopAtOrBefore(d) => {
                 let d = Instant::from_nanos(d);
+                let want = refq.pop_at_or_before(d);
                 prop_assert_eq!(
                     dut.pop_at_or_before(d),
-                    refq.pop_at_or_before(d),
+                    want,
                     "pop_at_or_before diverged at op {}",
                     i
                 );
+                want
             }
+            _ => None,
+        };
+        if let Some((t, _)) = popped {
+            last_pop = t.as_nanos();
         }
         prop_assert_eq!(dut.len(), refq.len(), "len diverged at op {}", i);
+        prop_assert_eq!(dut.is_empty(), refq.is_empty());
         prop_assert_eq!(
             dut.peek_time(),
             refq.peek_time(),
             "peek diverged at op {}",
             i
         );
+        prop_assert_eq!(dut.popped(), refq.popped(), "popped diverged at op {}", i);
     }
     // Drain: the tails must match exactly too.
     loop {
@@ -137,29 +177,34 @@ fn run_keyed_differential(ops: &[Op]) -> Result<u64, TestCaseError> {
         let Reverse((t, key, i)) = due.then(|| model.pop()).flatten()?;
         Some((Instant::from_nanos(t), key, i))
     };
+    let mut last_pop = 0u64;
     for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Push(t) => push(&mut dut, &mut model, t),
-            Op::Burst(n, t) => {
-                for _ in 0..n {
-                    push(&mut dut, &mut model, t);
-                }
+        if let Some((t, n)) = push_times(op, last_pop) {
+            for _ in 0..n {
+                push(&mut dut, &mut model, t);
             }
+        }
+        let want = match *op {
             Op::Pop => {
                 let want = expected(&mut model, u64::MAX);
-                popped += u64::from(want.is_some());
                 prop_assert_eq!(dut.pop(), want, "pop diverged at op {}", i);
+                want
             }
             Op::PopAtOrBefore(d) => {
                 let want = expected(&mut model, d);
-                popped += u64::from(want.is_some());
                 prop_assert_eq!(
                     dut.pop_at_or_before(Instant::from_nanos(d)),
                     want,
                     "pop_at_or_before diverged at op {}",
                     i
                 );
+                want
             }
+            _ => None,
+        };
+        if let Some((t, _, _)) = want {
+            popped += 1;
+            last_pop = t.as_nanos();
         }
         prop_assert_eq!(dut.len(), model.len(), "len diverged at op {}", i);
         prop_assert_eq!(dut.is_empty(), model.is_empty());
@@ -324,4 +369,28 @@ fn same_instant_push_does_not_overtake_a_long_burst() {
     }
     let popped = run_differential(&ops).expect("burst trace must agree");
     assert_eq!(popped, 610);
+}
+
+/// Pinned lane trace: what a fabric handler does at one instant. A burst
+/// at `T` is in the calendar; each pop at `T` pushes same-instant
+/// follow-ups (the lane, behind the burst's remaining entries) and one
+/// event just below `T` (the calendar, below the lane, pushed after it),
+/// then a deadline one nanosecond short of `T` must hold the lane back.
+#[test]
+fn lane_pushes_merge_with_calendar_entries_at_and_below_their_instant() {
+    const T: u64 = 2_000;
+    let mut ops = vec![Op::Burst(40, T), Op::Push(T + 3)];
+    for _ in 0..8 {
+        ops.extend([
+            Op::Pop,
+            Op::PushNow,
+            Op::BurstNow(3),
+            Op::PushBefore(2),
+            Op::PopAtOrBefore(T - 1),
+            Op::PopAtOrBefore(T - 1),
+        ]);
+    }
+    let popped = run_differential(&ops).expect("lane trace must agree");
+    assert_eq!(popped, 41 + 8 * 5);
+    run_keyed_differential(&ops).expect("keyed lane trace must agree");
 }
