@@ -43,30 +43,31 @@
 //!   total is maintained per epoch, and a completed epoch is queued for
 //!   finalization. Membership (device set + expected units) is **shared**
 //!   across epochs via [`std::sync::Arc`] and rebuilt only when
-//!   registration changes. Per-epoch state is one small header per
-//!   expected device plus, for each device that has delivered, a bitmap
-//!   and an outcome array the size of that device's group — O(Σ group
-//!   size over devices that have delivered), not O(all units); the
-//!   reference observer clones both sets per epoch.
+//!   registration changes. An epoch owns no heap until its first accepted
+//!   report; that report allocates one outcome column aligned with the
+//!   membership's unit column and one delivered bitmap over it — the
+//!   column its sealed snapshot will keep. The reference observer clones
+//!   both sets per epoch.
 //! * **finalize** — seals [`GlobalSnapshot`]s and emits the `obs.finalize`
 //!   event, identical byte-for-byte to the reference observer's. A sealed
 //!   snapshot's [`UnitMap`](crate::observer::UnitMap) pairs an `Arc` clone
-//!   of the membership's `UnitId`-sorted unit column with one outcome
-//!   column, filled in a single sequential pass: a slice copy per
-//!   delivered device, a `DeviceExcluded` fill per excluded one. No tree
-//!   is built, nothing is sorted, no key is copied, and every snapshot
+//!   of the membership's `UnitId`-sorted unit column with the epoch's own
+//!   outcome column, moved, not copied: seal only fills each excluded
+//!   device's range with `DeviceExcluded` in place. No tree is built,
+//!   nothing is sorted, no key or value is copied, and every snapshot
 //!   sealed under one registration state shares one key column.
 //! * **persist-hook** — the bounded sealed queue, drained by the embedder
 //!   via [`PipelineObserver::take_finalized`] (the hook point where the
 //!   future snapshot store attaches). A full sealed queue stalls the
 //!   finalize stage rather than dropping snapshots.
 //!
-//! Validate and assemble work in **slot space**: a device id indexes a
+//! Validate and assemble work in **column space**: a device id indexes a
 //! table to its group, the group maps `(direction, port)` to a slot — a
 //! multiply-add for the ports × directions run paths register, a search
-//! of its range of the unit column otherwise — and `(group, slot)` indexes
-//! the epoch's state. Nothing else is searched per report but the epoch's
-//! `excluded` set, which is empty outside forced finalization.
+//! of its range of the unit column otherwise — and the group's range start
+//! plus the slot is the unit's cell in the epoch's column and bitmap.
+//! Nothing else is searched per report but the epoch's `excluded` set,
+//! which is empty outside forced finalization.
 //!
 //! **Equivalence contract:** driven synchronously (offer + pump per
 //! report, as the fabric does), the pipeline is observably identical to
@@ -308,11 +309,11 @@ impl PipelineStats {
     }
 }
 
-/// One device's expected units. Slots are the hot-path currency: a
-/// `(group, slot)` pair plus the membership's shared unit column stand in
-/// for the unit everywhere below, so per-epoch state never needs a
-/// unit-keyed search structure, and a product group (every run path's)
-/// computes the slot from the report alone, reading nothing beyond this.
+/// One device's expected units. A slot plus the group's range start is
+/// the unit's cell in the membership's shared unit column and in every
+/// epoch's outcome column, so per-epoch state never needs a unit-keyed
+/// search structure, and a product group (every run path's) computes the
+/// slot from the report alone, reading nothing beyond this.
 #[derive(Debug)]
 struct DeviceGroup {
     /// The owning device: `unit.device` of every unit below.
@@ -353,7 +354,7 @@ impl Shape {
 impl DeviceGroup {
     /// The slot of `unit`, if expected. `column` is the membership's unit
     /// column, which only a [`Shape::Listed`] group reads.
-    fn slot_of(&self, column: &[UnitId], unit: &UnitId) -> Option<u32> {
+    fn slot_of(&self, column: &[UnitId], unit: &UnitId) -> Option<usize> {
         let port = usize::from(unit.port);
         let slot = match self.shape {
             Shape::Ports(direction) if unit.direction == direction => port,
@@ -361,11 +362,25 @@ impl DeviceGroup {
             Shape::PortPairs => 2 * port + usize::from(unit.direction == Direction::Egress),
             Shape::Listed => column.get(self.range.clone())?.binary_search(unit).ok()?,
         };
-        (slot < self.len()).then_some(slot as u32)
+        (slot < self.len()).then_some(slot)
     }
 
     fn len(&self) -> usize {
         self.range.len()
+    }
+
+    /// Cells of this group set in `seen`, counted a word at a time; an
+    /// empty bitmap (nothing accepted yet) counts none.
+    fn delivered(&self, seen: &[u64]) -> usize {
+        let Range { start, end } = self.range;
+        let words = start / 64..end.div_ceil(64);
+        let counts = words.map(|w| {
+            let (lo, hi) = (start.max(w * 64), end.min(w * 64 + 64));
+            let mask = u64::MAX.checked_shr((64 - (hi - lo)) as u32).unwrap_or(0) << (lo - w * 64);
+            let count = |word: &u64| (word & mask).count_ones() as usize;
+            seen.get(w).map_or(0, count)
+        });
+        counts.sum()
     }
 }
 
@@ -391,66 +406,29 @@ struct Membership {
     by_id: Vec<Option<u32>>,
 }
 
-/// One device's delivered state within an epoch: a slot bitmap (the
-/// duplicate check is a bit test) plus the accepted outcomes, indexed by
-/// slot. Empty — no heap behind it — until the device's first accepted
-/// report sizes it to the device's group; a device that never delivers
-/// costs its epoch this header and nothing per unit.
-#[derive(Debug, Clone, Default)]
-struct DeviceAssembly {
-    /// Bit `i` set ⇔ slot `i` of the device's expected group delivered.
-    seen: Vec<u64>,
-    /// Slot → outcome, meaningful only where `seen` has the bit.
-    outcomes: Vec<UnitOutcome>,
-    /// Slots delivered (bits set in `seen`).
-    count: usize,
-}
-
-impl DeviceAssembly {
-    fn new(group_len: usize) -> DeviceAssembly {
-        DeviceAssembly {
-            seen: vec![0; group_len.div_ceil(64)],
-            outcomes: vec![UnitOutcome::Missing; group_len],
-            count: 0,
-        }
-    }
-
-    /// Store `slot`'s outcome unless it already has one (first value
-    /// wins); `false` on such a duplicate.
-    fn store(&mut self, slot: u32, outcome: UnitOutcome) -> bool {
-        let (Some(w), Some(cell)) = (
-            self.seen.get_mut(slot as usize / 64),
-            self.outcomes.get_mut(slot as usize),
-        ) else {
-            panic!("slot {slot} outside the device's expected group");
-        };
-        let mask = 1u64 << (slot % 64);
-        if *w & mask != 0 {
-            return false;
-        }
-        *w |= mask;
-        *cell = outcome;
-        self.count += 1;
-        true
-    }
-
-    /// True when `slot` has a delivered value.
-    fn is_set(&self, slot: u32) -> bool {
-        self.seen
-            .get(slot as usize / 64)
-            .is_some_and(|w| w & (1u64 << (slot % 64)) != 0)
+impl Membership {
+    /// The groups with an undelivered cell in `seen`, each with its
+    /// delivered count, in device order.
+    fn lagging<'a>(&'a self, seen: &'a [u64]) -> impl Iterator<Item = (&'a DeviceGroup, usize)> {
+        let counted = self.groups.iter().map(|g| (g, g.delivered(seen)));
+        counted.filter(|(g, count)| *count < g.len())
     }
 }
 
-/// Per-epoch assembly state: only what this epoch has actually seen.
+/// Per-epoch assembly state. A silent epoch owns no heap; its first
+/// accepted report allocates `values` and `seen` over the whole unit
+/// column, and seal moves `values` into the snapshot.
 #[derive(Debug, Clone)]
 struct EpochAssembly {
     membership: Arc<Membership>,
     excluded: BTreeSet<u16>,
-    /// Per-device delivered state, indexed like `membership.groups`. An
-    /// excluded device's group is synthesized as `DeviceExcluded` at seal
-    /// time rather than materialized here.
-    devices: Vec<DeviceAssembly>,
+    /// Cell → outcome, aligned with `membership.units`; meaningful only
+    /// where `seen` has the bit. An excluded device's range is filled
+    /// with `DeviceExcluded` at seal.
+    values: Vec<UnitOutcome>,
+    /// Bit `i` set ⇔ cell `i` delivered (the duplicate check is a bit
+    /// test).
+    seen: Vec<u64>,
     /// Unique values delivered across all devices (completion counter).
     delivered: usize,
     /// Values this epoch holds in pipeline memory (delivered plus any
@@ -466,10 +444,9 @@ impl EpochAssembly {
         self.delivered == self.membership.units.len()
     }
 
-    /// Each expected group beside its device's delivered state, in device
-    /// order.
-    fn groups(&self) -> impl Iterator<Item = (&DeviceGroup, &DeviceAssembly)> {
-        self.membership.groups.iter().zip(&self.devices)
+    /// True when cell `cell` has a delivered value.
+    fn is_set(&self, cell: usize) -> bool {
+        (self.seen.get(cell / 64)).is_some_and(|w| w & (1u64 << (cell % 64)) != 0)
     }
 }
 
@@ -477,11 +454,10 @@ impl EpochAssembly {
 #[derive(Debug, Clone, Copy)]
 struct Validated {
     device: u16,
-    /// The device's group in its epoch's membership and the unit's slot
-    /// in that group, computed during validation (membership is per-epoch
-    /// immutable, so both stay valid while the report sits in the queue).
-    group: u32,
-    slot: u32,
+    /// The unit's cell in its epoch's column, computed during validation
+    /// (membership is per-epoch immutable, so it stays valid while the
+    /// report sits in the queue).
+    cell: usize,
     report: Report,
 }
 
@@ -656,8 +632,9 @@ impl PipelineObserver {
         self.assemblies.insert(
             epoch,
             EpochAssembly {
-                devices: vec![DeviceAssembly::default(); membership.groups.len()],
                 membership,
+                values: Vec::new(),
+                seen: Vec::new(),
                 excluded: BTreeSet::new(),
                 delivered: 0,
                 stored: 0,
@@ -694,11 +671,10 @@ impl PipelineObserver {
             };
             moved += 1;
             match self.validate(device, &report) {
-                Ok((group, slot)) => {
+                Ok(cell) => {
                     self.validated.push_back(Validated {
                         device,
-                        group,
-                        slot,
+                        cell,
                         report,
                     });
                     let depth = self.validated.len();
@@ -710,9 +686,9 @@ impl PipelineObserver {
         moved
     }
 
-    /// All per-arriving-report checks; returns the device's group in the
-    /// epoch's membership and the unit's slot in that group on success.
-    fn validate(&self, device: u16, report: &Report) -> Result<(u32, u32), DropReason> {
+    /// All per-arriving-report checks; returns the unit's cell in the
+    /// epoch's column on success.
+    fn validate(&self, device: u16, report: &Report) -> Result<usize, DropReason> {
         // Attribution: the delivering device must own the unit. Checked
         // before anything else — a spoofed report is rejected regardless
         // of epoch validity (mirrors the reference observer's fix).
@@ -739,9 +715,9 @@ impl PipelineObserver {
         if assembly.excluded.contains(&device) {
             return Err(DropReason::ExcludedDevice);
         }
-        (membership.groups.get(group as usize))
-            .and_then(|g| g.slot_of(&membership.units, &report.unit))
-            .map(|slot| (group, slot))
+        let group = membership.groups.get(group as usize);
+        group
+            .and_then(|g| Some(g.range.start + g.slot_of(&membership.units, &report.unit)?))
             .ok_or(DropReason::UnexpectedUnit)
     }
 
@@ -785,13 +761,12 @@ impl PipelineObserver {
         let mut moved = 0;
         while let Some(Validated {
             device,
-            group,
-            slot,
+            cell,
             report,
         }) = self.validated.pop_front()
         {
             moved += 1;
-            self.fold(device, group, slot, report);
+            self.fold(device, cell, report);
         }
         moved
     }
@@ -801,11 +776,11 @@ impl PipelineObserver {
     /// force-finalized (or the device excluded) between validation and
     /// folding when the report transited the validated queue.
     ///
-    /// The entire fold works in slot space: an index to the device's
-    /// assembly, one bit test-and-set (the first-value-wins duplicate
-    /// check), and one store. Nothing is searched, and nothing is sorted
-    /// later: outcomes land where seal reads them.
-    fn fold(&mut self, device: u16, group: u32, slot: u32, report: Report) {
+    /// The entire fold works in column space: one bit test-and-set (the
+    /// first-value-wins duplicate check) and one store, both at `cell`.
+    /// Nothing is searched, and nothing is sorted or copied later:
+    /// outcomes land in the column the sealed snapshot keeps.
+    fn fold(&mut self, device: u16, cell: usize, report: Report) {
         let Some(assembly) = self.assemblies.get_mut(&report.epoch) else {
             self.stats.record_drop(DropReason::StaleEpoch);
             return;
@@ -814,18 +789,25 @@ impl PipelineObserver {
             self.stats.record_drop(DropReason::ExcludedDevice);
             return;
         }
-        let Some(dev) = assembly.devices.get_mut(group as usize) else {
-            panic!("group {group} outside epoch {}'s membership", report.epoch);
-        };
-        if dev.seen.is_empty() {
-            let expected = assembly.membership.groups.get(group as usize);
-            *dev = DeviceAssembly::new(expected.map_or(0, DeviceGroup::len));
+        if assembly.seen.is_empty() {
+            let units = assembly.membership.units.len();
+            assembly.values = vec![UnitOutcome::Missing; units];
+            assembly.seen = vec![0; units.div_ceil(64)];
         }
-        let outcome: UnitOutcome = report.value.into();
-        if !dev.store(slot, outcome) {
+        let (Some(word), Some(value)) = (
+            assembly.seen.get_mut(cell / 64),
+            assembly.values.get_mut(cell),
+        ) else {
+            panic!("cell {cell} outside epoch {}'s column", report.epoch);
+        };
+        let mask = 1u64 << (cell % 64);
+        if *word & mask != 0 {
             self.stats.record_drop(DropReason::Duplicate);
             return;
         }
+        let outcome: UnitOutcome = report.value.into();
+        *word |= mask;
+        *value = outcome;
         // Wraparound-totals consistency check: maintain the running
         // consistent-total per epoch, flagging u64 overflow the moment
         // the offending report arrives (the sealed snapshot's total
@@ -869,7 +851,7 @@ impl PipelineObserver {
         while let Some((device, report)) = self.collect.pop_front() {
             moved += 1;
             match self.validate(device, &report) {
-                Ok((group, slot)) => self.fold(device, group, slot, report),
+                Ok(cell) => self.fold(device, cell, report),
                 Err(reason) => self.reject(reason, device, &report, sink, t_ns),
             }
         }
@@ -936,30 +918,32 @@ impl PipelineObserver {
     }
 
     fn seal(&mut self, epoch: Epoch) -> Option<GlobalSnapshot> {
-        let a = self.assemblies.remove(&epoch)?;
+        let mut a = self.assemblies.remove(&epoch)?;
         self.stats.note_seal(epoch);
         self.finalized += 1;
         self.pending_values -= a.stored.min(self.pending_values);
-        // The snapshot's keys are the membership's unit column itself;
-        // only the outcome column is built, in one sequential pass. Groups
-        // lie end to end in that column in device order and each group's
-        // outcomes sit in slot order, so a delivered group is one slice
-        // copy and an excluded group one fill: no tree, no sort, no key.
-        let mut values = Vec::with_capacity(a.membership.units.len());
-        for (group, dev) in a.groups() {
+        // The snapshot's keys are the membership's unit column itself and
+        // its values the epoch's own column, moved: only an excluded
+        // group's range is written, one fill each. Only a forced epoch
+        // that accepted nothing has no column yet.
+        if a.values.is_empty() {
+            a.values = vec![UnitOutcome::Missing; a.membership.units.len()];
+        }
+        for group in &a.membership.groups {
             if a.excluded.contains(&group.device) {
-                values.resize(values.len() + group.len(), UnitOutcome::DeviceExcluded);
+                if let Some(range) = a.values.get_mut(group.range.clone()) {
+                    range.fill(UnitOutcome::DeviceExcluded);
+                }
             } else {
                 // Seal runs on a complete epoch, or after force-finalize
                 // excluded every device with an undelivered unit.
+                let count = group.delivered(&a.seen);
                 assert!(
-                    dev.count == group.len(),
-                    "epoch {epoch} sealed with device {} at {} of {} units",
+                    count == group.len(),
+                    "epoch {epoch} sealed with device {} at {count} of {} units",
                     group.device,
-                    dev.count,
                     group.len()
                 );
-                values.extend_from_slice(&dev.outcomes);
             }
         }
         Some(GlobalSnapshot {
@@ -968,7 +952,7 @@ impl PipelineObserver {
             excluded: a.excluded,
             units: UnitMap {
                 keys: Arc::clone(&a.membership.units),
-                values,
+                values: a.values,
             },
         })
     }
@@ -1009,10 +993,10 @@ impl PipelineObserver {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (group, dev) in a.groups().filter(|(g, d)| d.count < g.len()) {
+        for (group, _) in a.membership.lagging(&a.seen) {
             let units = a.membership.units.get(group.range.clone()).unwrap_or(&[]);
-            let slots = units.iter().enumerate();
-            let missing = slots.filter(|&(slot, _)| !dev.is_set(slot as u32));
+            let cells = group.range.clone().zip(units);
+            let missing = cells.filter(|&(cell, _)| !a.is_set(cell));
             out.extend(missing.map(|(_, &unit)| unit));
         }
         out
@@ -1020,7 +1004,11 @@ impl PipelineObserver {
 
     /// Devices with at least one missing unit for `epoch`.
     pub fn lagging_devices(&self, epoch: Epoch) -> BTreeSet<u16> {
-        self.missing_units(epoch).iter().map(|u| u.device).collect()
+        let Some(a) = self.assemblies.get(&epoch) else {
+            return BTreeSet::new();
+        };
+        let lagging = a.membership.lagging(&a.seen);
+        lagging.map(|(group, _)| group.device).collect()
     }
 
     /// Timeout path, mirroring
@@ -1059,12 +1047,11 @@ impl PipelineObserver {
         // A device lags when any of its expected group is undelivered.
         // Exclusion policy (§6): a lagging device contributes nothing —
         // values it did deliver are overwritten with DeviceExcluded (seal
-        // synthesizes the whole group), and the overwrite count is
-        // surfaced as `discarded` (never silent). The undelivered rest of
-        // each group now also occupies pipeline memory until seal.
+        // fills the whole group), and the overwrite count is surfaced as
+        // `discarded` (never silent). The undelivered rest of each group
+        // now also counts as pipeline memory until seal.
         let mut discarded: u64 = 0;
-        let groups = assembly.membership.groups.iter().zip(&assembly.devices);
-        for (group, dev) in groups.filter(|(g, d)| d.count < g.len()) {
+        for (group, count) in assembly.membership.lagging(&assembly.seen) {
             assembly.excluded.insert(group.device);
             obs::event!(
                 sink,
@@ -1073,8 +1060,8 @@ impl PipelineObserver {
                 epoch = epoch,
                 dev = group.device
             );
-            discarded += dev.count as u64;
-            let newly = group.len() - dev.count;
+            discarded += count as u64;
+            let newly = group.len() - count;
             assembly.stored += newly;
             self.pending_values += newly;
         }
@@ -1343,20 +1330,17 @@ mod tests {
         assert_ne!(m1, m3);
     }
 
-    /// Heap bytes `epoch` holds of its own (membership is shared): the
-    /// per-device headers plus whatever each device has had allocated.
+    /// Heap bytes `epoch` holds of its own: its outcome column and bitmap
+    /// (membership is shared, and `excluded` stays empty until forced
+    /// finalization).
     fn epoch_heap_bytes(p: &PipelineObserver, epoch: Epoch) -> usize {
         use std::mem::size_of;
         let a = &p.assemblies[&epoch];
-        let per_unit = |d: &DeviceAssembly| {
-            d.seen.capacity() * size_of::<u64>() + d.outcomes.capacity() * size_of::<UnitOutcome>()
-        };
-        a.devices.capacity() * size_of::<DeviceAssembly>()
-            + a.devices.iter().map(per_unit).sum::<usize>()
+        a.values.capacity() * size_of::<UnitOutcome>() + a.seen.capacity() * size_of::<u64>()
     }
 
     #[test]
-    fn epoch_state_is_sized_by_the_devices_that_delivered() {
+    fn an_epoch_owns_no_heap_until_its_first_report_then_one_column() {
         use std::mem::size_of;
         const DEVICES: u16 = 1000;
         const PORTS: u16 = 1000;
@@ -1370,29 +1354,35 @@ mod tests {
             assert_eq!(p.begin_snapshot(), Some(e));
         }
         assert_eq!(p.begin_snapshot(), None, "at the no-lapping cap");
-        // Nothing delivered: a header per expected device and not one
-        // byte per unit, with the million-unit membership held once.
-        let headers = usize::from(DEVICES) * size_of::<DeviceAssembly>();
+        // Nothing delivered: not one byte per device or per unit, with the
+        // million-unit membership held once.
         for e in 1..=outstanding {
-            assert_eq!(epoch_heap_bytes(&p, e), headers, "epoch {e}");
+            assert_eq!(epoch_heap_bytes(&p, e), 0, "epoch {e}");
         }
         let shared = p
             .membership
             .as_ref()
             .expect("built at the first initiation");
         assert_eq!(Arc::strong_count(shared), outstanding as usize + 1);
-        // One report from one device: that epoch grows by exactly that
-        // device's group — its bitmap and its outcome array.
+        // One report from one device: that epoch allocates exactly the
+        // whole outcome column and its bitmap, the column its snapshot
+        // will keep.
         assert!(p
             .on_report(7, report(UnitId::ingress(7, 3), 2, 1))
             .is_none());
-        let group = usize::from(PORTS).div_ceil(64) * size_of::<u64>()
-            + usize::from(PORTS) * size_of::<UnitOutcome>();
+        let n = usize::from(DEVICES) * usize::from(PORTS);
+        let column = n * size_of::<UnitOutcome>() + n.div_ceil(64) * size_of::<u64>();
         for e in 1..=outstanding {
-            let want = if e == 2 { headers + group } else { headers };
+            let want = if e == 2 { column } else { 0 };
             assert_eq!(epoch_heap_bytes(&p, e), want, "epoch {e}");
         }
-        assert_eq!(p.assemblies[&2].devices[7].count, 1);
+        assert_eq!(p.lagging_devices(2).len(), usize::from(DEVICES));
+        // A forced epoch that accepted nothing gets its column at seal.
+        let silent = p.force_finalize(1).expect("epoch 1 seals");
+        assert_eq!(silent.excluded.len(), usize::from(DEVICES));
+        assert_eq!(silent.units.values.len(), n);
+        let excluded = |o: &UnitOutcome| *o == UnitOutcome::DeviceExcluded;
+        assert!(silent.units.values.iter().all(excluded));
     }
 
     /// Heap bytes `m` holds: its key column and its group and id tables.
@@ -1458,7 +1448,7 @@ mod tests {
         assert_eq!(shapes, [Shape::PortPairs, Shape::Ports(Direction::Ingress)]);
         for g in &m.groups {
             for (slot, unit) in m.units[g.range.clone()].iter().enumerate() {
-                assert_eq!(g.slot_of(&m.units, unit), Some(slot as u32), "{unit:?}");
+                assert_eq!(g.slot_of(&m.units, unit), Some(slot), "{unit:?}");
             }
             for port in [PORTS, u16::MAX] {
                 for unit in [
@@ -1470,6 +1460,24 @@ mod tests {
             }
         }
         assert_eq!(m.groups[1].slot_of(&m.units, &UnitId::egress(1, 0)), None);
+    }
+
+    #[test]
+    fn group_counts_read_the_bitmap_across_word_edges() {
+        let seen = [u64::MAX ^ 1, 0b1011 << 60, u64::MAX >> 1];
+        let set = |cell: usize| seen[cell / 64] >> (cell % 64) & 1 == 1;
+        let group = |range: Range<usize>| DeviceGroup {
+            device: 0,
+            range,
+            shape: Shape::Listed,
+        };
+        for start in 0..=192 {
+            for end in start..=192 {
+                let want = (start..end).filter(|&cell| set(cell)).count();
+                assert_eq!(group(start..end).delivered(&seen), want, "{start}..{end}");
+            }
+        }
+        assert_eq!(group(3..100).delivered(&[]), 0, "no column yet");
     }
 
     #[test]
@@ -1489,14 +1497,19 @@ mod tests {
             e
         });
         // Epochs 1 and 2 complete; in epoch 3 the laggard delivers one
-        // unit of its group and times out.
+        // unit of its group and times out. Each epoch's column is noted at
+        // its first report.
         let mut sealed = Vec::new();
+        let mut columns = Vec::new();
         for epoch in epochs {
             for d in 0..DEVICES {
                 let ports = if epoch == 3 && d == LAGGARD { 1 } else { PORTS };
                 for port in 0..ports {
                     let unit = UnitId::ingress(d, port);
                     sealed.extend(p.on_report(d, report(unit, epoch, local(unit))));
+                    if (d, port) == (0, 0) {
+                        columns.push(p.assemblies[&epoch].values.as_ptr());
+                    }
                 }
             }
         }
@@ -1509,10 +1522,13 @@ mod tests {
             .membership
             .as_ref()
             .expect("built at the first initiation");
-        for s in [&s1, &s2, &s3] {
+        for (s, column) in [&s1, &s2, &s3].into_iter().zip(columns) {
             assert!(Arc::ptr_eq(&s.units.keys, &m.units), "epoch {}", s.epoch);
             assert_eq!(s.units.len(), units);
-            // Each owns its outcome column and nothing more.
+            // Each owns its epoch's outcome column, moved and not copied
+            // by the clean seals and the forced one alike, and nothing
+            // more.
+            assert_eq!(s.units.values.as_ptr(), column, "epoch {}", s.epoch);
             assert_eq!(
                 s.units.values.capacity() * size_of::<UnitOutcome>(),
                 units * size_of::<UnitOutcome>(),
@@ -1633,6 +1649,17 @@ mod tests {
         p.pump();
         assert_eq!(p.take_finalized().map(|s| s.epoch), Some(2));
         assert_eq!(p.finalized_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed with device")]
+    fn sealing_an_incomplete_unforced_epoch_panics_with_context() {
+        let mut p = two_device_pipeline();
+        p.begin_snapshot().unwrap();
+        assert!(p
+            .on_report(0, report(UnitId::ingress(0, 0), 1, 10))
+            .is_none());
+        let _ = p.seal(1);
     }
 
     #[test]
