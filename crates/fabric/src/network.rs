@@ -267,12 +267,12 @@ pub struct NotifFaultConfig {
 
 /// Live state of one device's notification-export fault.
 #[derive(Debug)]
-struct NotifFaultState {
+pub(crate) struct NotifFaultState {
     cfg: NotifFaultConfig,
     /// Notifications seen so far (selection counter).
     seen: u64,
     /// A held notification awaiting reorder, with its hold sequence.
-    held: Option<(Notification, u64)>,
+    pub(crate) held: Option<(Notification, u64)>,
     /// Monotone hold sequence (stale `NotifRelease` events are ignored).
     seq: u64,
 }
@@ -312,35 +312,15 @@ struct Host {
     attached: (u16, u16),
     source: Option<Box<dyn Source>>,
     nic_busy_until: Instant,
+    /// Traffic RNG, pre-forked from the base stream once (forking is
+    /// pure, so caching it preserves every draw exactly).
+    rng: SimRng,
 }
 
-/// State of the sharded execution mode (see `crate::shard`).
-///
-/// In sharded mode every event belongs to a *domain* (device, host, or
-/// the control plane) and nondeterminism is domain-scoped so a domain's
-/// behavior cannot depend on how domains are packed onto shards:
-///
-/// * device-domain latency draws come from a per-device RNG forked from
-///   the root seed by device id (the global stream stays exclusively
-///   control-domain);
-/// * every cross-domain follow-up is clamped to at least the lookahead,
-///   which is what lets the conservative window protocol run shards in
-///   parallel without ever reordering a domain's event stream.
-struct ShardedMode {
-    /// Conservative lookahead (partition-independent: the minimum
-    /// inter-device link propagation delay in the topology).
-    lookahead: Duration,
-    /// Per-device latency RNGs, forked by device id.
-    dev_rngs: Vec<SimRng>,
-}
-
-impl ShardedMode {
-    fn dev_rng(&mut self, sw: u16) -> &mut SimRng {
-        let Some(rng) = self.dev_rngs.get_mut(usize::from(sw)) else {
-            panic!("device RNG requested for unknown device {sw}");
-        };
-        rng
-    }
+/// In sharded mode (`lookahead` set), clamp a cross-domain delay to the
+/// lookahead; the serial engine passes delays through untouched.
+fn cross_domain(lookahead: Option<Duration>, delay: Duration) -> Duration {
+    lookahead.map_or(delay, |la| delay.max(la))
 }
 
 /// Where the event interpreter schedules follow-ups. The serial engine
@@ -448,51 +428,27 @@ pub struct Network {
     /// Epoch → last re-initiation time (retry pacing).
     retried: BTreeMap<Epoch, Instant>,
     next_sweep: u32,
-    /// Omniscient shadow of each unit's unwrapped epoch (instrumentation
-    /// only — never feeds the protocol). Flat, indexed by
-    /// [`Network::unit_slot`]; these shadows sit on the per-packet path,
-    /// so they are plain arrays rather than maps.
-    shadow_sid: Vec<Epoch>,
-    /// Shadow of last seen per (unit, channel), indexed by
-    /// [`Network::ls_slot`].
-    shadow_ls: Vec<Epoch>,
-    /// `sid_base[device]` — first [`Network::unit_slot`] of that device.
-    sid_base: Vec<usize>,
-    /// `ls_base[device]` — first [`Network::ls_slot`] of that device.
-    ls_base: Vec<usize>,
-    /// Port count per device (flat copy of `topo.ports[d].len()`; the slot
-    /// helpers sit on the per-packet path, where the nested-Vec indirection
-    /// shows up).
-    ports_of: Vec<usize>,
-    /// Per-host traffic RNGs, pre-forked from the base stream once
-    /// (forking is pure, so caching it preserves every draw exactly).
-    host_rngs: Vec<SimRng>,
     /// Reused emission buffer for host wakes (avoids a per-wake alloc).
     scratch_emissions: Vec<Emission>,
-    /// Per-(switch, port) link state; frames serialized onto a down link
-    /// are lost on the wire (fault injection).
-    link_up: Vec<Vec<bool>>,
     /// PTP degradation schedule folded into initiation offsets
     /// (all-zero = healthy).
     ptp_deg: timesync::PtpDegradation,
-    /// Per-switch notification-export fault injection.
-    notif_faults: Vec<Option<NotifFaultState>>,
-    /// Per-switch control-plane-down gate (CP crash fault): while set,
-    /// arriving notifications are lost, as at a dead socket.
-    cp_down: Vec<bool>,
     /// Newest epoch the observer has issued (CP crash-recovery resync
     /// target).
     last_issued_epoch: Epoch,
-    /// Per-(switch, port) newest epoch whose initiation marker was injected
-    /// into the ingress unit. The CPU agent tracks true (unwrapped) epochs,
-    /// so a retry carrying an older epoch than the unit has already seen is
-    /// dropped here: the unit's rollover comparison assumes a monotone ID
-    /// stream per channel (§5.3), and a stale wrapped marker would alias
-    /// forward to a phantom future epoch.
-    init_high: Vec<Vec<Epoch>>,
-    /// Sharded execution mode (`None` = the serial engine, byte-for-byte
-    /// unchanged).
-    sharded: Option<ShardedMode>,
+    /// Sharded execution mode: the conservative lookahead
+    /// (partition-independent: the minimum inter-device link propagation
+    /// delay in the topology). `None` is the serial engine, byte-for-byte
+    /// unchanged. In sharded mode every event belongs to a *domain*
+    /// (device, host, or the control plane) and nondeterminism is
+    /// domain-scoped, so a domain's behavior cannot depend on how domains
+    /// are packed onto shards: device-domain latency draws come from each
+    /// device's own stream ([`Switch`]'s `rng`; the global stream stays
+    /// exclusively control-domain), and every cross-domain follow-up is
+    /// clamped to at least the lookahead, which is what lets the
+    /// conservative window protocol run shards in parallel without ever
+    /// reordering a domain's event stream.
+    sharded: Option<Duration>,
     /// Deterministic profiler (`None` = disabled: the event hot path pays
     /// exactly one branch).
     profiler: Option<Box<NetProfiler>>,
@@ -521,10 +477,6 @@ impl Network {
             .map(|s| used_port_pairs(&topo, &fibs, s))
             .collect();
         let mut switches = Vec::with_capacity(usize::from(num_sw));
-        let mut sid_base = Vec::with_capacity(usize::from(num_sw));
-        let mut ls_base = Vec::with_capacity(usize::from(num_sw));
-        let mut ports_of = Vec::with_capacity(usize::from(num_sw));
-        let (mut sid_len, mut ls_len) = (0usize, 0usize);
         for ((s, fib), considered_pair) in (0..num_sw).zip(fibs).zip(pairs) {
             let ports = topo.num_ports(s);
             // External channel considered iff the peer is a switch (hosts
@@ -537,11 +489,6 @@ impl Network {
                     )
                 })
                 .collect();
-            sid_base.push(sid_len);
-            ls_base.push(ls_len);
-            ports_of.push(usize::from(ports));
-            sid_len += 2 * usize::from(ports);
-            ls_len += 2 * usize::from(ports) * usize::from(ports);
             switches.push(Switch::new(
                 s,
                 ports,
@@ -558,27 +505,20 @@ impl Network {
         for sw in &switches {
             observer.register_device(sw.id, sw.unit_ids());
         }
-        let hosts: Vec<Host> = topo
-            .hosts
-            .iter()
-            .map(|&attached| Host {
+        let host_rng_base = rng.fork("hosts");
+        let hosts: Vec<Host> = (0u64..)
+            .zip(&topo.hosts)
+            .map(|(h, &attached)| Host {
                 attached,
                 source: None,
                 nic_busy_until: Instant::ZERO,
+                rng: host_rng_base.fork_idx("host", h),
             })
-            .collect();
-        let host_rng_base = rng.fork("hosts");
-        let host_rngs = (0..hosts.len() as u64)
-            .map(|h| host_rng_base.fork_idx("host", h))
             .collect();
         let instr = Instrumentation {
             host_rx: vec![0; hosts.len()],
             ..Instrumentation::default()
         };
-        let link_up = topo.ports.iter().map(|p| vec![true; p.len()]).collect();
-        let init_high = topo.ports.iter().map(|p| vec![0; p.len()]).collect();
-        let notif_faults = (0..num_sw).map(|_| None).collect();
-        let cp_down = vec![false; usize::from(num_sw)];
         Network {
             topo,
             switches,
@@ -591,19 +531,9 @@ impl Network {
             issued: BTreeMap::new(),
             retried: BTreeMap::new(),
             next_sweep: 0,
-            shadow_sid: vec![0; sid_len],
-            shadow_ls: vec![0; ls_len],
-            sid_base,
-            ls_base,
-            ports_of,
-            host_rngs,
             scratch_emissions: Vec::new(),
-            link_up,
             ptp_deg: timesync::PtpDegradation::default(),
-            notif_faults,
-            cp_down,
             last_issued_epoch: 0,
-            init_high,
             sharded: None,
             profiler: None,
             instr,
@@ -616,23 +546,11 @@ impl Network {
     /// flipping it mid-run would splice two incompatible executions.
     /// `lookahead` is the conservative window the cross-domain clamps
     /// enforce.
-    pub fn enable_sharded_mode(&mut self, lookahead: Duration) {
-        let dev_rngs = (0..self.switches.len() as u64)
-            .map(|s| self.rng.fork_idx("dev", s))
-            .collect();
-        self.sharded = Some(ShardedMode {
-            lookahead,
-            dev_rngs,
-        });
-    }
-
-    /// In sharded mode, clamp a cross-domain delay to the lookahead; the
-    /// serial engine passes delays through untouched.
-    fn cross_domain(&self, delay: Duration) -> Duration {
-        match &self.sharded {
-            Some(sh) => delay.max(sh.lookahead),
-            None => delay,
+    pub(crate) fn enable_sharded_mode(&mut self, lookahead: Duration) {
+        for (s, switch) in (0u64..).zip(&mut self.switches) {
+            switch.rng = Some(self.rng.fork_idx("dev", s));
         }
+        self.sharded = Some(lookahead);
     }
 
     /// Install a PTP degradation schedule (adversarial scenarios).
@@ -643,37 +561,12 @@ impl Network {
     /// Install a notification-export fault on `sw` (adversarial scenarios).
     pub fn set_notif_fault(&mut self, sw: u16, cfg: NotifFaultConfig) {
         assert!(cfg.every >= 2, "every=1 would starve the control plane");
-        self.notif_faults[usize::from(sw)] = Some(NotifFaultState {
+        self.switches[usize::from(sw)].notif_fault = Some(NotifFaultState {
             cfg,
             seen: 0,
             held: None,
             seq: 0,
         });
-    }
-
-    /// Index of `u`'s slot in the flat per-unit shadow array.
-    #[inline]
-    fn unit_slot(&self, u: UnitId) -> usize {
-        let ports = self.ports_of[usize::from(u.device)];
-        let dir = match u.direction {
-            Direction::Ingress => 0,
-            Direction::Egress => 1,
-        };
-        self.sid_base[usize::from(u.device)] + dir * ports + usize::from(u.port)
-    }
-
-    /// Index of `(u, ch)`'s slot in the flat per-channel shadow array
-    /// (`ch` is an internal channel, i.e. an ingress port of the device).
-    #[inline]
-    fn ls_slot(&self, u: UnitId, ch: u16) -> usize {
-        let ports = self.ports_of[usize::from(u.device)];
-        let dir = match u.direction {
-            Direction::Ingress => 0,
-            Direction::Egress => 1,
-        };
-        self.ls_base[usize::from(u.device)]
-            + (dir * ports + usize::from(u.port)) * ports
-            + usize::from(ch)
     }
 
     /// Attach a traffic source to a host.
@@ -738,23 +631,15 @@ impl Network {
     /// definition.
     pub fn enable_profiler(&mut self) {
         let table = DomainTable::new(&self.topo);
-        let lookahead = match &self.sharded {
-            Some(sh) => sh.lookahead,
-            None => lookahead_of(&self.topo),
-        };
+        let lookahead = self.sharded.unwrap_or_else(|| lookahead_of(&self.topo));
         self.profiler = Some(Box::new(NetProfiler {
             table,
             core: obs::profile::DomainProfiler::new(table.count() as usize, lookahead.as_nanos()),
         }));
     }
 
-    /// True when the deterministic profiler is active.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiler.is_some()
-    }
-
     /// Sharded engine: account the window that just closed at `horizon`.
-    pub fn profile_window_close(&mut self, horizon_ns: u64) {
+    pub(crate) fn profile_window_close(&mut self, horizon_ns: u64) {
         if let Some(p) = &mut self.profiler {
             p.core.window_close(horizon_ns);
         }
@@ -762,7 +647,7 @@ impl Network {
 
     /// Serial engine: close any window left open at a `run_until`
     /// boundary (mirrors the barrier engine's deadline truncation).
-    pub fn profile_run_boundary(&mut self) {
+    pub(crate) fn profile_run_boundary(&mut self) {
         if let Some(p) = &mut self.profiler {
             p.core.close_boundary();
         }
@@ -826,38 +711,29 @@ impl Network {
     /// it to the replica owning the *peer* endpoint (which must see the
     /// outage to stop/resume serializing frames) without repeating the
     /// owner-side metrics and trace emission.
-    pub fn apply_link_shadow(&mut self, sw: u16, port: u16, up: bool) {
+    pub(crate) fn apply_link_shadow(&mut self, sw: u16, port: u16, up: bool) {
+        let mut set = |sw: u16, port: u16| {
+            if let Some(slot) = self
+                .switches
+                .get_mut(usize::from(sw))
+                .and_then(|s| s.link_up.get_mut(usize::from(port)))
+            {
+                *slot = up;
+            }
+        };
+        set(sw, port);
         let peer = self
             .topo
             .ports
             .get(usize::from(sw))
-            .and_then(|ports| ports.get(usize::from(port)))
-            .copied();
-        if let Some(slot) = self
-            .link_up
-            .get_mut(usize::from(sw))
-            .and_then(|l| l.get_mut(usize::from(port)))
-        {
-            *slot = up;
-        }
-        if let Some(PortPeer::Switch {
+            .and_then(|ports| ports.get(usize::from(port)));
+        if let Some(&PortPeer::Switch {
             switch: peer,
             port: peer_port,
         }) = peer
         {
-            if let Some(slot) = self
-                .link_up
-                .get_mut(usize::from(peer))
-                .and_then(|l| l.get_mut(usize::from(peer_port)))
-            {
-                *slot = up;
-            }
+            set(peer, peer_port);
         }
-    }
-
-    /// The snapshot configuration.
-    pub fn snapshot_cfg(&self) -> &SnapshotConfig {
-        &self.snapshot_cfg
     }
 
     /// The topology.
@@ -874,33 +750,41 @@ impl Network {
         WrappedId::wrap(epoch, self.snapshot_cfg.modulus)
     }
 
-    /// Update sync instrumentation + shadow state from a notification at
-    /// data-plane time `now`.
-    fn track_notification(&mut self, n: &Notification, now: Instant) {
-        let slot = self.unit_slot(n.unit);
-        let sid_ref = &mut self.shadow_sid[slot];
+    /// Update sync instrumentation + `switch`'s shadow state from one of
+    /// its notifications at data-plane time `now`.
+    fn track_notification(
+        switch: &mut Switch,
+        sync: &mut BTreeMap<Epoch, (Instant, Instant, u64)>,
+        n: &Notification,
+        now: Instant,
+    ) {
+        let mut progress = |epoch: Epoch| {
+            let e = sync.entry(epoch).or_insert((now, now, 0));
+            e.0 = e.0.min(now);
+            e.1 = e.1.max(now);
+            e.2 += 1;
+        };
+        let unit = switch.unit_idx(n.unit.direction, n.unit.port);
+        let Some(sid_ref) = switch.shadow_sid.get_mut(unit) else {
+            return;
+        };
         let new_sid = n.new_sid.unwrap_from(*sid_ref);
         let advanced = new_sid > *sid_ref;
         *sid_ref = new_sid;
         if advanced {
-            let e = self.instr.sync.entry(new_sid).or_insert((now, now, 0));
-            e.0 = e.0.min(now);
-            e.1 = e.1.max(now);
-            e.2 += 1;
+            progress(new_sid);
         }
-        if let Some(ch) = n.channel {
-            if ch != CPU_CHANNEL {
-                let slot = self.ls_slot(n.unit, ch.0);
-                let ls_ref = &mut self.shadow_ls[slot];
-                let new_ls = n.new_last_seen.unwrap_from(*ls_ref);
-                if new_ls > *ls_ref {
-                    *ls_ref = new_ls;
-                    let e = self.instr.sync.entry(new_ls).or_insert((now, now, 0));
-                    e.0 = e.0.min(now);
-                    e.1 = e.1.max(now);
-                    e.2 += 1;
-                }
-            }
+        let Some(ch) = n.channel.filter(|&ch| ch != CPU_CHANNEL) else {
+            return;
+        };
+        let slot = switch.ls_idx(n.unit.direction, n.unit.port, ch.0);
+        let Some(ls_ref) = switch.shadow_ls.get_mut(slot) else {
+            return;
+        };
+        let new_ls = n.new_last_seen.unwrap_from(*ls_ref);
+        if new_ls > *ls_ref {
+            *ls_ref = new_ls;
+            progress(new_ls);
         }
     }
 
@@ -915,7 +799,9 @@ impl Network {
         sched: &mut impl Sched,
     ) {
         let capacity = self.latency.cp_queue_capacity;
-        let switch = &mut self.switches[usize::from(sw)];
+        let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+            return;
+        };
         if switch.cp_queue.len() >= capacity {
             switch.stats.notify_drops += 1;
             self.instr.metrics.inc("cp.notify_dropped");
@@ -941,7 +827,6 @@ impl Network {
             dev = sw,
             depth = depth,
         );
-        let switch = &mut self.switches[usize::from(sw)];
         if !switch.cp_busy {
             switch.cp_busy = true;
             sched.now_event(NetEvent::CpProcess { sw });
@@ -963,28 +848,28 @@ impl Network {
         sched: &mut impl Sched,
         init_epoch: Option<Epoch>,
     ) {
+        let Network {
+            switches,
+            latency,
+            snapshot_cfg,
+            rng,
+            instr,
+            ..
+        } = self;
+        let switch = &mut switches[usize::from(sw)];
         let uid = UnitId {
             device: sw,
             port,
             direction,
         };
         let is_init = pkt.is_initiation();
-        let modulus = self.snapshot_cfg.modulus;
+        let modulus = snapshot_cfg.modulus;
+        let unit_idx = switch.unit_idx(direction, port);
 
-        // Metric pre-read (the value a snapshot would save) + contribution,
-        // sharing one switch borrow with the enabled flag.
-        let (enabled, pre_value, contrib) = {
-            let switch = &self.switches[usize::from(sw)];
-            let bank = match direction {
-                Direction::Ingress => &switch.ing_metrics,
-                Direction::Egress => &switch.eg_metrics,
-            };
-            (
-                switch.snapshot_enabled,
-                bank.read(port),
-                bank.contrib(pkt.size),
-            )
-        };
+        // Metric pre-read (the value a snapshot would save) + contribution.
+        let enabled = switch.snapshot_enabled;
+        let bank = switch.bank(direction);
+        let (pre_value, contrib) = (bank.read(port), bank.contrib(pkt.size));
 
         let incoming_channel_id = pkt.snapshot.map(|h| h.channel_id).unwrap_or(0);
         match pkt.snapshot {
@@ -992,12 +877,13 @@ impl Network {
                 let wrapped = WrappedId::from_raw(hdr.snapshot_id % modulus, modulus);
                 // Audit tag: unwrap against the channel's pre-update shadow
                 // (CPU-channel initiations are excluded from the audit).
-                let ls = (channel != CPU_CHANNEL).then(|| self.ls_slot(uid, channel.0));
+                let ls =
+                    (channel != CPU_CHANNEL).then(|| switch.ls_idx(direction, port, channel.0));
                 let tag_epoch = match ls {
-                    Some(slot) => wrapped.unwrap_from(self.shadow_ls[slot]),
+                    Some(slot) => wrapped.unwrap_from(switch.shadow_ls[slot]),
                     None => 0,
                 };
-                if let Some(log) = &mut self.instr.delivery_log {
+                if let Some(log) = &mut instr.delivery_log {
                     // CPU-channel initiations carry a non-monotone epoch
                     // stream (retries re-initiate older epochs), so their
                     // true epoch comes from the initiating event rather
@@ -1016,56 +902,39 @@ impl Network {
                         init: is_init,
                     });
                 }
-                let out = {
-                    let switch = &mut self.switches[usize::from(sw)];
-                    let unit = match direction {
-                        Direction::Ingress => &mut switch.units.ingress[usize::from(port)],
-                        Direction::Egress => &mut switch.units.egress[usize::from(port)],
-                    };
-                    // `switch` borrows `self.switches`, the trace sink
-                    // borrows `self.instr` — disjoint fields. With the
-                    // default `TraceSink::Off` the traced call is one
-                    // always-false `enabled()` branch (`fig9_leaf_spine`
-                    // `wall_s` in BENCHMARK.json holds the line on it).
-                    let out = unit.on_packet_traced(
-                        channel,
-                        wrapped,
-                        pre_value,
-                        contrib,
-                        is_init,
-                        &mut self.instr.trace,
-                        now.as_nanos(),
-                    );
-                    // Metric update after the snapshot logic (Fig. 3 l.13);
-                    // initiations skip the update-counter stage (§6).
-                    if !is_init {
-                        let bank = match direction {
-                            Direction::Ingress => &mut switch.ing_metrics,
-                            Direction::Egress => &mut switch.eg_metrics,
-                        };
-                        bank.on_packet(port, now, pkt.size);
-                    }
-                    out
-                };
+                // With the default `TraceSink::Off` the traced call is one
+                // always-false `enabled()` branch (`fig9_leaf_spine`
+                // `wall_s` in BENCHMARK.json holds the line on it).
+                let out = switch.units.unit_mut(uid).on_packet_traced(
+                    channel,
+                    wrapped,
+                    pre_value,
+                    contrib,
+                    is_init,
+                    &mut instr.trace,
+                    now.as_nanos(),
+                );
+                // Metric update after the snapshot logic (Fig. 3 l.13);
+                // initiations skip the update-counter stage (§6).
+                if !is_init {
+                    switch.bank_mut(direction).on_packet(port, now, pkt.size);
+                }
                 if let Some(n) = out.notification {
-                    self.track_notification(&n, now);
-                    let dist = &self.latency.notify_pcie;
-                    let delay = match &mut self.sharded {
-                        Some(sh) => dist.sample(sh.dev_rng(sw)),
-                        None => dist.sample(&mut self.rng),
-                    };
+                    Self::track_notification(switch, &mut instr.sync, &n, now);
+                    let delay = latency
+                        .notify_pcie
+                        .sample(switch.rng.as_mut().unwrap_or(rng));
                     sched.after(delay, NetEvent::NotifyArrive { sw, n });
                 }
                 // Keep the channel shadow monotone even when the Last Seen
                 // update produced no notification (equal IDs / no-CS mode).
                 if let Some(slot) = ls {
-                    let ls_ref = &mut self.shadow_ls[slot];
+                    let ls_ref = &mut switch.shadow_ls[slot];
                     *ls_ref = (*ls_ref).max(tag_epoch);
                 }
                 if !is_init && channel != CPU_CHANNEL {
-                    let slot = self.unit_slot(uid);
-                    if let Some(audit) = &mut self.instr.audit {
-                        let local_after = self.shadow_sid[slot];
+                    if let Some(audit) = &mut instr.audit {
+                        let local_after = switch.shadow_sid[unit_idx];
                         audit.record(Delivery {
                             unit: uid,
                             tag: tag_epoch,
@@ -1089,18 +958,10 @@ impl Network {
                 // disabled on this device: metric update only; the receive
                 // is a purely local event for the audit.
                 if !is_init {
-                    {
-                        let switch = &mut self.switches[usize::from(sw)];
-                        let bank = match direction {
-                            Direction::Ingress => &mut switch.ing_metrics,
-                            Direction::Egress => &mut switch.eg_metrics,
-                        };
-                        bank.on_packet(port, now, pkt.size);
-                    }
+                    switch.bank_mut(direction).on_packet(port, now, pkt.size);
                     if enabled {
-                        let slot = self.unit_slot(uid);
-                        if let Some(audit) = &mut self.instr.audit {
-                            let local_after = self.shadow_sid[slot];
+                        if let Some(audit) = &mut instr.audit {
+                            let local_after = switch.shadow_sid[unit_idx];
                             audit.record(Delivery {
                                 unit: uid,
                                 tag: local_after,
@@ -1113,12 +974,8 @@ impl Network {
                 if enabled && pkt.snapshot.is_none() {
                     // First snapshot-enabled device on the path inserts the
                     // shim, stamped with the unit's current epoch (§10).
-                    let switch = &self.switches[usize::from(sw)];
-                    let unit = match direction {
-                        Direction::Ingress => &switch.units.ingress[usize::from(port)],
-                        Direction::Egress => &switch.units.egress[usize::from(port)],
-                    };
-                    pkt.snapshot = Some(SnapshotHeader::data(unit.sid().raw()));
+                    let sid = switch.units.unit(uid).sid();
+                    pkt.snapshot = Some(SnapshotHeader::data(sid.raw()));
                     pkt.size += wire::WIRE_LEN as u32;
                 }
             }
@@ -1212,17 +1069,15 @@ impl Network {
             if qp.pkt.is_initiation() {
                 continue; // dropped after egress processing (§6)
             }
-            if !self.link_up[usize::from(sw)][usize::from(port)] {
+            let switch = &mut self.switches[usize::from(sw)];
+            if !switch.link_up[usize::from(port)] {
                 // Link down: the egress pipeline ran (the unit saw the
                 // packet) but the frame is lost on the wire.
-                self.switches[usize::from(sw)].stats.link_drops += 1;
+                switch.stats.link_drops += 1;
                 continue;
             }
-            {
-                let switch = &mut self.switches[usize::from(sw)];
-                switch.stats.egress_packets += 1;
-                switch.egress_ports[usize::from(port)].busy = true;
-            }
+            switch.stats.egress_packets += 1;
+            switch.egress_ports[usize::from(port)].busy = true;
             let props = self.topo.link_props[usize::from(sw)][usize::from(port)];
             let ser = Duration::from_nanos(props.serialize_ns(qp.pkt.size));
             let prop = Duration::from_nanos(props.prop_ns);
@@ -1277,12 +1132,12 @@ impl Network {
                 Instant::from_nanos(target.as_nanos().saturating_sub(offset_ns.unsigned_abs()))
             };
             let mut at = (base + dev.sched).max(now);
-            if let Some(sh) = &self.sharded {
+            if let Some(lookahead) = self.sharded {
                 // Control → device crosses domains: hold the initiation
                 // outside the lookahead window. The lead time (ms) dwarfs
                 // the lookahead (ns), so the clamp only ever bites on
                 // retry fan-outs aimed at `now`.
-                at = at.max(now + sh.lookahead);
+                at = at.max(now + lookahead);
             }
             sched.at(at, NetEvent::DeviceInitiate { sw, epoch });
         }
@@ -1324,10 +1179,8 @@ impl Network {
     /// and resynchronize tracking to `epoch` (shared by the serial
     /// `CpRecover` handler and the sharded `CpRecoverSync` one).
     fn cp_recover_apply(&mut self, sw: u16, epoch: Epoch, now: Instant) {
-        if let Some(gate) = self.cp_down.get_mut(usize::from(sw)) {
-            *gate = false;
-        }
         if let Some(switch) = self.switches.get_mut(usize::from(sw)) {
+            switch.cp_down = false;
             switch.cp.resync_to(epoch);
         }
         self.instr.metrics.inc("fault.cp_recovered");
@@ -1355,13 +1208,10 @@ impl Network {
     /// broadcast through every egress queue, propagating snapshot IDs over
     /// silent channels (§6).
     fn inject_keepalives(&mut self, sw: u16, now: Instant, sched: &mut impl Sched) {
-        let ports = {
-            let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
-                return;
-            };
-            switch.stats.keepalives_sent += 1;
-            switch.ports()
+        let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+            return;
         };
+        switch.stats.keepalives_sent += 1;
         self.instr.metrics.inc("keepalives.injected");
         obs::event!(
             &mut self.instr.trace,
@@ -1369,13 +1219,9 @@ impl Network {
             "keepalive.inject",
             dev = sw,
         );
-        for p in 0..ports {
-            let sid = self
-                .switches
-                .get(usize::from(sw))
-                .and_then(|s| s.units.ingress.get(usize::from(p)))
-                .map(|u| u.sid());
-            let Some(sid) = sid else { continue };
+        let ports = switch.ports();
+        for (p, unit) in (0..ports).zip(&switch.units.ingress) {
+            let sid = unit.sid();
             for q in 0..ports {
                 let mut pkt = Packet::keepalive(u32::MAX);
                 pkt.snapshot = Some(SnapshotHeader {
@@ -1522,22 +1368,24 @@ impl Network {
             }
 
             NetEvent::HostWake { host } => {
-                // The per-host fork is cached and forking is pure, so
-                // deriving the per-wake fork before the source check is
-                // side-effect free — which lets the source lookup be a
-                // single let-else instead of a check-then-expect pair.
-                let mut rng = self.host_rngs[host as usize].fork_idx("wake", now.as_nanos());
-                let Some(source) = self.hosts[host as usize].source.as_mut() else {
+                let Host {
+                    attached: (sw, port),
+                    source,
+                    nic_busy_until,
+                    rng,
+                } = &mut self.hosts[host as usize];
+                let Some(source) = source.as_mut() else {
                     return;
                 };
+                let mut rng = rng.fork_idx("wake", now.as_nanos());
                 let mut emissions = std::mem::take(&mut self.scratch_emissions);
                 let next = source.on_wake(now, &mut rng, &mut emissions);
-                let (sw, port) = self.hosts[host as usize].attached;
+                let (sw, port) = (*sw, *port);
                 let props = self.topo.link_props[usize::from(sw)][usize::from(port)];
                 for em in emissions.drain(..) {
-                    let start = self.hosts[host as usize].nic_busy_until.max(now);
+                    let start = (*nic_busy_until).max(now);
                     let ser = Duration::from_nanos(props.serialize_ns(em.bytes));
-                    self.hosts[host as usize].nic_busy_until = start + ser;
+                    *nic_busy_until = start + ser;
                     let arrive = start + ser + Duration::from_nanos(props.prop_ns);
                     sched.at(
                         arrive,
@@ -1579,18 +1427,20 @@ impl Network {
                     dev = sw,
                     epoch = epoch,
                 );
-                for port in 0..self.switches[usize::from(sw)].ports() {
-                    let dist = &self.latency.initiation.cpu_to_unit;
-                    let extra = match &mut self.sharded {
-                        Some(sh) => dist.sample(sh.dev_rng(sw)),
-                        None => dist.sample(&mut self.rng),
-                    };
+                let switch = &mut self.switches[usize::from(sw)];
+                for port in 0..switch.ports() {
+                    let extra = self
+                        .latency
+                        .initiation
+                        .cpu_to_unit
+                        .sample(switch.rng.as_mut().unwrap_or(&mut self.rng));
                     sched.after(extra, NetEvent::UnitInitiate { sw, port, epoch });
                 }
             }
 
             NetEvent::UnitInitiate { sw, port, epoch } => {
-                if !self.switches[usize::from(sw)].snapshot_enabled {
+                let switch = &mut self.switches[usize::from(sw)];
+                if !switch.snapshot_enabled {
                     return;
                 }
                 // The CPU agent compares true epochs: a retry that arrives
@@ -1599,7 +1449,8 @@ impl Network {
                 // rollover reference only moves forward, so a wrapped
                 // marker from the past would alias to a phantom future
                 // epoch and poison every downstream Last Seen register.
-                if epoch <= self.init_high[usize::from(sw)][usize::from(port)] {
+                let high = &mut switch.init_high[usize::from(port)];
+                if epoch <= *high {
                     self.instr.metrics.inc("init.stale_dropped");
                     obs::event!(
                         &mut self.instr.trace,
@@ -1611,7 +1462,7 @@ impl Network {
                     );
                     return;
                 }
-                self.init_high[usize::from(sw)][usize::from(port)] = epoch;
+                *high = epoch;
                 obs::event!(
                     &mut self.instr.trace,
                     now.as_nanos(),
@@ -1647,7 +1498,8 @@ impl Network {
             }
 
             NetEvent::NotifyArrive { sw, n } => {
-                if self.cp_down[usize::from(sw)] {
+                let switch = &mut self.switches[usize::from(sw)];
+                if switch.cp_down {
                     // The CP socket is dead: the export is lost, as a real
                     // PCIe write to a crashed agent would be.
                     self.instr.metrics.inc("fault.notify_lost_cp_down");
@@ -1663,7 +1515,7 @@ impl Network {
                 // before touching the queue (at most two deliveries: the
                 // duplicate, or a released reorder hold plus the trigger).
                 let mut deliveries: [Option<Notification>; 2] = [Some(n), None];
-                if let Some(fs) = self.notif_faults[usize::from(sw)].as_mut() {
+                if let Some(fs) = switch.notif_fault.as_mut() {
                     fs.seen += 1;
                     let selected = fs.seen % u64::from(fs.cfg.every) == 0;
                     match fs.cfg.kind {
@@ -1730,16 +1582,15 @@ impl Network {
             }
 
             NetEvent::NotifRelease { sw, seq } => {
-                let held = match self.notif_faults[usize::from(sw)].as_mut() {
+                let switch = &mut self.switches[usize::from(sw)];
+                let held = match switch.notif_fault.as_mut() {
                     Some(fs) if matches!(fs.held, Some((_, s)) if s == seq) => {
                         fs.held.take().map(|(n, _)| n)
                     }
                     _ => None,
                 };
-                if let Some(n) = held {
-                    if !self.cp_down[usize::from(sw)] {
-                        self.deliver_notification(sw, n, now, sched);
-                    }
+                if let Some(n) = held.filter(|_| !switch.cp_down) {
+                    self.deliver_notification(sw, n, now, sched);
                 }
             }
 
@@ -1772,12 +1623,7 @@ impl Network {
             }
 
             NetEvent::CpCrash { sw } => {
-                self.cp_down[usize::from(sw)] = true;
                 self.switches[usize::from(sw)].crash_cp();
-                // The PCIe hold buffer dies with the agent.
-                if let Some(fs) = self.notif_faults[usize::from(sw)].as_mut() {
-                    fs.held = None;
-                }
                 self.instr.metrics.inc("fault.cp_crashed");
                 obs::event!(
                     &mut self.instr.trace,
@@ -1789,12 +1635,11 @@ impl Network {
 
             NetEvent::CpRecover { sw } => {
                 let epoch = self.last_issued_epoch;
-                if let Some(sh) = &self.sharded {
+                if let Some(lookahead) = self.sharded {
                     // The resync target is control-domain state, so this
                     // event runs on the control domain and ships the epoch
                     // to the device owner.
-                    let delay = sh.lookahead;
-                    sched.after(delay, NetEvent::CpRecoverSync { sw, epoch });
+                    sched.after(lookahead, NetEvent::CpRecoverSync { sw, epoch });
                 } else {
                     self.cp_recover_apply(sw, epoch, now);
                 }
@@ -1805,39 +1650,34 @@ impl Network {
             }
 
             NetEvent::KeepaliveProbe { sw, epoch } => {
-                if self.switches[usize::from(sw)].snapshot_enabled
-                    && !self.switches[usize::from(sw)].cp.device_complete(epoch)
-                {
+                let switch = &self.switches[usize::from(sw)];
+                if switch.snapshot_enabled && !switch.cp.device_complete(epoch) {
                     self.inject_keepalives(sw, now, sched);
                 }
             }
 
             NetEvent::CpProcess { sw } => {
-                let dist = &self.latency.cp_process;
-                let proc = match &mut self.sharded {
-                    Some(sh) => dist.sample(sh.dev_rng(sw)),
-                    None => dist.sample(&mut self.rng),
+                let switch = &mut self.switches[usize::from(sw)];
+                let proc = self
+                    .latency
+                    .cp_process
+                    .sample(switch.rng.as_mut().unwrap_or(&mut self.rng));
+                let Some((n, _dp_time)) = switch.cp_queue.pop_front() else {
+                    switch.cp_busy = false;
+                    return;
                 };
-                let reports = {
-                    let switch = &mut self.switches[usize::from(sw)];
-                    let Some((n, _dp_time)) = switch.cp_queue.pop_front() else {
-                        switch.cp_busy = false;
-                        return;
-                    };
-                    switch.process_notification_traced(&n, &mut self.instr.trace, now.as_nanos())
-                };
+                let reports =
+                    switch.process_notification_traced(&n, &mut self.instr.trace, now.as_nanos());
                 for report in reports {
-                    let dist = &self.latency.report_latency;
-                    let lat = match &mut self.sharded {
-                        Some(sh) => dist.sample(sh.dev_rng(sw)),
-                        None => dist.sample(&mut self.rng),
-                    };
+                    let lat = self
+                        .latency
+                        .report_latency
+                        .sample(switch.rng.as_mut().unwrap_or(&mut self.rng));
                     // Device → control: the report crosses domains, so the
                     // sharded engine keeps it outside the lookahead window.
-                    let delay = self.cross_domain(proc + lat);
+                    let delay = cross_domain(self.sharded, proc + lat);
                     sched.after(delay, NetEvent::ReportArrive { device: sw, report });
                 }
-                let switch = &mut self.switches[usize::from(sw)];
                 if switch.cp_queue.is_empty() {
                     switch.cp_busy = false;
                 } else {
@@ -1945,7 +1785,7 @@ impl Network {
                     // draw stays on the control domain's stream (the sweep
                     // is observer-side); only the emission crosses domains.
                     let start = self.latency.poll_agent_start.sample(&mut self.rng);
-                    let start = self.cross_domain(start);
+                    let start = cross_domain(self.sharded, start);
                     sched.after(start, NetEvent::PollRead { sw, idx: 0, sweep });
                 }
                 if let Some(period) = self.driver.poll_period {
@@ -1957,11 +1797,11 @@ impl Network {
                 let Some(uid) = self.poll_unit_order(sw, idx) else {
                     return;
                 };
-                let dist = &self.latency.poll_read;
-                let delay = match &mut self.sharded {
-                    Some(sh) => dist.sample(sh.dev_rng(sw)),
-                    None => dist.sample(&mut self.rng),
-                };
+                let switch = &mut self.switches[usize::from(sw)];
+                let delay = self
+                    .latency
+                    .poll_read
+                    .sample(switch.rng.as_mut().unwrap_or(&mut self.rng));
                 sched.after(
                     delay,
                     NetEvent::PollComplete {
@@ -1979,14 +1819,9 @@ impl Network {
                 sweep,
                 uid,
             } => {
-                let value = {
-                    let switch = &self.switches[usize::from(sw)];
-                    let bank = match uid.direction {
-                        Direction::Ingress => &switch.ing_metrics,
-                        Direction::Egress => &switch.eg_metrics,
-                    };
-                    bank.read(uid.port)
-                };
+                let value = self.switches[usize::from(sw)]
+                    .bank(uid.direction)
+                    .read(uid.port);
                 // Sharded mode: the sweep record was pushed by `PollSweep`
                 // on the control domain's shard; device owners grow their
                 // local vector so every sample lands under its sweep index
@@ -2017,22 +1852,19 @@ impl Network {
                             .map(|t| now.saturating_since(*t) > self.driver.lead_time * 2)
                             .unwrap_or(false);
                         if stale {
-                            if let Some(sh) = &self.sharded {
+                            if let Some(lookahead) = self.sharded {
                                 // Device completion state lives on each
                                 // owner shard; ship the check there.
-                                let delay = sh.lookahead;
                                 for sw in 0..self.switches.len() as u16 {
                                     sched.after(
-                                        delay,
+                                        lookahead,
                                         NetEvent::KeepaliveProbe { sw, epoch: oldest },
                                     );
                                 }
                             } else {
                                 for sw in 0..self.switches.len() as u16 {
-                                    if self.switches[usize::from(sw)].snapshot_enabled
-                                        && !self.switches[usize::from(sw)]
-                                            .cp
-                                            .device_complete(oldest)
+                                    let switch = &self.switches[usize::from(sw)];
+                                    if switch.snapshot_enabled && !switch.cp.device_complete(oldest)
                                     {
                                         self.inject_keepalives(sw, now, sched);
                                     }

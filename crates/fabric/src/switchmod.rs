@@ -1,14 +1,18 @@
 //! One simulated switch: processing units, metric banks, egress queues,
-//! load balancer, and the device control plane.
+//! load balancer, the device control plane, and the per-device state the
+//! event interpreter keeps beside them (link and fault gates, omniscient
+//! shadows, the device's latency stream in sharded mode).
 
+use crate::network::NotifFaultState;
 use crate::packet::Packet;
 use crate::topology::{Fib, LbKind};
 use loadbalance::{Ecmp, FlowletSwitch, LoadBalancer};
+use netsim::rng::SimRng;
 use netsim::time::{Duration, Instant};
 use speedlight_core::control::{ControlPlane, Registers};
 use speedlight_core::types::{ChannelId, Direction, Notification, UnitId};
 use speedlight_core::unit::{DataPlaneUnit, SnapSlot, UnitConfig};
-use speedlight_core::WrappedId;
+use speedlight_core::{Epoch, WrappedId};
 use std::collections::VecDeque;
 use telemetry::{MetricBank, MetricKind};
 
@@ -60,7 +64,7 @@ pub struct SwitchUnits {
 }
 
 impl SwitchUnits {
-    fn unit(&self, id: UnitId) -> &DataPlaneUnit {
+    pub(crate) fn unit(&self, id: UnitId) -> &DataPlaneUnit {
         debug_assert_eq!(id.device, self.device);
         let bank = match id.direction {
             Direction::Ingress => &self.ingress,
@@ -72,7 +76,7 @@ impl SwitchUnits {
         unit
     }
 
-    fn unit_mut(&mut self, id: UnitId) -> &mut DataPlaneUnit {
+    pub(crate) fn unit_mut(&mut self, id: UnitId) -> &mut DataPlaneUnit {
         debug_assert_eq!(id.device, self.device);
         let bank = match id.direction {
             Direction::Ingress => &mut self.ingress,
@@ -168,7 +172,11 @@ pub struct SwitchStats {
     pub link_drops: u64,
 }
 
-/// A full switch.
+/// A full switch: the data plane and control plane of §4.1 plus the
+/// per-device state the event interpreter keeps for it — link state, the
+/// CPU agent's initiation high-water marks, fault gates, and omniscient
+/// shadows. The shadows are instrumentation (sync spread, conservation
+/// audit, replay log) and never feed the protocol.
 pub struct Switch {
     /// Device ID.
     pub id: u16,
@@ -203,6 +211,33 @@ pub struct Switch {
     /// Snapshotted register for the FIB version (§10 "Measuring
     /// Forwarding State"): the last FIB version a forwarded packet saw.
     pub fib_version_seen: u64,
+    /// Per-port link state; frames serialized onto a down link are lost
+    /// on the wire (fault injection).
+    pub(crate) link_up: Vec<bool>,
+    /// Per-port newest epoch whose initiation marker was injected into
+    /// the ingress unit. The CPU agent tracks true (unwrapped) epochs, so
+    /// a retry carrying an older epoch than the unit has already seen is
+    /// dropped: the unit's rollover comparison assumes a monotone ID
+    /// stream per channel (§5.3), and a stale wrapped marker would alias
+    /// forward to a phantom future epoch.
+    pub(crate) init_high: Vec<Epoch>,
+    /// Control-plane-down gate (CP crash fault): while set, arriving
+    /// notifications are lost, as at a dead socket.
+    pub(crate) cp_down: bool,
+    /// Notification-export fault injection on the PCIe path.
+    pub(crate) notif_fault: Option<NotifFaultState>,
+    /// Omniscient shadow of each unit's unwrapped epoch, indexed by
+    /// [`Switch::unit_idx`]. Instrumentation only — never feeds the
+    /// protocol; a plain array because it sits on the per-packet path.
+    pub(crate) shadow_sid: Vec<Epoch>,
+    /// Omniscient shadow of each unit's unwrapped Last Seen per internal
+    /// channel, indexed by [`Switch::ls_idx`]. Instrumentation only.
+    pub(crate) shadow_ls: Vec<Epoch>,
+    /// This device's latency stream in sharded mode (forked from the root
+    /// seed by device id, so a device's draws do not depend on how devices
+    /// are packed onto shards); `None` in the serial engine, which draws
+    /// from the network's one stream.
+    pub(crate) rng: Option<SimRng>,
 }
 
 impl std::fmt::Debug for Switch {
@@ -258,6 +293,7 @@ impl Switch {
             .map(|p| mk_unit(UnitId::egress(id, p), ports))
             .collect();
 
+        let n = usize::from(ports);
         let mut cp = ControlPlane::new(id, cfg.modulus, cfg.channel_state);
         for p in 0..ports {
             cp.register_unit(
@@ -300,12 +336,53 @@ impl Switch {
             cp_busy: false,
             stats: SwitchStats::default(),
             fib_version_seen: 0,
+            link_up: vec![true; n],
+            init_high: vec![0; n],
+            cp_down: false,
+            notif_fault: None,
+            shadow_sid: vec![0; 2 * n],
+            shadow_ls: vec![0; 2 * n * n],
+            rng: None,
         }
     }
 
     /// Number of ports.
     pub fn ports(&self) -> u16 {
         self.egress_ports.len() as u16
+    }
+
+    /// The metric bank of `direction`'s units.
+    pub(crate) fn bank(&self, direction: Direction) -> &MetricBank {
+        match direction {
+            Direction::Ingress => &self.ing_metrics,
+            Direction::Egress => &self.eg_metrics,
+        }
+    }
+
+    /// Mutable [`Switch::bank`].
+    pub(crate) fn bank_mut(&mut self, direction: Direction) -> &mut MetricBank {
+        match direction {
+            Direction::Ingress => &mut self.ing_metrics,
+            Direction::Egress => &mut self.eg_metrics,
+        }
+    }
+
+    /// Index of unit (`direction`, `port`) in `shadow_sid`: ingress units
+    /// first, then egress, each by port.
+    #[inline]
+    pub(crate) fn unit_idx(&self, direction: Direction, port: u16) -> usize {
+        let dir = match direction {
+            Direction::Ingress => 0,
+            Direction::Egress => 1,
+        };
+        dir * self.egress_ports.len() + usize::from(port)
+    }
+
+    /// Index of (unit, internal channel `ch`) in `shadow_ls`: the unit's
+    /// row of one slot per ingress port.
+    #[inline]
+    pub(crate) fn ls_idx(&self, direction: Direction, port: u16, ch: u16) -> usize {
+        self.unit_idx(direction, port) * self.egress_ports.len() + usize::from(ch)
     }
 
     /// Run the control plane over one queued notification with trace
@@ -331,12 +408,18 @@ impl Switch {
     }
 
     /// Simulate a control-plane crash: the agent process dies, losing its
-    /// tracking arrays and every queued notification. The data plane
-    /// (units, metrics, queues) is untouched — only the CPU side restarts.
+    /// tracking arrays, every queued notification and any notification a
+    /// reorder fault holds in the PCIe path, and its socket stays down
+    /// until recovery. The data plane (units, metrics, queues) is
+    /// untouched — only the CPU side restarts.
     pub fn crash_cp(&mut self) {
         self.cp = self.cp_pristine.clone();
         self.cp_queue.clear();
         self.cp_busy = false;
+        self.cp_down = true;
+        if let Some(fault) = &mut self.notif_fault {
+            fault.held = None;
+        }
     }
 
     /// All unit IDs of this switch (observer registration).
@@ -378,6 +461,48 @@ mod tests {
         assert_eq!(sw.units.ingress.len(), 4);
         assert_eq!(sw.units.egress[0].config().num_channels, 4);
         assert_eq!(sw.units.ingress[0].config().num_channels, 1);
+        // Per-device interpreter state: one gate per port, one shadow per
+        // unit and per (unit, internal channel), no device stream until
+        // sharded mode forks one.
+        assert_eq!(sw.link_up, vec![true; 4]);
+        assert_eq!(sw.init_high, vec![0; 4]);
+        assert_eq!(sw.shadow_sid.len(), 2 * 4);
+        assert_eq!(sw.shadow_ls.len(), 2 * 4 * 4);
+        assert!(sw.rng.is_none());
+        assert!(!sw.cp_down && sw.notif_fault.is_none());
+        let idx: std::collections::BTreeSet<usize> = [Direction::Ingress, Direction::Egress]
+            .into_iter()
+            .flat_map(|d| (0..4).map(move |p| (d, p)))
+            .map(|(d, p)| sw.unit_idx(d, p))
+            .collect();
+        assert_eq!(idx, (0..2 * 4).collect());
+        assert_eq!(sw.ls_idx(Direction::Egress, 3, 3), sw.shadow_ls.len() - 1);
+    }
+
+    #[test]
+    fn sharded_mode_forks_one_stream_per_device() {
+        let topo = crate::topology::Topology::leaf_spine(2, 2, 3);
+        let mut net = crate::network::Network::new(
+            topo,
+            SnapshotConfig::packet_count_cs(8),
+            LbKind::Ecmp,
+            crate::latency::LatencyModel::default(),
+            crate::network::DriverConfig::default(),
+            100_000,
+            7,
+        );
+        assert!(net.switches.iter().all(|s| s.rng.is_none()));
+        net.enable_sharded_mode(Duration::from_nanos(500));
+        let draws: Vec<u64> = net
+            .switches
+            .iter_mut()
+            .map(|s| s.rng.as_mut().expect("forked").below(u64::MAX))
+            .collect();
+        let root = netsim::rng::SimRng::new(7);
+        let expected: Vec<u64> = (0..draws.len() as u64)
+            .map(|s| root.fork_idx("dev", s).below(u64::MAX))
+            .collect();
+        assert_eq!(draws, expected);
     }
 
     #[test]
@@ -454,6 +579,7 @@ mod tests {
         assert_eq!(sw.cp.unit_epoch(uid), Some(0), "tracking state zeroed");
         assert!(sw.cp_queue.is_empty(), "queued notifications lost");
         assert!(!sw.cp_busy);
+        assert!(sw.cp_down, "the socket stays down until recovery");
     }
 
     #[test]
