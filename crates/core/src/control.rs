@@ -28,8 +28,9 @@ use crate::unit::SnapSlot;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Abstract register-file access from control plane to its data plane
-/// (PCIe reads in the real system). Implemented by the simulator's switch
-/// and by the threaded emulation.
+/// (PCIe reads in the real system). Implemented by [`crate::device::Units`],
+/// the register view both substrates drive through one
+/// [`crate::device::SwitchAgent`].
 pub trait Registers {
     /// Read the unit's current snapshot ID register.
     fn read_sid(&mut self, unit: UnitId) -> WrappedId;

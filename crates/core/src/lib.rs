@@ -15,6 +15,9 @@
 //! * [`control`] — the per-device **control plane** (Fig. 7): completion and
 //!   inconsistency detection, value reads, recovery from dropped
 //!   notifications, re-initiation for liveness (§6).
+//! * [`device`] — one switch's **snapshot agent**: its data-plane units,
+//!   control plane, per-port stale-initiation guard and crash gate, which
+//!   every substrate wraps rather than rebuilds.
 //! * [`observer`] — the network-wide **snapshot observer** (§3, §6):
 //!   schedules snapshots, assembles per-unit reports into global snapshots,
 //!   retries, and excludes failed devices.
@@ -42,6 +45,7 @@
 pub mod chandy_lamport;
 pub mod consistency;
 pub mod control;
+pub mod device;
 pub mod id;
 pub mod ideal;
 pub mod observer;

@@ -128,11 +128,10 @@ impl Cluster {
                 channel_state: cfg.channel_state,
                 targets: vec![left, right],
                 fib: BTreeMap::from([(0u32, 0u16), (1u32, 1u16)]),
-                host_ports: vec![d == 0, d == n - 1],
                 record_deliveries: cfg.record_deliveries,
             };
-            observer.register_device(d, Device::unit_ids(&dev_cfg));
             let device = Device::new(dev_cfg, obs_tx.clone(), t0);
+            observer.register_device(d, device.unit_ids());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("device-{d}"))

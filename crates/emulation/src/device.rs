@@ -1,5 +1,6 @@
-//! The device actor: a switch's data plane and (colocated) control plane
-//! running on one thread.
+//! The device actor: one [`SwitchAgent`] (a switch's data-plane units and
+//! colocated control plane) running on one thread, plus the forwarding,
+//! counters, links and replay log that only a live device has.
 //!
 //! The real system puts the Tofino and its CPU in one box with a PCIe
 //! notification path; here both halves share a thread, with the
@@ -8,9 +9,8 @@
 
 use crate::messages::{DeviceMsg, Frame, ObserverMsg};
 use speedlight_core::consistency::DeliveryEvent;
-use speedlight_core::control::ControlPlane;
-use speedlight_core::types::{ChannelId, Direction, Notification, UnitId, CPU_CHANNEL};
-use speedlight_core::unit::{DataPlaneUnit, UnitConfig};
+use speedlight_core::device::SwitchAgent;
+use speedlight_core::types::{ChannelId, Notification, UnitId, CPU_CHANNEL};
 use speedlight_core::{Epoch, WrappedId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -45,9 +45,6 @@ pub struct DeviceConfig {
     pub targets: Vec<PortTarget>,
     /// FIB: destination host → egress port.
     pub fib: BTreeMap<u32, u16>,
-    /// Host-facing ports (strip the shim on egress; ingress channel not
-    /// considered for completion).
-    pub host_ports: Vec<bool>,
     /// Record a per-delivery replay log for the conformance oracle.
     pub record_deliveries: bool,
 }
@@ -55,13 +52,11 @@ pub struct DeviceConfig {
 /// The running state of a device actor.
 pub struct Device {
     cfg: DeviceConfig,
-    ingress: Vec<DataPlaneUnit>,
-    egress: Vec<DataPlaneUnit>,
+    agent: SwitchAgent,
     /// Per-port receive counters (the snapshotted metric: packets seen at
     /// ingress / egress).
     ing_count: Vec<u64>,
     eg_count: Vec<u64>,
-    cp: ControlPlane,
     notif_queue: VecDeque<Notification>,
     observer: Sender<ObserverMsg>,
     epoch_shadow: BTreeMap<UnitId, Epoch>,
@@ -75,86 +70,29 @@ pub struct Device {
     ls_shadow: BTreeMap<(UnitId, u16), Epoch>,
 }
 
-struct Units<'a> {
-    ingress: &'a mut [DataPlaneUnit],
-    egress: &'a mut [DataPlaneUnit],
-}
-
-impl speedlight_core::control::Registers for Units<'_> {
-    fn read_sid(&mut self, unit: UnitId) -> WrappedId {
-        self.unit(unit).sid()
-    }
-    fn read_last_seen(&mut self, unit: UnitId, channel: ChannelId) -> WrappedId {
-        self.unit(unit).last_seen(channel)
-    }
-    fn take_slot(
-        &mut self,
-        unit: UnitId,
-        id: WrappedId,
-    ) -> Option<speedlight_core::unit::SnapSlot> {
-        self.unit_mut(unit).take_slot(id)
-    }
-}
-
-impl Units<'_> {
-    fn unit(&self, id: UnitId) -> &DataPlaneUnit {
-        let bank = match id.direction {
-            Direction::Ingress => &*self.ingress,
-            Direction::Egress => &*self.egress,
-        };
-        let Some(unit) = bank.get(usize::from(id.port)) else {
-            panic!("unit id {id:?} out of range");
-        };
-        unit
-    }
-    fn unit_mut(&mut self, id: UnitId) -> &mut DataPlaneUnit {
-        let bank = match id.direction {
-            Direction::Ingress => &mut *self.ingress,
-            Direction::Egress => &mut *self.egress,
-        };
-        let Some(unit) = bank.get_mut(usize::from(id.port)) else {
-            panic!("unit id {id:?} out of range");
-        };
-        unit
-    }
-}
-
 impl Device {
     /// Build a device actor.
     pub fn new(cfg: DeviceConfig, observer: Sender<ObserverMsg>, t0: WallInstant) -> Device {
         let ports = cfg.targets.len() as u16;
-        let mk = |unit, channels| {
-            DataPlaneUnit::new(UnitConfig {
-                unit,
-                modulus: cfg.modulus,
-                channel_state: cfg.channel_state,
-                num_channels: channels,
-            })
-        };
-        let ingress: Vec<_> = (0..ports)
-            .map(|p| mk(UnitId::ingress(cfg.id, p), 1))
+        // An ingress port's external channel counts only for switch peers.
+        let considered_ext: Vec<bool> = cfg
+            .targets
+            .iter()
+            .map(|t| matches!(t, PortTarget::Device { .. }))
             .collect();
-        let egress: Vec<_> = (0..ports)
-            .map(|p| mk(UnitId::egress(cfg.id, p), ports))
-            .collect();
-        let mut cp = ControlPlane::new(cfg.id, cfg.modulus, cfg.channel_state);
-        for p in 0..ports {
-            // Ingress external channel considered only for switch peers.
-            let considered = matches!(cfg.targets[usize::from(p)], PortTarget::Device { .. });
-            cp.register_unit(UnitId::ingress(cfg.id, p), 1, vec![considered]);
-            cp.register_unit(
-                UnitId::egress(cfg.id, p),
-                ports,
-                vec![true; usize::from(ports)],
-            );
-        }
+        let agent = SwitchAgent::new(
+            cfg.id,
+            ports,
+            cfg.modulus,
+            cfg.channel_state,
+            &considered_ext,
+            &vec![true; usize::from(ports) * usize::from(ports)],
+        );
         let delivery_log = cfg.record_deliveries.then(Vec::new);
         Device {
-            ingress,
-            egress,
+            agent,
             ing_count: vec![0; usize::from(ports)],
             eg_count: vec![0; usize::from(ports)],
-            cp,
             notif_queue: VecDeque::new(),
             observer,
             epoch_shadow: BTreeMap::new(),
@@ -167,10 +105,8 @@ impl Device {
     }
 
     /// Unit IDs of this device (observer registration).
-    pub fn unit_ids(cfg: &DeviceConfig) -> Vec<UnitId> {
-        (0..cfg.targets.len() as u16)
-            .flat_map(|p| [UnitId::ingress(cfg.id, p), UnitId::egress(cfg.id, p)])
-            .collect()
+    pub fn unit_ids(&self) -> Vec<UnitId> {
+        self.agent.unit_ids()
     }
 
     fn track(&mut self, n: &Notification) {
@@ -194,11 +130,7 @@ impl Device {
     /// Drain the notification queue through the control plane.
     fn drain_cp(&mut self) {
         while let Some(n) = self.notif_queue.pop_front() {
-            let mut units = Units {
-                ingress: &mut self.ingress,
-                egress: &mut self.egress,
-            };
-            for report in self.cp.on_notification(&n, &mut units) {
+            for report in self.agent.on_notification(&n) {
                 let _ = self.observer.send(ObserverMsg::Report {
                     device: self.cfg.id,
                     report,
@@ -282,14 +214,14 @@ impl Device {
                     1,
                     false,
                 );
-                let out =
-                    self.ingress[usize::from(port)].on_packet(ChannelId(0), wrapped, pre, 1, false);
+                let unit = &mut self.agent.units.ingress[usize::from(port)];
+                let out = unit.on_packet(ChannelId(0), wrapped, pre, 1, false);
                 if let Some(n) = out.notification {
                     self.push_notification(n);
                 }
                 out.out_sid
             }
-            None => self.ingress[usize::from(port)].sid(),
+            None => self.agent.units.ingress[usize::from(port)].sid(),
         };
         self.ing_count[usize::from(port)] += 1;
 
@@ -310,8 +242,8 @@ impl Device {
             1,
             false,
         );
-        let out =
-            self.egress[usize::from(out_port)].on_packet(ChannelId(port), in_sid, pre, 1, false);
+        let unit = &mut self.agent.units.egress[usize::from(out_port)];
+        let out = unit.on_packet(ChannelId(port), in_sid, pre, 1, false);
         if let Some(n) = out.notification {
             self.push_notification(n);
         }
@@ -338,13 +270,16 @@ impl Device {
     }
 
     /// Control-plane initiation: CPU → every ingress → same-port egress
-    /// (Fig. 6 path 3).
+    /// (Fig. 6 path 3). A port that has already taken an epoch at least
+    /// as new (a retry that lost the race) is skipped.
     pub fn on_initiate(&mut self, epoch: Epoch) {
         if !self.snapshot_enabled {
             return;
         }
-        let wrapped = WrappedId::wrap(epoch, self.cfg.modulus);
         for p in 0..self.cfg.targets.len() as u16 {
+            let Ok(wrapped) = self.agent.admit_initiation(p, epoch) else {
+                continue;
+            };
             self.record_delivery(
                 UnitId::ingress(self.cfg.id, p),
                 CPU_CHANNEL,
@@ -354,7 +289,7 @@ impl Device {
                 0,
                 true,
             );
-            let out = self.ingress[usize::from(p)].on_packet(
+            let out = self.agent.units.ingress[usize::from(p)].on_packet(
                 CPU_CHANNEL,
                 wrapped,
                 self.ing_count[usize::from(p)],
@@ -374,7 +309,7 @@ impl Device {
                 0,
                 true,
             );
-            let eg = self.egress[usize::from(p)].on_packet(
+            let eg = self.agent.units.egress[usize::from(p)].on_packet(
                 ChannelId(p),
                 out.out_sid,
                 self.eg_count[usize::from(p)],
@@ -417,7 +352,6 @@ mod tests {
             channel_state: false,
             targets: vec![PortTarget::Host(0), PortTarget::Host(1)],
             fib: BTreeMap::from([(0, 0), (1, 1)]),
-            host_ports: vec![true, true],
             record_deliveries: false,
         };
         Device::new(cfg, observer, WallInstant::now())
@@ -437,6 +371,25 @@ mod tests {
             }
         }
         assert_eq!(reports, 4);
+    }
+
+    #[test]
+    fn stale_reinitiation_is_refused() {
+        let (tx, rx) = channel();
+        let mut dev = two_port_device(tx);
+        dev.on_initiate(7);
+        // A retry of an older epoch wraps to 2 mod 8; injected behind 7 it
+        // would alias forward to phantom epochs 8, 9 and 10.
+        dev.on_initiate(2);
+        let epochs: Vec<Epoch> = rx
+            .try_iter()
+            .filter_map(|msg| match msg {
+                ObserverMsg::Report { report, .. } => Some(report.epoch),
+                _ => None,
+            })
+            .collect();
+        assert!(!epochs.is_empty());
+        assert!(epochs.iter().all(|&e| e <= 7), "phantom epochs: {epochs:?}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! * [`messages`] — the frame/command types flowing over the channels
 //!   (snapshot headers travel encoded, through the real `wire` codec);
-//! * [`device`] — the device actor: ingress/egress units, forwarding,
-//!   colocated control plane, notification handling;
+//! * [`device`] — the device actor: one `speedlight_core::device::SwitchAgent`
+//!   (units, colocated control plane, stale-initiation guard) plus
+//!   forwarding, counters and notification handling;
 //! * [`cluster`] — wiring, the observer loop, graceful shutdown, and the
 //!   demo harness used by tests/examples.
 

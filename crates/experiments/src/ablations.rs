@@ -101,7 +101,7 @@ fn run_completion(channel_state: bool, keepalives: bool, seed: u64) -> (Vec<f64>
         .network()
         .switches
         .iter()
-        .map(|s| s.cp.stats().notifications + s.cp.stats().duplicates)
+        .map(|s| s.agent.cp().stats().notifications + s.agent.cp().stats().duplicates)
         .sum();
     let n = tb.snapshots().len();
     (completions, notifications as f64 / n.max(1) as f64, n)

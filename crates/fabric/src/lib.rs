@@ -15,12 +15,13 @@
 //! * [`packet`] — the simulated packet (flow key, size, snapshot header).
 //! * [`latency`] — every latency/jitter knob in one place (fabric
 //!   traversal, PCIe, control-plane processing, observer paths).
-//! * [`switchmod`] — one switch: processing units, metric banks, egress
-//!   queues, load balancer, control plane, and the per-device state the
-//!   interpreter keeps beside them: link state, initiation high-water
-//!   marks, the CP-down and notification-export fault gates, the device's
-//!   latency stream in sharded mode, and omniscient epoch shadows (pure
-//!   instrumentation; they never feed the protocol).
+//! * [`switchmod`] — one switch: its `speedlight_core::device::SwitchAgent`
+//!   (processing units, control plane, initiation guard, CP-down gate),
+//!   metric banks, egress queues, load balancer, and the per-device state
+//!   the interpreter keeps beside them: link state, the notification-export
+//!   fault gate, the device's latency stream in sharded mode, and
+//!   omniscient epoch shadows (pure instrumentation; they never feed the
+//!   protocol).
 //! * [`network`] — the event interpreter gluing everything together.
 //! * [`testbed`] — the user-facing harness: build, drive, snapshot,
 //!   poll, inspect.

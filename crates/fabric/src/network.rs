@@ -746,10 +746,6 @@ impl Network {
         self.switches.iter().map(|s| s.unit_ids().len()).sum()
     }
 
-    fn wrap(&self, epoch: Epoch) -> WrappedId {
-        WrappedId::wrap(epoch, self.snapshot_cfg.modulus)
-    }
-
     /// Update sync instrumentation + `switch`'s shadow state from one of
     /// its notifications at data-plane time `now`.
     fn track_notification(
@@ -905,7 +901,7 @@ impl Network {
                 // With the default `TraceSink::Off` the traced call is one
                 // always-false `enabled()` branch (`fig9_leaf_spine`
                 // `wall_s` in BENCHMARK.json holds the line on it).
-                let out = switch.units.unit_mut(uid).on_packet_traced(
+                let out = switch.agent.units.unit_mut(uid).on_packet_traced(
                     channel,
                     wrapped,
                     pre_value,
@@ -974,7 +970,7 @@ impl Network {
                 if enabled && pkt.snapshot.is_none() {
                     // First snapshot-enabled device on the path inserts the
                     // shim, stamped with the unit's current epoch (§10).
-                    let sid = switch.units.unit(uid).sid();
+                    let sid = switch.agent.units.unit(uid).sid();
                     pkt.snapshot = Some(SnapshotHeader::data(sid.raw()));
                     pkt.size += wire::WIRE_LEN as u32;
                 }
@@ -1180,8 +1176,7 @@ impl Network {
     /// `CpRecover` handler and the sharded `CpRecoverSync` one).
     fn cp_recover_apply(&mut self, sw: u16, epoch: Epoch, now: Instant) {
         if let Some(switch) = self.switches.get_mut(usize::from(sw)) {
-            switch.cp_down = false;
-            switch.cp.resync_to(epoch);
+            switch.agent.recover(epoch);
         }
         self.instr.metrics.inc("fault.cp_recovered");
         obs::event!(
@@ -1220,7 +1215,7 @@ impl Network {
             dev = sw,
         );
         let ports = switch.ports();
-        for (p, unit) in (0..ports).zip(&switch.units.ingress) {
+        for (p, unit) in (0..ports).zip(&switch.agent.units.ingress) {
             let sid = unit.sid();
             for q in 0..ports {
                 let mut pkt = Packet::keepalive(u32::MAX);
@@ -1443,14 +1438,12 @@ impl Network {
                 if !switch.snapshot_enabled {
                     return;
                 }
-                // The CPU agent compares true epochs: a retry that arrives
-                // after a newer initiation already reached this unit is
-                // stale and must not be injected — the unit's per-channel
-                // rollover reference only moves forward, so a wrapped
-                // marker from the past would alias to a phantom future
-                // epoch and poison every downstream Last Seen register.
-                let high = &mut switch.init_high[usize::from(port)];
-                if epoch <= *high {
+                // A retry that arrives after a newer initiation already
+                // reached this unit is stale and must not be injected: a
+                // wrapped marker from the past would alias to a phantom
+                // future epoch and poison every downstream Last Seen
+                // register.
+                let Ok(marker) = switch.agent.admit_initiation(port, epoch) else {
                     self.instr.metrics.inc("init.stale_dropped");
                     obs::event!(
                         &mut self.instr.trace,
@@ -1461,8 +1454,7 @@ impl Network {
                         epoch = epoch,
                     );
                     return;
-                }
-                *high = epoch;
+                };
                 obs::event!(
                     &mut self.instr.trace,
                     now.as_nanos(),
@@ -1471,7 +1463,7 @@ impl Network {
                     port = port,
                     epoch = epoch,
                 );
-                let mut pkt = Packet::initiation(self.wrap(epoch).raw());
+                let mut pkt = Packet::initiation(marker.raw());
                 self.unit_process(
                     sw,
                     port,
@@ -1499,7 +1491,7 @@ impl Network {
 
             NetEvent::NotifyArrive { sw, n } => {
                 let switch = &mut self.switches[usize::from(sw)];
-                if switch.cp_down {
+                if switch.agent.cp_down() {
                     // The CP socket is dead: the export is lost, as a real
                     // PCIe write to a crashed agent would be.
                     self.instr.metrics.inc("fault.notify_lost_cp_down");
@@ -1589,7 +1581,7 @@ impl Network {
                     }
                     _ => None,
                 };
-                if let Some(n) = held.filter(|_| !switch.cp_down) {
+                if let Some(n) = held.filter(|_| !switch.agent.cp_down()) {
                     self.deliver_notification(sw, n, now, sched);
                 }
             }
@@ -1651,7 +1643,7 @@ impl Network {
 
             NetEvent::KeepaliveProbe { sw, epoch } => {
                 let switch = &self.switches[usize::from(sw)];
-                if switch.snapshot_enabled && !switch.cp.device_complete(epoch) {
+                if switch.snapshot_enabled && !switch.agent.cp().device_complete(epoch) {
                     self.inject_keepalives(sw, now, sched);
                 }
             }
@@ -1864,7 +1856,8 @@ impl Network {
                             } else {
                                 for sw in 0..self.switches.len() as u16 {
                                     let switch = &self.switches[usize::from(sw)];
-                                    if switch.snapshot_enabled && !switch.cp.device_complete(oldest)
+                                    if switch.snapshot_enabled
+                                        && !switch.agent.cp().device_complete(oldest)
                                     {
                                         self.inject_keepalives(sw, now, sched);
                                     }

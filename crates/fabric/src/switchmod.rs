@@ -1,7 +1,7 @@
-//! One simulated switch: processing units, metric banks, egress queues,
-//! load balancer, the device control plane, and the per-device state the
-//! event interpreter keeps beside them (link and fault gates, omniscient
-//! shadows, the device's latency stream in sharded mode).
+//! One simulated switch: the device's snapshot agent (units and control
+//! plane), metric banks, egress queues, load balancer, and the per-device
+//! state the event interpreter keeps beside them (link and fault gates,
+//! omniscient shadows, the device's latency stream in sharded mode).
 
 use crate::network::NotifFaultState;
 use crate::packet::Packet;
@@ -9,10 +9,9 @@ use crate::topology::{Fib, LbKind};
 use loadbalance::{Ecmp, FlowletSwitch, LoadBalancer};
 use netsim::rng::SimRng;
 use netsim::time::{Duration, Instant};
-use speedlight_core::control::{ControlPlane, Registers};
-use speedlight_core::types::{ChannelId, Direction, Notification, UnitId};
-use speedlight_core::unit::{DataPlaneUnit, SnapSlot, UnitConfig};
-use speedlight_core::{Epoch, WrappedId};
+use speedlight_core::device::SwitchAgent;
+use speedlight_core::types::{Direction, Notification, UnitId};
+use speedlight_core::Epoch;
 use std::collections::VecDeque;
 use telemetry::{MetricBank, MetricKind};
 
@@ -48,56 +47,6 @@ impl SnapshotConfig {
             ingress_metric: MetricKind::EwmaInterarrival,
             egress_metric: MetricKind::EwmaInterarrival,
         }
-    }
-}
-
-/// The per-port register state of one switch's data plane.
-///
-/// Implements [`Registers`] so the device control plane can read/clear
-/// snapshot slots exactly as over PCIe.
-pub struct SwitchUnits {
-    device: u16,
-    /// Ingress processing units, one per port.
-    pub ingress: Vec<DataPlaneUnit>,
-    /// Egress processing units, one per port.
-    pub egress: Vec<DataPlaneUnit>,
-}
-
-impl SwitchUnits {
-    pub(crate) fn unit(&self, id: UnitId) -> &DataPlaneUnit {
-        debug_assert_eq!(id.device, self.device);
-        let bank = match id.direction {
-            Direction::Ingress => &self.ingress,
-            Direction::Egress => &self.egress,
-        };
-        let Some(unit) = bank.get(usize::from(id.port)) else {
-            panic!("unit id {id:?} out of range for device {}", self.device);
-        };
-        unit
-    }
-
-    pub(crate) fn unit_mut(&mut self, id: UnitId) -> &mut DataPlaneUnit {
-        debug_assert_eq!(id.device, self.device);
-        let bank = match id.direction {
-            Direction::Ingress => &mut self.ingress,
-            Direction::Egress => &mut self.egress,
-        };
-        let Some(unit) = bank.get_mut(usize::from(id.port)) else {
-            panic!("unit id {id:?} out of range for device {}", self.device);
-        };
-        unit
-    }
-}
-
-impl Registers for SwitchUnits {
-    fn read_sid(&mut self, unit: UnitId) -> WrappedId {
-        self.unit(unit).sid()
-    }
-    fn read_last_seen(&mut self, unit: UnitId, channel: ChannelId) -> WrappedId {
-        self.unit(unit).last_seen(channel)
-    }
-    fn take_slot(&mut self, unit: UnitId, id: WrappedId) -> Option<SnapSlot> {
-        self.unit_mut(unit).take_slot(id)
     }
 }
 
@@ -172,9 +121,9 @@ pub struct SwitchStats {
     pub link_drops: u64,
 }
 
-/// A full switch: the data plane and control plane of §4.1 plus the
-/// per-device state the event interpreter keeps for it — link state, the
-/// CPU agent's initiation high-water marks, fault gates, and omniscient
+/// A full switch: the §4.1 data plane and CPU agent (one [`SwitchAgent`])
+/// plus what the simulator keeps beside it — forwarding, metric banks,
+/// queues, link state, the notification fault gate and omniscient
 /// shadows. The shadows are instrumentation (sync spread, conservation
 /// audit, replay log) and never feed the protocol.
 pub struct Switch {
@@ -183,14 +132,9 @@ pub struct Switch {
     /// Whether this device participates in snapshots (partial deployment,
     /// §10). Disabled switches forward shims untouched.
     pub snapshot_enabled: bool,
-    /// Data-plane register state.
-    pub units: SwitchUnits,
-    /// The device control plane.
-    pub cp: ControlPlane,
-    /// Pristine clone of the control plane at construction: the reset
-    /// template a simulated CP crash restores from (a restarted agent
-    /// comes up with zeroed tracking state, not the pre-crash arrays).
-    cp_pristine: ControlPlane,
+    /// The processing units, control plane, initiation guard and crash
+    /// gate.
+    pub agent: SwitchAgent,
     /// Forwarding table.
     pub fib: Fib,
     /// Multipath selector.
@@ -214,16 +158,6 @@ pub struct Switch {
     /// Per-port link state; frames serialized onto a down link are lost
     /// on the wire (fault injection).
     pub(crate) link_up: Vec<bool>,
-    /// Per-port newest epoch whose initiation marker was injected into
-    /// the ingress unit. The CPU agent tracks true (unwrapped) epochs, so
-    /// a retry carrying an older epoch than the unit has already seen is
-    /// dropped: the unit's rollover comparison assumes a monotone ID
-    /// stream per channel (§5.3), and a stale wrapped marker would alias
-    /// forward to a phantom future epoch.
-    pub(crate) init_high: Vec<Epoch>,
-    /// Control-plane-down gate (CP crash fault): while set, arriving
-    /// notifications are lost, as at a dead socket.
-    pub(crate) cp_down: bool,
     /// Notification-export fault injection on the PCIe path.
     pub(crate) notif_fault: Option<NotifFaultState>,
     /// Omniscient shadow of each unit's unwrapped epoch, indexed by
@@ -252,15 +186,8 @@ impl std::fmt::Debug for Switch {
 }
 
 impl Switch {
-    /// Build a switch.
-    ///
-    /// `considered_ext[p]` — whether ingress port `p`'s external upstream
-    /// channel counts toward completion (true iff the peer is a
-    /// snapshot-enabled switch). `considered_pair` is a row-major
-    /// `ports × ports` matrix: `considered_pair[p * ports + q]` — whether
-    /// the internal channel ingress `p` → egress `q` counts (derived from
-    /// the routing analysis; §6 "operators can configure the removal of
-    /// non-utilized upstream neighbors").
+    /// Build a switch. `considered_ext` and `considered_pair` (derived
+    /// from the routing analysis) are [`SwitchAgent::new`]'s.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: u16,
@@ -273,41 +200,7 @@ impl Switch {
         considered_ext: Vec<bool>,
         considered_pair: Vec<bool>,
     ) -> Switch {
-        assert_eq!(considered_ext.len(), usize::from(ports));
-        assert_eq!(
-            considered_pair.len(),
-            usize::from(ports) * usize::from(ports)
-        );
-        let mk_unit = |unit: UnitId, num_channels: u16| {
-            DataPlaneUnit::new(UnitConfig {
-                unit,
-                modulus: cfg.modulus,
-                channel_state: cfg.channel_state,
-                num_channels,
-            })
-        };
-        let ingress: Vec<DataPlaneUnit> = (0..ports)
-            .map(|p| mk_unit(UnitId::ingress(id, p), 1))
-            .collect();
-        let egress: Vec<DataPlaneUnit> = (0..ports)
-            .map(|p| mk_unit(UnitId::egress(id, p), ports))
-            .collect();
-
         let n = usize::from(ports);
-        let mut cp = ControlPlane::new(id, cfg.modulus, cfg.channel_state);
-        for p in 0..ports {
-            cp.register_unit(
-                UnitId::ingress(id, p),
-                1,
-                vec![considered_ext[usize::from(p)]],
-            );
-            // Egress unit q's channel i is ingress port i.
-            let mask: Vec<bool> = (0..ports)
-                .map(|i| considered_pair[usize::from(i) * usize::from(ports) + usize::from(p)])
-                .collect();
-            cp.register_unit(UnitId::egress(id, p), ports, mask);
-        }
-
         let lb: Box<dyn LoadBalancer + Send> = match lb_kind {
             LbKind::Ecmp => Box::new(Ecmp::new(lb_salt)),
             LbKind::Flowlet { gap_us } => {
@@ -318,13 +211,14 @@ impl Switch {
         Switch {
             id,
             snapshot_enabled: true,
-            units: SwitchUnits {
-                device: id,
-                ingress,
-                egress,
-            },
-            cp_pristine: cp.clone(),
-            cp,
+            agent: SwitchAgent::new(
+                id,
+                ports,
+                cfg.modulus,
+                cfg.channel_state,
+                &considered_ext,
+                &considered_pair,
+            ),
             fib,
             lb,
             ing_metrics: MetricBank::new(cfg.ingress_metric, ports),
@@ -337,8 +231,6 @@ impl Switch {
             stats: SwitchStats::default(),
             fib_version_seen: 0,
             link_up: vec![true; n],
-            init_high: vec![0; n],
-            cp_down: false,
             notif_fault: None,
             shadow_sid: vec![0; 2 * n],
             shadow_ls: vec![0; 2 * n * n],
@@ -388,8 +280,7 @@ impl Switch {
     /// Run the control plane over one queued notification with trace
     /// emission: a `cp.process` event (with the residual CP queue depth),
     /// then whatever `cp.report` / `cp.inconsistent` events the control
-    /// plane produces. Borrows `cp` and `units` disjointly, like the
-    /// untraced `switch.cp.on_notification(&n, &mut switch.units)` call.
+    /// plane produces.
     pub fn process_notification_traced<S: obs::Sink>(
         &mut self,
         n: &Notification,
@@ -403,20 +294,17 @@ impl Switch {
             dev = self.id,
             queued = self.cp_queue.len(),
         );
-        self.cp
-            .on_notification_traced(n, &mut self.units, sink, t_ns)
+        self.agent.on_notification_traced(n, sink, t_ns)
     }
 
-    /// Simulate a control-plane crash: the agent process dies, losing its
-    /// tracking arrays, every queued notification and any notification a
-    /// reorder fault holds in the PCIe path, and its socket stays down
-    /// until recovery. The data plane (units, metrics, queues) is
-    /// untouched — only the CPU side restarts.
+    /// Simulate a control-plane crash: the agent dies
+    /// ([`SwitchAgent::crash`]) and takes with it every queued
+    /// notification and any notification a reorder fault holds in the
+    /// PCIe path. The data plane (units, metrics, queues) is untouched.
     pub fn crash_cp(&mut self) {
-        self.cp = self.cp_pristine.clone();
+        self.agent.crash();
         self.cp_queue.clear();
         self.cp_busy = false;
-        self.cp_down = true;
         if let Some(fault) = &mut self.notif_fault {
             fault.held = None;
         }
@@ -424,18 +312,14 @@ impl Switch {
 
     /// All unit IDs of this switch (observer registration).
     pub fn unit_ids(&self) -> Vec<UnitId> {
-        let mut v = Vec::with_capacity(2 * usize::from(self.ports()));
-        for p in 0..self.ports() {
-            v.push(UnitId::ingress(self.id, p));
-            v.push(UnitId::egress(self.id, p));
-        }
-        v
+        self.agent.unit_ids()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use speedlight_core::types::ChannelId;
 
     fn test_switch(ports: u16) -> Switch {
         let n = usize::from(ports);
@@ -457,19 +341,18 @@ mod tests {
         let sw = test_switch(4);
         assert_eq!(sw.ports(), 4);
         assert_eq!(sw.unit_ids().len(), 8);
-        assert_eq!(sw.cp.units().count(), 8);
-        assert_eq!(sw.units.ingress.len(), 4);
-        assert_eq!(sw.units.egress[0].config().num_channels, 4);
-        assert_eq!(sw.units.ingress[0].config().num_channels, 1);
+        assert_eq!(sw.agent.cp().units().count(), 8);
+        assert_eq!(sw.agent.units.ingress.len(), 4);
+        assert_eq!(sw.agent.units.egress[0].config().num_channels, 4);
+        assert_eq!(sw.agent.units.ingress[0].config().num_channels, 1);
         // Per-device interpreter state: one gate per port, one shadow per
         // unit and per (unit, internal channel), no device stream until
         // sharded mode forks one.
         assert_eq!(sw.link_up, vec![true; 4]);
-        assert_eq!(sw.init_high, vec![0; 4]);
         assert_eq!(sw.shadow_sid.len(), 2 * 4);
         assert_eq!(sw.shadow_ls.len(), 2 * 4 * 4);
         assert!(sw.rng.is_none());
-        assert!(!sw.cp_down && sw.notif_fault.is_none());
+        assert!(sw.notif_fault.is_none());
         let idx: std::collections::BTreeSet<usize> = [Direction::Ingress, Direction::Egress]
             .into_iter()
             .flat_map(|d| (0..4).map(move |p| (d, p)))
@@ -524,20 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn registers_view_reaches_units() {
-        let mut sw = test_switch(2);
-        let uid = UnitId::ingress(0, 1);
-        assert_eq!(sw.units.read_sid(uid).raw(), 0);
-        // Drive the unit forward and read back through the trait.
-        let w1 = WrappedId::from_raw(1, 8);
-        sw.units.ingress[1].on_packet(ChannelId(0), w1, 5, 1, false);
-        assert_eq!(sw.units.read_sid(uid).raw(), 1);
-        assert_eq!(sw.units.read_last_seen(uid, ChannelId(0)).raw(), 1);
-        let slot = sw.units.take_slot(uid, w1).expect("saved");
-        assert_eq!(slot.value, 5);
-    }
-
-    #[test]
     fn unconsidered_channels_are_configured_through() {
         let sw = Switch::new(
             0,
@@ -553,7 +422,7 @@ mod tests {
         );
         // Host-facing ingress never gates completion: a CP-view check —
         // no stalled channel for epoch 1 on that unit even though silent.
-        let stalled = sw.cp.stalled_channels(1);
+        let stalled = sw.agent.cp().stalled_channels(1);
         assert!(!stalled.contains(&(UnitId::ingress(0, 0), ChannelId(0))));
         assert!(stalled.contains(&(UnitId::ingress(0, 1), ChannelId(0))));
         // considered_pair[p][q] gates ingress p → egress q: with
@@ -565,21 +434,36 @@ mod tests {
     }
 
     #[test]
-    fn cp_crash_resets_tracking_and_drops_the_queue() {
-        let mut sw = test_switch(2);
-        let uid = UnitId::ingress(0, 0);
-        let w1 = WrappedId::from_raw(1, 8);
-        let out = sw.units.ingress[0].on_packet(ChannelId(0), w1, 3, 1, false);
+    fn cp_crash_drops_the_queue_and_the_reorder_hold() {
+        let topo = crate::topology::Topology::leaf_spine(2, 2, 3);
+        let mut net = crate::network::Network::new(
+            topo,
+            SnapshotConfig::packet_count_cs(8),
+            LbKind::Ecmp,
+            crate::latency::LatencyModel::default(),
+            crate::network::DriverConfig::default(),
+            100_000,
+            7,
+        );
+        net.set_notif_fault(
+            0,
+            crate::network::NotifFaultConfig {
+                kind: crate::network::NotifFaultKind::Reorder,
+                every: 2,
+            },
+        );
+        let sw = &mut net.switches[0];
+        let w1 = speedlight_core::WrappedId::from_raw(1, 8);
+        let out = sw.agent.units.ingress[0].on_packet(ChannelId(0), w1, 3, 1, false);
         let n = out.notification.expect("advancing packet notifies");
-        let _ = sw.cp.on_notification(&n, &mut sw.units);
-        assert_eq!(sw.cp.unit_epoch(uid), Some(1));
         sw.cp_queue.push_back((n, Instant::ZERO));
         sw.cp_busy = true;
+        sw.notif_fault.as_mut().expect("installed").held = Some((n, 1));
         sw.crash_cp();
-        assert_eq!(sw.cp.unit_epoch(uid), Some(0), "tracking state zeroed");
         assert!(sw.cp_queue.is_empty(), "queued notifications lost");
         assert!(!sw.cp_busy);
-        assert!(sw.cp_down, "the socket stays down until recovery");
+        assert!(sw.notif_fault.as_ref().is_some_and(|f| f.held.is_none()));
+        assert!(sw.agent.cp_down(), "the socket stays down until recovery");
     }
 
     #[test]
@@ -596,6 +480,6 @@ mod tests {
             vec![true; 4],
         );
         assert_eq!(sw.lb.name(), "flowlet");
-        assert!(!sw.cp.channel_state());
+        assert!(!sw.agent.cp().channel_state());
     }
 }

@@ -193,7 +193,7 @@ fn partial_deployment_on_a_line_still_snapshots_consistently() {
     // Disabled switches processed traffic but took no snapshots.
     let mid = &tb.network().switches[1];
     assert!(mid.stats.ingress_packets > 1_000);
-    assert_eq!(mid.cp.stats().notifications, 0);
+    assert_eq!(mid.agent.cp().stats().notifications, 0);
 }
 
 #[test]
