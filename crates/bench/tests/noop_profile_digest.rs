@@ -22,7 +22,7 @@ use std::process::Command;
 const SERIAL_PINS: &[(&[&str], &str)] = &[
     (&["--scenario", "fig9"], "94f4c88c10ba015f"),
     (&["--scenario", "smoke"], "7dc7a4db56455a62"),
-    (&["--topology", "fat_tree:8"], "35debf7fe444bc6a"),
+    (&["--topology", "fat_tree:8"], "1762f838ba1c32cc"),
 ];
 
 /// `(what to run, sharded snapshot digest at --seed 9)`, each at
@@ -32,7 +32,7 @@ const SHARDED_PINS: &[(&[&str], &str)] = &[
     (&["--scenario", "fig9"], "04d8a6024b1a0519"),
 ];
 
-const PINNED_FIG9_SHARDED_PROFILE_DIGEST: &str = "73ad5b8b1f85e9d1";
+const PINNED_FIG9_SHARDED_PROFILE_DIGEST: &str = "f949803f75ff8130";
 
 fn bench_netsim(args: &[&str]) {
     let status = Command::new(env!("CARGO_BIN_EXE_bench_netsim"))

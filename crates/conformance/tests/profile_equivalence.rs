@@ -28,7 +28,7 @@ const GOLDEN_PATH: &str = concat!(
 );
 
 /// The digest the committed golden file carries.
-const GOLDEN_DIGEST: &str = "868f566d895ba732";
+const GOLDEN_DIGEST: &str = "bdb7d0744d55ffb0";
 
 fn profile_at(sc: &Scenario, shards: usize) -> (String, String) {
     let (_, _, metrics, profile) = run_fabric_sharded_full(sc, shards);

@@ -41,14 +41,18 @@ pub enum NetEvent {
         /// The packet with its upstream channel.
         qp: QueuedPacket,
     },
-    /// The transmitter of `(sw, port)` should (re)start.
+    /// Never scheduled, and a no-op if it were: an idle port transmits
+    /// inside `EnqueueEgress`. The variant stays only because the
+    /// benchmark's traced pass names it; it goes with that ledger row.
     StartTx {
         /// Switch.
         sw: u16,
         /// Port.
         port: u16,
     },
-    /// The transmitter finished serializing the current packet.
+    /// The transmitter's wake at the port's `busy_until`: the frame on
+    /// the wire is done and a packet is queued behind it. At most one is
+    /// pending per port (`EgressPort::wake_pending`).
     TxDone {
         /// Switch.
         sw: u16,
@@ -1028,29 +1032,36 @@ impl Network {
         );
     }
 
-    /// Transmit loop for a port: initiations are processed and die in
-    /// place; the next real packet starts serializing.
+    /// The transmitter of `(sw, port)`, run inline by `EnqueueEgress` on
+    /// an idle port and by the port's `TxDone` wake: initiations are
+    /// processed and die in place, frames onto a down link are lost
+    /// after the egress pipeline ran, and the next real packet starts
+    /// serializing. The wake re-arms at `busy_until` only while more
+    /// packets are queued.
     fn start_tx(&mut self, sw: u16, port: u16, now: Instant, sched: &mut impl Sched) {
+        let (s, p) = (usize::from(sw), usize::from(port));
+        let (Some(props), Some(peer)) = (
+            self.topo.link_props.get(s).and_then(|l| l.get(p)).copied(),
+            self.topo.ports.get(s).and_then(|l| l.get(p)).copied(),
+        ) else {
+            return;
+        };
         loop {
-            let popped = {
-                // One switch borrow for dequeue + idle flag + gauge.
-                let switch = &mut self.switches[usize::from(sw)];
-                let (popped, depth) = {
-                    let ep = &mut switch.egress_ports[usize::from(port)];
-                    let popped = ep.dequeue();
-                    if popped.is_none() {
-                        ep.busy = false;
-                    }
-                    (popped, ep.queue.len() as u64)
-                };
-                if popped.is_some() && switch.eg_metrics.kind() == MetricKind::QueueDepth {
-                    switch.eg_metrics.set_gauge(port, depth);
-                }
-                popped
-            };
-            let Some(mut qp) = popped else {
+            // One switch borrow for wake + dequeue + gauge.
+            let Some(switch) = self.switches.get_mut(s) else {
                 return;
             };
+            let Some(ep) = switch.egress_ports.get_mut(p) else {
+                return;
+            };
+            ep.wake_pending = false;
+            let Some(mut qp) = ep.dequeue() else {
+                return;
+            };
+            let depth = ep.queue.len() as u64;
+            if switch.eg_metrics.kind() == MetricKind::QueueDepth {
+                switch.eg_metrics.set_gauge(port, depth);
+            }
             let channel = ChannelId(qp.from_port);
             self.unit_process(
                 sw,
@@ -1065,19 +1076,25 @@ impl Network {
             if qp.pkt.is_initiation() {
                 continue; // dropped after egress processing (§6)
             }
-            let switch = &mut self.switches[usize::from(sw)];
-            if !switch.link_up[usize::from(port)] {
+            // One switch borrow for link state + counters + busy period.
+            let Some(switch) = self.switches.get_mut(s) else {
+                return;
+            };
+            if switch.link_up.get(p) != Some(&true) {
                 // Link down: the egress pipeline ran (the unit saw the
                 // packet) but the frame is lost on the wire.
                 switch.stats.link_drops += 1;
                 continue;
             }
-            switch.stats.egress_packets += 1;
-            switch.egress_ports[usize::from(port)].busy = true;
-            let props = self.topo.link_props[usize::from(sw)][usize::from(port)];
+            let Some(ep) = switch.egress_ports.get_mut(p) else {
+                return;
+            };
             let ser = Duration::from_nanos(props.serialize_ns(qp.pkt.size));
+            ep.busy_until = now + ser;
+            ep.wake_pending = !ep.queue.is_empty();
+            let rearm = ep.wake_pending;
+            switch.stats.egress_packets += 1;
             let prop = Duration::from_nanos(props.prop_ns);
-            let peer = self.topo.ports[usize::from(sw)][usize::from(port)];
             let mut pkt = qp.pkt;
             match peer {
                 PortPeer::Host(h) => {
@@ -1099,7 +1116,9 @@ impl Network {
                 }
                 PortPeer::Unused => {}
             }
-            sched.after(ser, NetEvent::TxDone { sw, port });
+            if rearm {
+                sched.after(ser, NetEvent::TxDone { sw, port });
+            }
             return;
         }
     }
@@ -1329,32 +1348,36 @@ impl Network {
             }
 
             NetEvent::EnqueueEgress { sw, port, qp } => {
-                // One switch borrow for enqueue + busy transition + gauge.
+                // One switch borrow for enqueue + gauge + the idle test.
                 let switch = &mut self.switches[usize::from(sw)];
-                let (accepted, was_busy, depth) = {
-                    let ep = &mut switch.egress_ports[usize::from(port)];
-                    let accepted = ep.enqueue(qp);
-                    let was_busy = ep.busy;
-                    if accepted {
-                        ep.busy = true;
-                    }
-                    (accepted, was_busy, ep.queue.len() as u64)
-                };
-                if accepted {
-                    if switch.eg_metrics.kind() == MetricKind::QueueDepth {
-                        switch.eg_metrics.set_gauge(port, depth);
-                    }
-                    if !was_busy {
-                        sched.now_event(NetEvent::StartTx { sw, port });
-                    }
-                } else {
+                let ep = &mut switch.egress_ports[usize::from(port)];
+                if !ep.enqueue(qp) {
                     switch.stats.queue_drops += 1;
+                    return;
+                }
+                let depth = ep.queue.len() as u64;
+                let idle = ep.is_idle(now);
+                // A busy port with no wake yet arms one for the end of
+                // the frame on the wire.
+                let wake = !idle && !ep.wake_pending;
+                ep.wake_pending |= wake;
+                let busy_until = ep.busy_until;
+                if switch.eg_metrics.kind() == MetricKind::QueueDepth {
+                    switch.eg_metrics.set_gauge(port, depth);
+                }
+                if idle {
+                    self.start_tx(sw, port, now, sched);
+                } else if wake {
+                    sched.at(busy_until, NetEvent::TxDone { sw, port });
                 }
             }
 
-            NetEvent::StartTx { sw, port } | NetEvent::TxDone { sw, port } => {
+            NetEvent::TxDone { sw, port } => {
                 self.start_tx(sw, port, now, sched);
             }
+
+            // Never scheduled: see the variant's doc.
+            NetEvent::StartTx { .. } => {}
 
             NetEvent::DeliverHost { host, pkt } => {
                 debug_assert!(pkt.snapshot.is_none(), "shim must be stripped");

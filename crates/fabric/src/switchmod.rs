@@ -60,6 +60,16 @@ pub struct QueuedPacket {
 }
 
 /// One output-queued egress port.
+///
+/// The transmitter costs no event while it is idle: it is a
+/// `busy_until` instant plus at most one pending wake. The port is idle
+/// at `now` when `!wake_pending && busy_until <= now`; a packet enqueued
+/// on an idle port starts transmitting inside that `EnqueueEgress`, so
+/// it leaves the queue at once and does not count against
+/// `capacity_bytes` for the rest of its enqueue instant. A packet
+/// enqueued on a busy port waits for the wake (`NetEvent::TxDone`) at
+/// `busy_until`, which transmits the head and re-arms only while more
+/// packets are queued.
 #[derive(Debug)]
 pub struct EgressPort {
     /// FIFO queue.
@@ -68,8 +78,11 @@ pub struct EgressPort {
     pub queued_bytes: u64,
     /// Byte capacity (tail-drop beyond this).
     pub capacity_bytes: u64,
-    /// Whether the transmitter is mid-packet.
-    pub busy: bool,
+    /// When the frame on the wire finishes serializing (`ZERO` before
+    /// the first transmit).
+    pub(crate) busy_until: Instant,
+    /// Whether a `TxDone` wake is scheduled for `busy_until`.
+    pub(crate) wake_pending: bool,
     /// Tail-drop count.
     pub drops: u64,
 }
@@ -80,9 +93,15 @@ impl EgressPort {
             queue: VecDeque::new(),
             queued_bytes: 0,
             capacity_bytes,
-            busy: false,
+            busy_until: Instant::ZERO,
+            wake_pending: false,
             drops: 0,
         }
+    }
+
+    /// Whether the transmitter can start a frame at `now`.
+    pub(crate) fn is_idle(&self, now: Instant) -> bool {
+        !self.wake_pending && self.busy_until <= now
     }
 
     /// Try to enqueue; `false` (and a drop count) on overflow.

@@ -98,6 +98,12 @@ impl Testbed {
         self.sim.schedule_at(at, NetEvent::ScheduleSnapshot);
     }
 
+    /// Schedule a hand-built event at `at` (a packet placed straight on
+    /// an egress queue, say).
+    pub fn schedule_at(&mut self, at: Instant, event: NetEvent) {
+        self.sim.schedule_at(at, event);
+    }
+
     /// Start one polling sweep at `at`.
     pub fn poll_at(&mut self, at: Instant) {
         self.sim.schedule_at(at, NetEvent::PollSweep);

@@ -4,11 +4,14 @@
 //! reference `BinaryHeapQueue` on generated scripts. This test holds it
 //! there on the one real workload that ever told them apart: a serial
 //! fat_tree:8 run, where one `KeepaliveTick` schedules thousands of
-//! `EnqueueEgress` at a single instant and each of those, on an idle
-//! port, pushes a same-instant `StartTx`. The two-list queue let such a
-//! push overtake the part of the burst its 256-entry refill had left in
-//! the far heap, so the serial fat-tree digests were artefacts of the
-//! queue and not of the model.
+//! `EnqueueEgress` at a single instant. Each of those, on an idle port,
+//! used to push a same-instant `StartTx`, and the two-list queue let
+//! such a push overtake the part of the burst its 256-entry refill had
+//! left in the far heap, so the serial fat-tree digests were artefacts of
+//! the queue and not of the model. An idle port now transmits inside its
+//! `EnqueueEgress` (`tests/transmitter.rs`), so the burst no longer feeds
+//! the same-instant lane; this test still holds the burst itself to the
+//! reference order.
 //!
 //! One `Network` is driven the way `Testbed` drives it, but by hand over
 //! the reference queue; its snapshot records must equal `Testbed`'s byte

@@ -27,8 +27,8 @@
 //!
 //! [`EventQueue`] puts a **same-instant lane** in front of the core: a
 //! FIFO of `(seq, event)` that takes every push at the instant of the last
-//! pop (what `Scheduler::now_event` does — a `StartTx` on an idle port, a
-//! control-plane kick). Lane entries share one instant and are appended in
+//! pop (what `Scheduler::now_event` does — a control-plane kick, a
+//! polling read). Lane entries share one instant and are appended in
 //! `seq` order, so the lane is sorted by construction, and a pop takes the
 //! lane's head only when its `(instant, seq)` is below the calendar's
 //! first `(time, tie)`. Both sides are sorted by the full key and the
