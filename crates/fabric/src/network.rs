@@ -343,12 +343,6 @@ pub(crate) trait Sched {
     fn after(&mut self, delay: Duration, event: NetEvent) {
         self.at(self.now() + delay, event);
     }
-
-    /// Schedule `event` for the current instant.
-    #[inline]
-    fn now_event(&mut self, event: NetEvent) {
-        self.at(self.now(), event);
-    }
 }
 
 impl Sched for Scheduler<NetEvent> {
@@ -365,11 +359,6 @@ impl Sched for Scheduler<NetEvent> {
     #[inline]
     fn after(&mut self, delay: Duration, event: NetEvent) {
         Scheduler::after(self, delay, event);
-    }
-
-    #[inline]
-    fn now_event(&mut self, event: NetEvent) {
-        Scheduler::now_event(self, event);
     }
 }
 
@@ -829,7 +818,7 @@ impl Network {
         );
         if !switch.cp_busy {
             switch.cp_busy = true;
-            sched.now_event(NetEvent::CpProcess { sw });
+            sched.at(now, NetEvent::CpProcess { sw });
         }
     }
 
@@ -995,17 +984,20 @@ impl Network {
             // Destructure so the ECMP pick can borrow the load balancer
             // while the next-hop slice stays borrowed from the FIB — one
             // lookup instead of three (version stamp included).
-            let Switch {
+            let Some(Switch {
                 fib,
                 lb,
                 fib_version_seen,
                 ..
-            } = &mut self.switches[usize::from(sw)];
+            }) = self.switches.get_mut(usize::from(sw))
+            else {
+                return;
+            };
             let hops = fib.next_hops(pkt.dst_host);
             let out = match hops.len() {
                 0 => None,
-                1 => Some(hops[0]),
-                n => Some(hops[lb.pick(&pkt.flow, now, n)]),
+                1 => hops.first().copied(),
+                n => hops.get(lb.pick(&pkt.flow, now, n)).copied(),
             };
             if out.is_some() {
                 *fib_version_seen = fib.version;
@@ -1850,11 +1842,14 @@ impl Network {
                 if let Some(rec) = self.instr.polls.get_mut(sweep as usize) {
                     rec.samples.push((uid, value, now));
                 }
-                sched.now_event(NetEvent::PollRead {
-                    sw,
-                    idx: idx + 1,
-                    sweep,
-                });
+                sched.at(
+                    now,
+                    NetEvent::PollRead {
+                        sw,
+                        idx: idx + 1,
+                        sweep,
+                    },
+                );
             }
 
             NetEvent::KeepaliveTick => {

@@ -9,8 +9,8 @@
 //! such a push overtake the part of the burst its 256-entry refill had
 //! left in the far heap, so the serial fat-tree digests were artefacts of
 //! the queue and not of the model. An idle port now transmits inside its
-//! `EnqueueEgress` (`tests/transmitter.rs`), so the burst no longer feeds
-//! the same-instant lane; this test still holds the burst itself to the
+//! `EnqueueEgress` (`tests/transmitter.rs`), so the burst no longer pushes
+//! at its own instant; this test still holds the burst itself to the
 //! reference order.
 //!
 //! One `Network` is driven the way `Testbed` drives it, but by hand over

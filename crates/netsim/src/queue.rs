@@ -25,30 +25,13 @@
 //!   heap minimum and *everything* inside the new window migrates over —
 //!   in ascending order, so each migration is a tail append.
 //!
-//! [`EventQueue`] puts a **same-instant lane** in front of the core: a
-//! FIFO of `(seq, event)` that takes every push at the instant of the last
-//! pop (what `Scheduler::now_event` does — a control-plane kick, a
-//! polling read). Lane entries share one instant and are appended in
-//! `seq` order, so the lane is sorted by construction, and a pop takes the
-//! lane's head only when its `(instant, seq)` is below the calendar's
-//! first `(time, tie)`. Both sides are sorted by the full key and the
-//! merge compares the full key, so pop order is exactly `(time, insertion
-//! order)` whatever the calendar holds at the lane's instant. The lane
-//! moves to a popped instant only while it is empty, so it never holds
-//! two instants, and the calendar does not re-anchor while the lane is
-//! pending (the window already ends at or after the lane's instant).
-//!
 //! The packet-level workloads push almost every event a few hundred
 //! nanoseconds to a few microseconds ahead of the clock, into the middle
-//! of what is pending. On `bench_netsim --topology fat_tree:8` (40 ms,
-//! 10 802 003 events) the 32 ns calendar this replaced walked a bucket's
-//! list on 6 520 107 of 10 666 137 near pushes (17.3 M nodes visited):
-//! 2 036 071 of the walks were same-instant pushes, which land behind
-//! everything at their instant and ahead of anything later in the bucket,
-//! and 4 484 036 were the rest. The lane takes all 2 439 863 same-instant
-//! pushes off the calendar, and 8 ns buckets cut the rest to 1 844 918
-//! walks and 3.2 M visits. [`EventQueue::pop_at_or_before`] folds the
-//! driver loop's peek-then-pop pair into one operation.
+//! of what is pending: on `bench_netsim --topology fat_tree:8`, before an
+//! idle egress port transmitted inside its enqueue (10 802 003 events),
+//! 32 ns buckets walked a bucket's list on 6 520 107 of 10 666 137 near
+//! pushes and 8 ns buckets on 2 974 066. [`EventQueue::pop_at_or_before`]
+//! folds the driver loop's peek-then-pop pair into one operation.
 //!
 //! The retained [`reference::BinaryHeapQueue`] implements the identical
 //! `(time, insertion-order)` contract on a plain binary heap; the
@@ -59,7 +42,7 @@
 use crate::time::Instant;
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// log2 of a calendar bucket's width in nanoseconds.
 const BUCKET_SHIFT: u32 = 3;
@@ -318,13 +301,6 @@ impl<E> Calendar<E> {
         if self.near_len == 0 {
             self.refill();
         }
-        self.pop_near_if(due)
-    }
-
-    /// [`Calendar::pop_if`] without the refill: `None` whenever the
-    /// window is drained, so the window never moves.
-    #[inline]
-    fn pop_near_if(&mut self, due: impl FnOnce(Instant, u64) -> bool) -> Option<(Instant, u64, E)> {
         let (b, idx) = self.first()?;
         let node = self.slab.get_mut(idx as usize)?;
         if !due(node.time, node.tie) {
@@ -367,12 +343,6 @@ impl<E> Calendar<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     core: Calendar<E>,
-    /// Events pushed at `lane_at`, as `(seq, event)` in push order — which
-    /// is `seq` order, so the lane is sorted by construction.
-    lane: VecDeque<(u64, E)>,
-    /// The lane's instant: the time of the last pop taken while the lane
-    /// was empty.
-    lane_at: Instant,
     next_seq: u64,
 }
 
@@ -387,8 +357,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             core: Calendar::new(),
-            lane: VecDeque::new(),
-            lane_at: Instant::ZERO,
             next_seq: 0,
         }
     }
@@ -398,11 +366,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Instant, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if at == self.lane_at {
-            self.lane.push_back((seq, event));
-        } else {
-            self.core.push(at, seq, event);
-        }
+        self.core.push(at, seq, event);
     }
 
     /// Remove and return the earliest event, with its firing time.
@@ -419,44 +383,18 @@ impl<E> EventQueue<E> {
     /// peek-then-pop pair.
     #[inline]
     pub fn pop_at_or_before(&mut self, deadline: Instant) -> Option<(Instant, E)> {
-        let Some(&(seq, _)) = self.lane.front() else {
-            let (time, _seq, event) = self.core.pop_if(|time, _| time <= deadline)?;
-            self.lane_at = time;
-            return Some((time, event));
-        };
-        // Merge on the whole key: a calendar entry at the lane's instant
-        // pops first iff it was pushed first. Only the calendar's window
-        // can hold an entry below the lane (the far heap starts past the
-        // window's end, which is at or after the lane's instant), and it
-        // must not re-anchor while the lane is pending: the window would
-        // move past the instants the lane's events schedule at, and every
-        // push below it would walk the first bucket.
-        let lane = (self.lane_at, seq);
-        if let Some((time, _seq, event)) = self
-            .core
-            .pop_near_if(|time, tie| (time, tie) < lane && time <= deadline)
-        {
-            return Some((time, event));
-        }
-        if self.lane_at > deadline {
-            return None;
-        }
-        let (_seq, event) = self.lane.pop_front()?;
-        Some((self.lane_at, event))
+        let (time, _seq, event) = self.core.pop_if(|time, _| time <= deadline)?;
+        Some((time, event))
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Instant> {
-        let core = self.core.peek_time();
-        if self.lane.is_empty() {
-            return core;
-        }
-        Some(core.map_or(self.lane_at, |t| t.min(self.lane_at)))
+        self.core.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.core.len() + self.lane.len()
+        self.core.len()
     }
 
     /// Whether the queue has no pending events.
@@ -466,8 +404,7 @@ impl<E> EventQueue<E> {
 
     /// Total number of events popped so far (for run statistics / guards).
     pub fn popped(&self) -> u64 {
-        // Every event pushed is either pending or popped.
-        self.next_seq - self.len() as u64
+        self.core.popped()
     }
 }
 
@@ -657,8 +594,8 @@ mod tests {
     #[test]
     fn ties_straddling_storage_tiers_pop_fifo() {
         // Same instant, pushed at different queue phases (far heap, then
-        // the same-instant lane once the window re-anchored and the first
-        // of them popped): FIFO must hold.
+        // the calendar once the window re-anchored and the first of them
+        // popped): FIFO must hold.
         let mut q = EventQueue::new();
         q.push(t(1_000_300), 0);
         q.push(t(1_000_300), 1);
@@ -719,11 +656,10 @@ mod tests {
     }
 
     #[test]
-    fn the_lane_merges_with_calendar_entries_at_its_instant_by_seq() {
-        // Seqs 0 and 1 sit in the calendar at 500; seq 0 pops and puts the
-        // lane at 500; seq 2 takes the lane behind calendar seq 1, and a
-        // push below the lane's instant (legal on the raw queue) still
-        // pops first without moving the lane.
+    fn same_instant_pushes_after_a_pop_queue_behind_earlier_ones() {
+        // Seqs 0 and 1 sit in the calendar at 500; seq 0 pops; seq 2 at
+        // 500 queues behind seq 1, and a push below that instant (legal on
+        // the raw queue) still pops first.
         let mut q = EventQueue::new();
         q.push(t(500), 0);
         q.push(t(500), 1);
@@ -731,9 +667,8 @@ mod tests {
         q.push(t(500), 2);
         q.push(t(200), 3);
         assert_eq!(q.pop(), Some((t(200), 3)));
-        assert_eq!(q.lane_at, t(500));
         q.push(t(500), 4);
-        assert_eq!(q.lane.len(), 2);
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((t(500), 1)));
         assert_eq!(q.pop(), Some((t(500), 2)));
         assert_eq!(q.pop(), Some((t(500), 4)));
@@ -741,31 +676,28 @@ mod tests {
     }
 
     #[test]
-    fn popping_the_lane_does_not_re_anchor_a_drained_window() {
-        // The window holds nothing but a far event is pending: the lane's
-        // pop must leave the window where the lane's follow-ups land.
+    fn pushes_into_a_drained_window_pop_before_the_far_heap() {
+        // The window holds nothing but a far event is pending: pushes at
+        // and after the popped instant pop before it.
         let mut q = EventQueue::new();
         q.push(t(1_000), 0);
         q.push(t(9_000_000), 1);
         assert_eq!(q.pop(), Some((t(1_000), 0)));
         q.push(t(1_000), 2);
         assert_eq!(q.pop(), Some((t(1_000), 2)));
-        assert_eq!(q.core.anchor, 0);
         q.push(t(1_400), 3);
         assert_eq!(q.pop(), Some((t(1_400), 3)));
         assert_eq!(q.pop(), Some((t(9_000_000), 1)));
-        assert_eq!(q.core.anchor, 9_000_000);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn counters_and_peek_count_lane_entries() {
+    fn counters_and_peek_count_same_instant_pushes_after_a_pop() {
         let mut q = EventQueue::new();
         q.push(t(40), 0);
         assert_eq!(q.pop(), Some((t(40), 0)));
         q.push(t(40), 1);
         q.push(t(40), 2);
-        assert_eq!(q.core.len(), 0);
-        assert_eq!(q.lane.len(), 2);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         assert_eq!(q.peek_time(), Some(t(40)));
@@ -783,12 +715,11 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_or_before_holds_a_lane_head_past_the_deadline() {
+    fn pop_at_or_before_holds_a_same_instant_push_past_the_deadline() {
         let mut q = EventQueue::new();
         q.push(t(300), "a");
         assert_eq!(q.pop(), Some((t(300), "a")));
         q.push(t(300), "b");
-        assert_eq!(q.lane.len(), 1);
         assert_eq!(q.pop_at_or_before(t(299)), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_at_or_before(t(300)), Some((t(300), "b")));

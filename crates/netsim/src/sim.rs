@@ -77,6 +77,10 @@ impl<E> Scheduler<E> {
 
     /// Schedule `event` at the absolute instant `at`. Scheduling in the past
     /// is a logic error and panics (it would silently corrupt causality).
+    ///
+    /// Events at one instant fire in the order they were scheduled, so
+    /// `at(now(), …)` runs after every event already queued for the
+    /// current instant.
     pub fn at(&mut self, at: Instant, event: E) {
         assert!(
             at >= self.now,
@@ -95,16 +99,6 @@ impl<E> Scheduler<E> {
     /// turns into a loud panic instead of silent causality corruption).
     pub fn after(&mut self, delay: Duration, event: E) {
         self.at(self.now + delay, event);
-    }
-
-    /// Schedule `event` for the current instant (after already-queued events
-    /// at this instant).
-    ///
-    /// In a running simulation the current instant is the last one popped,
-    /// so the push goes to the queue's same-instant lane: a FIFO append
-    /// that walks no calendar bucket (see [`crate::queue`]).
-    pub fn now_event(&mut self, event: E) {
-        self.queue.push(self.now, event);
     }
 
     /// Number of pending events.

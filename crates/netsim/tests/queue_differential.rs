@@ -4,8 +4,8 @@
 //! retained [`BinaryHeapQueue`] reference under arbitrary interleavings of
 //! pushes and pops — including same-instant FIFO ties, same-instant bursts
 //! of hundreds of events, pushes at and just below the last popped instant
-//! (where `EventQueue`'s same-instant lane merges with its calendar), and
-//! times that straddle the near/far horizon.
+//! (where a same-instant push walks a busy 8 ns bucket's list), and times
+//! that straddle the near/far horizon.
 //! [`KeyedQueue`] must pop the same scripts in `(time, key)` order, held
 //! against a `BinaryHeap` of `(time, key, ordinal)` tuples — and must pop
 //! one event sequence however a dispatch's keys were stamped, as long as
@@ -28,15 +28,15 @@ enum Op {
     /// Push this many events at one instant: a same-instant run longer
     /// than any batch the queue could move internally.
     Burst(usize, u64),
-    /// Push at the time of the last pop (zero before the first): what
-    /// `Scheduler::now_event` does, and what `EventQueue` keeps in its
-    /// same-instant lane.
+    /// Push at the time of the last pop (zero before the first): what a
+    /// handler's `at(now, …)` follow-up does. It queues behind everything
+    /// already pending at that instant, so it walks its bucket's list
+    /// whenever a later entry shares the 8 ns bucket.
     PushNow,
     /// Push this many events at the time of the last pop.
     BurstNow(usize),
     /// Push this many nanoseconds before the last pop (saturating at
-    /// zero): a calendar entry below the lane's instant, pushed after
-    /// everything in the lane.
+    /// zero): an entry below the same-instant pushes, pushed after them.
     PushBefore(u64),
     /// Pop unconditionally.
     Pop,
@@ -55,9 +55,9 @@ const BURST_MAX: u64 = 700;
 /// later pushes meet at one far instant), and the u64 saturation edge.
 /// One raw push in sixteen is a burst. A fifth of the pushes land at the
 /// last pop's instant (one in eight of those a burst) and a fifth just
-/// below it, so the lane's merge meets calendar entries at its instant
-/// pushed before it (lower seqs) and entries below it pushed after it
-/// (higher seqs).
+/// below it, so a same-instant push meets entries at its instant pushed
+/// before it (lower seqs) and entries below it pushed after it (higher
+/// seqs).
 fn decode_op(sel: u8, raw: u64) -> Op {
     let time = match sel % 10 {
         0..=3 => raw % 8,
@@ -371,13 +371,14 @@ fn same_instant_push_does_not_overtake_a_long_burst() {
     assert_eq!(popped, 610);
 }
 
-/// Pinned lane trace: what a fabric handler does at one instant. A burst
-/// at `T` is in the calendar; each pop at `T` pushes same-instant
-/// follow-ups (the lane, behind the burst's remaining entries) and one
-/// event just below `T` (the calendar, below the lane, pushed after it),
-/// then a deadline one nanosecond short of `T` must hold the lane back.
+/// Pinned same-instant trace: what a fabric handler does at one instant.
+/// A burst at `T` is pending and `T + 3` shares its 8 ns bucket; each pop
+/// at `T` pushes same-instant follow-ups (behind the burst's remaining
+/// entries, so each walks the bucket's list) and one event just below `T`
+/// (pushed after them, popped before them), then a deadline one
+/// nanosecond short of `T` must hold the follow-ups back.
 #[test]
-fn lane_pushes_merge_with_calendar_entries_at_and_below_their_instant() {
+fn same_instant_follow_ups_pop_behind_their_burst_and_after_earlier_times() {
     const T: u64 = 2_000;
     let mut ops = vec![Op::Burst(40, T), Op::Push(T + 3)];
     for _ in 0..8 {
@@ -390,7 +391,7 @@ fn lane_pushes_merge_with_calendar_entries_at_and_below_their_instant() {
             Op::PopAtOrBefore(T - 1),
         ]);
     }
-    let popped = run_differential(&ops).expect("lane trace must agree");
+    let popped = run_differential(&ops).expect("same-instant trace must agree");
     assert_eq!(popped, 41 + 8 * 5);
-    run_keyed_differential(&ops).expect("keyed lane trace must agree");
+    run_keyed_differential(&ops).expect("keyed same-instant trace must agree");
 }
