@@ -536,14 +536,6 @@ impl Scenario {
         Ok(())
     }
 
-    /// Devices this scenario kills (sorted, deduplicated).
-    pub fn faulted_devices(&self) -> Vec<u16> {
-        let mut devs: Vec<u16> = self.faults.iter().map(|f| f.device).collect();
-        devs.sort_unstable();
-        devs.dedup();
-        devs
-    }
-
     /// True iff the scenario uses any fault class beyond device kills
     /// (which the emulation substrate cannot inject).
     pub fn has_adversarial_faults(&self) -> bool {

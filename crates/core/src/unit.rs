@@ -195,14 +195,18 @@ impl DataPlaneUnit {
             let adv = d_pkt - d_sid;
             self.sid = pkt_sid;
             let idx = self.slot_index(pkt_sid);
-            if idx >= self.slots.len() {
-                self.slots.resize(idx + 1, SnapSlot::default());
-            }
-            self.slots[idx] = SnapSlot {
+            let saved = SnapSlot {
                 value: local_state,
                 channel: 0,
                 written: true,
             };
+            match self.slots.get_mut(idx) {
+                Some(slot) => *slot = saved,
+                None => {
+                    self.slots.resize(idx, SnapSlot::default());
+                    self.slots.push(saved);
+                }
+            }
             obs::event!(
                 sink,
                 t_ns,
@@ -237,8 +241,8 @@ impl DataPlaneUnit {
         if ls_changed {
             if channel == CPU_CHANNEL {
                 self.cpu_last_seen = pkt_sid;
-            } else {
-                self.last_seen[usize::from(channel.0)] = pkt_sid;
+            } else if let Some(seen) = self.last_seen.get_mut(usize::from(channel.0)) {
+                *seen = pkt_sid;
             }
             obs::event!(
                 sink,

@@ -217,15 +217,6 @@ pub fn run(cfg: &Fig13Config) -> Fig13 {
 }
 
 impl Fig13 {
-    /// Significant-pair count found by snapshots relative to polling.
-    pub fn snapshot_gain(&self) -> f64 {
-        if self.polling.significant.is_empty() {
-            f64::INFINITY
-        } else {
-            self.snapshots.significant.len() as f64 / self.polling.significant.len() as f64
-        }
-    }
-
     /// Mean rho over the ground-truth same-path pairs in `m`.
     pub fn mean_ecmp_rho(&self, m: &CorrelationMatrix) -> f64 {
         let sum: f64 = self.ecmp_pairs.iter().map(|&(a, b)| m.rho(a, b)).sum();

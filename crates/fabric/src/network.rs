@@ -845,7 +845,9 @@ impl Network {
             instr,
             ..
         } = self;
-        let switch = &mut switches[usize::from(sw)];
+        let Some(switch) = switches.get_mut(usize::from(sw)) else {
+            return;
+        };
         let uid = UnitId {
             device: sw,
             port,
@@ -869,7 +871,12 @@ impl Network {
                 let ls =
                     (channel != CPU_CHANNEL).then(|| switch.ls_idx(direction, port, channel.0));
                 let tag_epoch = match ls {
-                    Some(slot) => wrapped.unwrap_from(switch.shadow_ls[slot]),
+                    Some(slot) => {
+                        let Some(&shadow) = switch.shadow_ls.get(slot) else {
+                            return;
+                        };
+                        wrapped.unwrap_from(shadow)
+                    }
                     None => 0,
                 };
                 if let Some(log) = &mut instr.delivery_log {
@@ -917,13 +924,13 @@ impl Network {
                 }
                 // Keep the channel shadow monotone even when the Last Seen
                 // update produced no notification (equal IDs / no-CS mode).
-                if let Some(slot) = ls {
-                    let ls_ref = &mut switch.shadow_ls[slot];
+                if let Some(ls_ref) = ls.and_then(|slot| switch.shadow_ls.get_mut(slot)) {
                     *ls_ref = (*ls_ref).max(tag_epoch);
                 }
                 if !is_init && channel != CPU_CHANNEL {
-                    if let Some(audit) = &mut instr.audit {
-                        let local_after = switch.shadow_sid[unit_idx];
+                    if let (Some(audit), Some(&local_after)) =
+                        (&mut instr.audit, switch.shadow_sid.get(unit_idx))
+                    {
                         audit.record(Delivery {
                             unit: uid,
                             tag: tag_epoch,
@@ -949,8 +956,9 @@ impl Network {
                 if !is_init {
                     switch.bank_mut(direction).on_packet(port, now, pkt.size);
                     if enabled {
-                        if let Some(audit) = &mut instr.audit {
-                            let local_after = switch.shadow_sid[unit_idx];
+                        if let (Some(audit), Some(&local_after)) =
+                            (&mut instr.audit, switch.shadow_sid.get(unit_idx))
+                        {
                             audit.record(Delivery {
                                 unit: uid,
                                 tag: local_after,
@@ -1210,6 +1218,14 @@ impl Network {
         }
     }
 
+    /// Does `sw` still owe `epoch` its reports while snapshotting? Then a
+    /// keepalive round may unblock it.
+    fn keepalive_due(&self, sw: u16, epoch: Epoch) -> bool {
+        self.switches
+            .get(usize::from(sw))
+            .is_some_and(|s| s.snapshot_enabled && !s.agent.cp().device_complete(epoch))
+    }
+
     /// Inject one round of keepalives at `sw`: every ingress unit's sid is
     /// broadcast through every egress queue, propagating snapshot IDs over
     /// silent channels (§6).
@@ -1322,7 +1338,10 @@ impl Network {
     pub(crate) fn handle_event(&mut self, now: Instant, event: NetEvent, sched: &mut impl Sched) {
         match event {
             NetEvent::ArriveIngress { sw, port, mut pkt } => {
-                self.switches[usize::from(sw)].stats.ingress_packets += 1;
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
+                switch.stats.ingress_packets += 1;
                 self.unit_process(
                     sw,
                     port,
@@ -1341,8 +1360,12 @@ impl Network {
 
             NetEvent::EnqueueEgress { sw, port, qp } => {
                 // One switch borrow for enqueue + gauge + the idle test.
-                let switch = &mut self.switches[usize::from(sw)];
-                let ep = &mut switch.egress_ports[usize::from(port)];
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
+                let Some(ep) = switch.egress_ports.get_mut(usize::from(port)) else {
+                    return;
+                };
                 if !ep.enqueue(qp) {
                     switch.stats.queue_drops += 1;
                     return;
@@ -1374,24 +1397,33 @@ impl Network {
             NetEvent::DeliverHost { host, pkt } => {
                 debug_assert!(pkt.snapshot.is_none(), "shim must be stripped");
                 let _ = pkt;
-                self.instr.host_rx[host as usize] += 1;
+                if let Some(rx) = self.instr.host_rx.get_mut(host as usize) {
+                    *rx += 1;
+                }
             }
 
             NetEvent::HostWake { host } => {
-                let Host {
+                let Some(Host {
                     attached: (sw, port),
-                    source,
+                    source: Some(source),
                     nic_busy_until,
                     rng,
-                } = &mut self.hosts[host as usize];
-                let Some(source) = source.as_mut() else {
+                }) = self.hosts.get_mut(host as usize)
+                else {
+                    return;
+                };
+                let (sw, port) = (*sw, *port);
+                let Some(&props) = self
+                    .topo
+                    .link_props
+                    .get(usize::from(sw))
+                    .and_then(|links| links.get(usize::from(port)))
+                else {
                     return;
                 };
                 let mut rng = rng.fork_idx("wake", now.as_nanos());
                 let mut emissions = std::mem::take(&mut self.scratch_emissions);
                 let next = source.on_wake(now, &mut rng, &mut emissions);
-                let (sw, port) = (*sw, *port);
-                let props = self.topo.link_props[usize::from(sw)][usize::from(port)];
                 for em in emissions.drain(..) {
                     let start = (*nic_busy_until).max(now);
                     let ser = Duration::from_nanos(props.serialize_ns(em.bytes));
@@ -1437,7 +1469,9 @@ impl Network {
                     dev = sw,
                     epoch = epoch,
                 );
-                let switch = &mut self.switches[usize::from(sw)];
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
                 for port in 0..switch.ports() {
                     let extra = self
                         .latency
@@ -1449,7 +1483,9 @@ impl Network {
             }
 
             NetEvent::UnitInitiate { sw, port, epoch } => {
-                let switch = &mut self.switches[usize::from(sw)];
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
                 if !switch.snapshot_enabled {
                     return;
                 }
@@ -1505,7 +1541,9 @@ impl Network {
             }
 
             NetEvent::NotifyArrive { sw, n } => {
-                let switch = &mut self.switches[usize::from(sw)];
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
                 if switch.agent.cp_down() {
                     // The CP socket is dead: the export is lost, as a real
                     // PCIe write to a crashed agent would be.
@@ -1527,7 +1565,7 @@ impl Network {
                     let selected = fs.seen % u64::from(fs.cfg.every) == 0;
                     match fs.cfg.kind {
                         NotifFaultKind::Drop if selected => {
-                            deliveries[0] = None;
+                            deliveries = [None, None];
                             self.instr.metrics.inc("fault.notify_dropped");
                             obs::event!(
                                 &mut self.instr.trace,
@@ -1537,7 +1575,7 @@ impl Network {
                             );
                         }
                         NotifFaultKind::Dup if selected => {
-                            deliveries[1] = Some(n);
+                            deliveries = [Some(n), Some(n)];
                             self.instr.metrics.inc("fault.notify_duplicated");
                             obs::event!(
                                 &mut self.instr.trace,
@@ -1570,7 +1608,7 @@ impl Network {
                                 fs.seq += 1;
                                 let seq = fs.seq;
                                 fs.held = Some((n, seq));
-                                deliveries[0] = None;
+                                deliveries = [None, None];
                                 sched.after(REORDER_HOLD, NetEvent::NotifRelease { sw, seq });
                                 obs::event!(
                                     &mut self.instr.trace,
@@ -1589,7 +1627,9 @@ impl Network {
             }
 
             NetEvent::NotifRelease { sw, seq } => {
-                let switch = &mut self.switches[usize::from(sw)];
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
                 let held = match switch.notif_fault.as_mut() {
                     Some(fs) if matches!(fs.held, Some((_, s)) if s == seq) => {
                         fs.held.take().map(|(n, _)| n)
@@ -1619,7 +1659,10 @@ impl Network {
             }
 
             NetEvent::DeviceFault { sw } => {
-                self.switches[usize::from(sw)].snapshot_enabled = false;
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
+                switch.snapshot_enabled = false;
                 self.instr.metrics.inc("fault.device_killed");
                 obs::event!(
                     &mut self.instr.trace,
@@ -1630,7 +1673,10 @@ impl Network {
             }
 
             NetEvent::CpCrash { sw } => {
-                self.switches[usize::from(sw)].crash_cp();
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
+                switch.crash_cp();
                 self.instr.metrics.inc("fault.cp_crashed");
                 obs::event!(
                     &mut self.instr.trace,
@@ -1657,14 +1703,15 @@ impl Network {
             }
 
             NetEvent::KeepaliveProbe { sw, epoch } => {
-                let switch = &self.switches[usize::from(sw)];
-                if switch.snapshot_enabled && !switch.agent.cp().device_complete(epoch) {
+                if self.keepalive_due(sw, epoch) {
                     self.inject_keepalives(sw, now, sched);
                 }
             }
 
             NetEvent::CpProcess { sw } => {
-                let switch = &mut self.switches[usize::from(sw)];
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
                 let proc = self
                     .latency
                     .cp_process
@@ -1804,7 +1851,9 @@ impl Network {
                 let Some(uid) = self.poll_unit_order(sw, idx) else {
                     return;
                 };
-                let switch = &mut self.switches[usize::from(sw)];
+                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                    return;
+                };
                 let delay = self
                     .latency
                     .poll_read
@@ -1826,9 +1875,10 @@ impl Network {
                 sweep,
                 uid,
             } => {
-                let value = self.switches[usize::from(sw)]
-                    .bank(uid.direction)
-                    .read(uid.port);
+                let Some(switch) = self.switches.get(usize::from(sw)) else {
+                    return;
+                };
+                let value = switch.bank(uid.direction).read(uid.port);
                 // Sharded mode: the sweep record was pushed by `PollSweep`
                 // on the control domain's shard; device owners grow their
                 // local vector so every sample lands under its sweep index
@@ -1873,10 +1923,7 @@ impl Network {
                                 }
                             } else {
                                 for sw in 0..self.switches.len() as u16 {
-                                    let switch = &self.switches[usize::from(sw)];
-                                    if switch.snapshot_enabled
-                                        && !switch.agent.cp().device_complete(oldest)
-                                    {
+                                    if self.keepalive_due(sw, oldest) {
                                         self.inject_keepalives(sw, now, sched);
                                     }
                                 }

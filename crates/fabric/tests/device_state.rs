@@ -5,16 +5,21 @@
 //! path. Each case injects one fault on `bench_netsim`'s leaf-spine world
 //! (2 leaves, 2 spines, 3 hosts a leaf, channel-state snapshots every
 //! 4 ms) and reads the counters that fault moves: per-device statistics
-//! and the run's metrics registry.
+//! and the run's metrics registry. The last case schedules events naming
+//! a device, port or host the world lacks, and expects the snapshots of
+//! the same run without them: dispatch ignores such an event.
 
 mod common;
 
-use fabric::network::{NotifFaultConfig, NotifFaultKind};
+use fabric::network::{NetEvent, NotifFaultConfig, NotifFaultKind};
+use fabric::switchmod::QueuedPacket;
 use fabric::testbed::Testbed;
 use fabric::topology::{PortPeer, Topology};
+use fabric::Packet;
 use netsim::time::{Duration, Instant};
 use speedlight_core::observer::UnitOutcome;
 use std::collections::BTreeMap;
+use wire::FlowKey;
 
 const SEED: u64 = 9;
 /// Leaf 0; its port 0 is the uplink to spine 2 (`Topology::leaf_spine`).
@@ -163,4 +168,47 @@ fn a_drop_fault_drops_every_second_export_of_its_device_only() {
         exports.keys().any(|&d| d != u64::from(LEAF)),
         "other devices export too"
     );
+}
+
+#[test]
+fn events_naming_a_missing_device_port_or_host_are_ignored() {
+    let run = |stray: bool| {
+        let mut tb = world();
+        if stray {
+            let net = tb.network();
+            let missing_sw = net.switches.len() as u16;
+            let missing_port = net.switches[usize::from(LEAF)].ports();
+            let missing_host = net.topology().num_hosts();
+            let packet = Packet::data(FlowKey::tcp(0, 1, 7, 1), 700);
+            for event in [
+                NetEvent::DeviceFault { sw: missing_sw },
+                NetEvent::CpCrash { sw: missing_sw },
+                NetEvent::UnitInitiate {
+                    sw: missing_sw,
+                    port: 0,
+                    epoch: 1,
+                },
+                NetEvent::UnitInitiate {
+                    sw: LEAF,
+                    port: missing_port,
+                    epoch: 1,
+                },
+                NetEvent::EnqueueEgress {
+                    sw: LEAF,
+                    port: missing_port,
+                    qp: QueuedPacket {
+                        pkt: packet,
+                        from_port: 0,
+                    },
+                },
+                NetEvent::HostWake { host: missing_host },
+            ] {
+                tb.schedule_at(ms(3), event);
+            }
+        }
+        tb.run_until(ms(16));
+        assert!(!tb.snapshots().is_empty(), "the run seals snapshots");
+        format!("{:#?}", tb.snapshots())
+    };
+    assert_eq!(run(true), run(false));
 }

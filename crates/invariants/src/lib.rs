@@ -23,21 +23,18 @@
 //!   sinks through the whole-workspace call graph, plus the panic-path
 //!   and lock-order audits.
 //!
-//! Findings ratchet against the committed `invariants-baseline.json`
-//! (see [`baseline`]): CI fails on *new* findings and on stale baseline
-//! entries, so the accepted set only ever burns down. Run it as
+//! Any finding fails: there is no accepted set to carry debt in. The one
+//! exception is a reasoned `// invariants: allow(<rule>) — <reason>` at
+//! the offending line, honored by every pass (see [`source`]) and itself
+//! a finding when it lacks a reason or suppresses nothing. Run it as
 //! `cargo run -p invariants --` (see [`report`] for output formats) or
-//! via `cargo test -p invariants`. The reasoned
-//! `// invariants: allow(<rule>) — <reason>` escape hatch is honored by
-//! every pass; see [`source`].
+//! via `cargo test -p invariants`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -81,13 +78,6 @@ impl Diagnostic {
             message: message.to_string(),
             chain: Vec::new(),
         }
-    }
-
-    /// The ratchet-baseline key: findings are carried across runs by
-    /// (rule, file, symbol) so a fix can move lines without churning the
-    /// baseline, while any new symbol or file fails CI.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.path.display(), self.symbol)
     }
 
     /// The `a → b ⟶ source` rendering of [`Diagnostic::chain`].
@@ -155,7 +145,7 @@ pub fn analyze_files(files: &[SourceFile]) -> Vec<Diagnostic> {
         chain.push(f.what.clone());
         let message = if f.kind == items::SourceKind::Panic {
             format!(
-                "`{}` ({} site{}) in `{}` is reachable from event dispatch; make the function total or carry it in the baseline while it burns down",
+                "`{}` ({} site{}) in `{}` is reachable from event dispatch; make the function total",
                 f.what,
                 f.count,
                 if f.count == 1 { "" } else { "s" },

@@ -4,12 +4,11 @@
 //! cargo run -p invariants --                        # human report
 //! cargo run -p invariants -- --json                 # JSON to stdout
 //! cargo run -p invariants -- --out report.json      # JSON to a file
-//! cargo run -p invariants -- --baseline invariants-baseline.json
-//! cargo run -p invariants -- --baseline invariants-baseline.json --bless
 //! ```
 //!
-//! Exit codes: 0 clean (modulo baseline), 1 findings / ratchet failure,
-//! 2 usage or I/O error.
+//! Exit codes: 0 no findings, 1 any finding, 2 usage or I/O error. The
+//! one exception to a finding is a reasoned
+//! `// invariants: allow(<rule>) — <reason>` at the offending line.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -17,20 +16,15 @@ use std::process::ExitCode;
 struct Args {
     json: bool,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    bless: bool,
     root: Option<PathBuf>,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: invariants [--json] [--out FILE] [--baseline FILE] [--bless] [--root DIR]\n\
+        "usage: invariants [--json] [--out FILE] [--root DIR]\n\
          \n\
          --json            print the speedlight-invariants/v1 JSON report to stdout\n\
          --out FILE        also write the JSON report to FILE\n\
-         --baseline FILE   ratchet findings against FILE: fail on findings not in it\n\
-                           and on stale entries that no longer fire\n\
-         --bless           rewrite the baseline FILE from the current findings\n\
          --root DIR        workspace root (default: autodetected)"
     );
     ExitCode::from(2)
@@ -40,23 +34,16 @@ fn parse_args() -> Result<Args, ()> {
     let mut args = Args {
         json: false,
         out: None,
-        baseline: None,
-        bless: false,
         root: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => args.json = true,
-            "--bless" => args.bless = true,
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or(())?)),
-            "--baseline" => args.baseline = Some(PathBuf::from(it.next().ok_or(())?)),
             "--root" => args.root = Some(PathBuf::from(it.next().ok_or(())?)),
             _ => return Err(()),
         }
-    }
-    if args.bless && args.baseline.is_none() {
-        return Err(());
     }
     Ok(args)
 }
@@ -79,78 +66,7 @@ fn main() -> ExitCode {
     } else {
         print!("{}", invariants::report::render_human(&diags));
     }
-
-    let Some(baseline_path) = &args.baseline else {
-        // No ratchet: clean means zero findings.
-        return if diags.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
-    };
-
-    if args.bless {
-        let keys = diags
-            .iter()
-            .map(invariants::Diagnostic::baseline_key)
-            .collect();
-        let doc = invariants::baseline::render(&keys);
-        return match std::fs::write(baseline_path, doc) {
-            Ok(()) => {
-                eprintln!(
-                    "invariants: blessed {} entr{} into {}",
-                    diags.len(),
-                    if diags.len() == 1 { "y" } else { "ies" },
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("invariants: write {}: {e}", baseline_path.display());
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("invariants: read {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let accepted = match invariants::baseline::parse(&text) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("invariants: {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let ratchet = invariants::baseline::ratchet(&diags, &accepted);
-    if !ratchet.new.is_empty() {
-        eprintln!(
-            "invariants: {} NEW finding(s) not in the baseline — fix them or add a reasoned `allow`:",
-            ratchet.new.len()
-        );
-        for d in &ratchet.new {
-            eprintln!("  {}", d.baseline_key());
-        }
-    }
-    if !ratchet.stale.is_empty() {
-        eprintln!(
-            "invariants: {} STALE baseline entr(y/ies) no longer fire — delete them from {}:",
-            ratchet.stale.len(),
-            baseline_path.display()
-        );
-        for k in &ratchet.stale {
-            eprintln!("  {k}");
-        }
-    }
-    if ratchet.clean() {
-        eprintln!(
-            "invariants: ratchet clean ({} accepted finding(s) remaining to burn down)",
-            accepted.len()
-        );
+    if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

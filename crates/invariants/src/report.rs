@@ -6,7 +6,6 @@
 //! diagnostic list itself is canonically ordered by
 //! [`crate::sort_diagnostics`] ((crate, file, line, rule)).
 
-use crate::json::esc;
 use crate::Diagnostic;
 
 /// Schema identifier embedded in the JSON report.
@@ -38,6 +37,23 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
             if diags.len() == 1 { "" } else { "s" },
             summary.join(", ")
         ));
+    }
+    out
+}
+
+/// Escape a string for embedding in JSON output (without the quotes).
+fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
     }
     out
 }
@@ -82,7 +98,6 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use std::path::PathBuf;
 
     fn sample() -> Vec<Diagnostic> {
@@ -92,7 +107,7 @@ mod tests {
             line: 42,
             rule: "taint-wall-clock".to_string(),
             symbol: "parfan::map_cfg".to_string(),
-            message: "wall clock reaches a digest".to_string(),
+            message: "wall clock reaches a \"digest\"\tvia C:\\path".to_string(),
             chain: vec![
                 "conformance::run_matrix".to_string(),
                 "parfan::map_cfg".to_string(),
@@ -102,19 +117,24 @@ mod tests {
     }
 
     #[test]
-    fn json_report_parses_and_carries_the_chain() {
-        let text = render_json(&sample());
-        let v = json::parse(&text).unwrap();
-        assert_eq!(v.get("schema").and_then(json::Value::as_str), Some(SCHEMA));
-        let f = &v.get("findings").and_then(json::Value::as_arr).unwrap()[0];
-        assert_eq!(
-            f.get("rule").and_then(json::Value::as_str),
-            Some("taint-wall-clock")
-        );
-        assert_eq!(
-            f.get("chain").and_then(json::Value::as_arr).unwrap().len(),
-            3
-        );
+    fn json_report_bytes_carry_every_field_and_the_chain() {
+        let expected = r#"{
+  "schema": "speedlight-invariants/v1",
+  "total": 1,
+  "findings": [
+    {
+      "rule": "taint-wall-clock",
+      "crate": "parfan",
+      "file": "crates/parfan/src/lib.rs",
+      "line": 42,
+      "symbol": "parfan::map_cfg",
+      "message": "wall clock reaches a \"digest\"\tvia C:\\path",
+      "chain": ["conformance::run_matrix", "parfan::map_cfg", "Instant::now"]
+    }
+  ]
+}
+"#;
+        assert_eq!(render_json(&sample()), expected);
     }
 
     #[test]
@@ -126,14 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_report_is_valid_json() {
-        let v = json::parse(&render_json(&[])).unwrap();
-        assert_eq!(
-            v.get("findings")
-                .and_then(json::Value::as_arr)
-                .unwrap()
-                .len(),
-            0
-        );
+    fn empty_report_bytes_have_an_empty_findings_array() {
+        let expected = "{\n  \"schema\": \"speedlight-invariants/v1\",\n  \"total\": 0,\n  \"findings\": []\n}\n";
+        assert_eq!(render_json(&[]), expected);
     }
 }

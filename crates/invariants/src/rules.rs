@@ -87,7 +87,7 @@ pub fn interprocedural_rules() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "panic-path",
-            "unwrap/expect/indexing on the event-dispatch path is audited (ratcheted down)",
+            "no unwrap/expect/indexing reachable from event dispatch",
         ),
         (
             "lock-order",

@@ -1,58 +1,20 @@
-//! The CI gate: the whole workspace must satisfy every invariant rule
-//! modulo the committed ratchet baseline, with zero unexplained or stale
-//! escape hatches.
+//! The CI gate: the whole workspace must satisfy every invariant rule,
+//! with zero unexplained or stale escape hatches. Any finding fails.
 
 use std::collections::BTreeSet;
 
 #[test]
-fn workspace_satisfies_all_invariants_modulo_baseline() {
-    let root = invariants::workspace_root();
-    let diagnostics = invariants::lint_workspace(&root);
-
-    let baseline_path = root.join("invariants-baseline.json");
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", baseline_path.display()));
-    let accepted = invariants::baseline::parse(&text)
-        .unwrap_or_else(|e| panic!("{}: {e}", baseline_path.display()));
-
-    let ratchet = invariants::baseline::ratchet(&diagnostics, &accepted);
-    if !ratchet.new.is_empty() {
-        let mut report = String::new();
-        for d in &ratchet.new {
-            report.push_str(&format!("  {d}\n"));
-        }
-        panic!(
-            "\n{n} NEW invariant violation(s) not in invariants-baseline.json:\n{report}\
-             Fix the code, or — only where the exception is sound — add\n  \
-             // invariants: allow(<rule>) — <reason>\n\
-             on or directly above the offending line. The baseline only\n\
-             ever burns down; re-bless is reserved for reviewed burn-downs:\n  \
-             cargo run -p invariants -- --baseline invariants-baseline.json --bless",
-            n = ratchet.new.len()
-        );
-    }
+fn workspace_has_no_findings() {
+    let diagnostics = invariants::lint_workspace(&invariants::workspace_root());
+    let report: String = diagnostics.iter().map(|d| format!("  {d}\n")).collect();
     assert!(
-        ratchet.stale.is_empty(),
-        "stale baseline entries no longer fire — delete them from {}:\n  {}",
-        baseline_path.display(),
-        ratchet.stale.join("\n  ")
+        diagnostics.is_empty(),
+        "\n{n} invariant violation(s):\n{report}\
+         Fix the code, or — only where the exception is sound — add\n  \
+         // invariants: allow(<rule>) — <reason>\n\
+         on or directly above the offending line.",
+        n = diagnostics.len()
     );
-}
-
-#[test]
-fn baseline_only_carries_panic_path_burn_down() {
-    // The accepted debt is the panic-path audit of the pre-existing
-    // dispatch hot path. Determinism-taint findings must never be
-    // baselined — they are fixed or explicitly `allow`ed with a reason.
-    let root = invariants::workspace_root();
-    let text = std::fs::read_to_string(root.join("invariants-baseline.json")).unwrap();
-    let accepted = invariants::baseline::parse(&text).unwrap();
-    for key in &accepted {
-        assert!(
-            key.starts_with("panic-path|"),
-            "non-panic-path baseline entry: {key}"
-        );
-    }
 }
 
 #[test]

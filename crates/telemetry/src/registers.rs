@@ -35,11 +35,6 @@ impl MetricKind {
     pub fn supports_channel_state(self) -> bool {
         matches!(self, MetricKind::PacketCount | MetricKind::ByteCount)
     }
-
-    /// Whether this metric is an interarrival EWMA variant.
-    pub fn is_ewma(self) -> bool {
-        matches!(self, MetricKind::EwmaInterarrival | MetricKind::EwmaRate)
-    }
 }
 
 /// A per-port register bank for one metric.
