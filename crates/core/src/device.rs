@@ -2,79 +2,152 @@
 //!
 //! A Speedlight switch is two things: per-port data-plane units, and a CPU
 //! agent that consumes their notifications, injects initiation markers and
-//! refuses stale ones. [`SwitchAgent`] is that pair for one device. A
-//! substrate (the `fabric` simulator, the threaded `emulation`) wraps one
-//! agent per device and keeps what only it has: time, random draws,
-//! queues, links, metric registers and its instrumentation.
+//! refuses stale ones. [`SwitchAgent`] is that pair for one device, and
+//! [`SwitchAgent::on_packet`] is the one packet path both substrates call:
+//! it runs a unit and unwraps the packet's ID into its true epoch against
+//! omniscient shadows the agent keeps with the units. A substrate (the
+//! `fabric` simulator, the threaded `emulation`) wraps one agent per
+//! device and keeps what only it has: time, random draws, queues, links,
+//! metric registers and its instrumentation sinks.
 
 use crate::control::{ControlPlane, Registers, Report};
 use crate::id::{Epoch, WrappedId};
-use crate::types::{ChannelId, Direction, Notification, UnitId};
+use crate::types::{ChannelId, Direction, Notification, UnitId, CPU_CHANNEL};
 use crate::unit::{DataPlaneUnit, SnapSlot, UnitConfig};
+use std::ops::Range;
 
 /// A refused initiation: the port has already taken an epoch at least as
 /// new, or the port does not exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stale;
 
-/// The per-port register state of one switch's data plane.
+/// One packet as a unit receives it ([`SwitchAgent::on_packet`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Arrival {
+    /// The upstream channel ([`CPU_CHANNEL`] for an initiation marker).
+    pub channel: ChannelId,
+    /// The snapshot ID the packet carries.
+    pub id: WrappedId,
+    /// The snapshotted register's value before this packet's update.
+    pub local_state: u64,
+    /// The packet's channel-state contribution if it is in flight.
+    pub contrib: u64,
+    /// Whether the packet is an initiation marker (never in flight).
+    pub init: bool,
+}
+
+/// What one packet did at one unit.
+#[derive(Debug, Clone, Copy)]
+pub struct Processed {
+    /// The snapshot ID to write into the forwarded header.
+    pub out_sid: WrappedId,
+    /// The notification for the CPU, if a register changed.
+    pub notification: Option<Notification>,
+    /// The packet's true epoch: its ID unwrapped against the channel's
+    /// shadow, or on [`CPU_CHANNEL`] the epoch the port's last admitted
+    /// initiation took.
+    pub tag: Epoch,
+    /// The unit's true epoch after the packet.
+    pub epoch: Epoch,
+    /// The epoch the unit newly reached, if the packet advanced it.
+    pub reached: Option<Epoch>,
+    /// The epoch the packet's channel newly reached, if its Last Seen
+    /// moved and the move was notified (channel-state mode).
+    pub channel_reached: Option<Epoch>,
+}
+
+/// The per-port register state of one switch's data plane, and the
+/// omniscient shadows of its registers.
 ///
 /// Implements [`Registers`], so the control plane reads and clears
 /// snapshot slots exactly as over PCIe.
 #[derive(Debug)]
 pub struct Units {
     device: u16,
+    modulus: u16,
     /// Ingress processing units, one per port.
     pub ingress: Vec<DataPlaneUnit>,
     /// Egress processing units, one per port.
     pub egress: Vec<DataPlaneUnit>,
+    /// Shadow of each unit's ID register as a true epoch, indexed like
+    /// [`Units::index`]. Instrumentation only (replay log, conservation
+    /// audit, sync metric); it never feeds the protocol.
+    epochs: Vec<Epoch>,
+    /// Shadow of each (unit, channel) Last Seen register as a true epoch:
+    /// an ingress unit's one channel, then one row of `ports` channels per
+    /// egress unit. Monotone per channel, so a wrapped ID unwraps against
+    /// it. Instrumentation only.
+    last_seen: Vec<Epoch>,
 }
 
 impl Units {
-    /// The unit `id`; panics on an ID outside this device's units.
-    pub fn unit(&self, id: UnitId) -> &DataPlaneUnit {
-        debug_assert_eq!(id.device, self.device);
-        let bank = match id.direction {
-            Direction::Ingress => &self.ingress,
-            Direction::Egress => &self.egress,
-        };
-        let Some(unit) = bank.get(usize::from(id.port)) else {
-            panic!("unit id {id:?} out of range for device {}", self.device);
-        };
-        unit
+    /// Unit `id`'s index among this device's units (ingress ports, then
+    /// egress) and its row of channels in the Last Seen shadow; `None` for
+    /// a unit this device lacks.
+    fn index(&self, id: UnitId) -> Option<(usize, Range<usize>)> {
+        let (n, p) = (self.ingress.len(), usize::from(id.port));
+        if id.device != self.device || p >= n {
+            return None;
+        }
+        Some(match id.direction {
+            Direction::Ingress => (p, p..p + 1),
+            Direction::Egress => (n + p, n + p * n..n + (p + 1) * n),
+        })
     }
 
-    /// Mutable [`Units::unit`].
-    pub fn unit_mut(&mut self, id: UnitId) -> &mut DataPlaneUnit {
-        debug_assert_eq!(id.device, self.device);
+    /// Unit `id` with its ID shadow and its row of Last Seen shadows.
+    fn locate(&mut self, id: UnitId) -> Option<(&mut DataPlaneUnit, &mut Epoch, &mut [Epoch])> {
+        let (u, row) = self.index(id)?;
         let bank = match id.direction {
             Direction::Ingress => &mut self.ingress,
             Direction::Egress => &mut self.egress,
         };
-        let Some(unit) = bank.get_mut(usize::from(id.port)) else {
-            panic!("unit id {id:?} out of range for device {}", self.device);
+        let unit = bank.get_mut(usize::from(id.port))?;
+        Some((unit, self.epochs.get_mut(u)?, self.last_seen.get_mut(row)?))
+    }
+
+    /// The unit `id`, if this device has it.
+    fn unit(&self, id: UnitId) -> Option<&DataPlaneUnit> {
+        let bank = match id.direction {
+            Direction::Ingress => &self.ingress,
+            Direction::Egress => &self.egress,
         };
-        unit
+        bank.get(usize::from(id.port))
+            .filter(|_| id.device == self.device)
+    }
+
+    /// Mutable [`Units::unit`].
+    fn unit_mut(&mut self, id: UnitId) -> Option<&mut DataPlaneUnit> {
+        let bank = match id.direction {
+            Direction::Ingress => &mut self.ingress,
+            Direction::Egress => &mut self.egress,
+        };
+        bank.get_mut(usize::from(id.port))
+            .filter(|_| id.device == self.device)
     }
 }
 
+/// A unit this device lacks reads as registers in their boot state.
 impl Registers for Units {
     fn read_sid(&mut self, unit: UnitId) -> WrappedId {
-        self.unit(unit).sid()
+        let boot = WrappedId::wrap(0, self.modulus);
+        self.unit(unit).map_or(boot, DataPlaneUnit::sid)
     }
     fn read_last_seen(&mut self, unit: UnitId, channel: ChannelId) -> WrappedId {
-        self.unit(unit).last_seen(channel)
+        let boot = WrappedId::wrap(0, self.modulus);
+        self.unit(unit).map_or(boot, |u| u.last_seen(channel))
     }
     fn take_slot(&mut self, unit: UnitId, id: WrappedId) -> Option<SnapSlot> {
-        self.unit_mut(unit).take_slot(id)
+        self.unit_mut(unit)?.take_slot(id)
     }
 }
 
 /// One switch's data-plane units and the CPU agent that serves them.
 #[derive(Debug)]
 pub struct SwitchAgent {
-    /// The data-plane units. A substrate drives packets through them
-    /// directly; the agent owns them so its control plane can read them.
+    /// The data-plane units. A substrate drives packets through them with
+    /// [`SwitchAgent::on_packet`]; the agent owns them so its control
+    /// plane can read them.
     pub units: Units,
     cp: ControlPlane,
     /// The control plane as built: a crashed agent restarts from this
@@ -131,18 +204,80 @@ impl SwitchAgent {
         SwitchAgent {
             units: Units {
                 device,
+                modulus,
                 ingress: (0..ports)
                     .map(|p| unit(UnitId::ingress(device, p), 1))
                     .collect(),
                 egress: (0..ports)
                     .map(|p| unit(UnitId::egress(device, p), ports))
                     .collect(),
+                epochs: vec![0; 2 * n],
+                last_seen: vec![0; n + n * n],
             },
             cp_pristine: cp.clone(),
             cp,
             init_high: vec![0; n],
             cp_down: false,
         }
+    }
+
+    /// Run one packet through unit `id` with the unit's trace events, and
+    /// unwrap it against the shadows; `None` for a unit this device lacks
+    /// or a channel that unit does not have, with nothing changed.
+    pub fn on_packet<S: obs::Sink>(
+        &mut self,
+        id: UnitId,
+        pkt: Arrival,
+        sink: &mut S,
+        t_ns: u64,
+    ) -> Option<Processed> {
+        let (unit, epoch, row) = self.units.locate(id)?;
+        let (tag, last_seen) = if pkt.channel == CPU_CHANNEL {
+            // Initiation markers carry no monotone stream per channel
+            // (retries re-initiate older epochs): the guard knows the epoch.
+            (*self.init_high.get(usize::from(id.port))?, None)
+        } else {
+            let ls = row.get_mut(usize::from(pkt.channel.0))?;
+            (pkt.id.unwrap_from(*ls), Some(ls))
+        };
+        let out = unit.on_packet_traced(
+            pkt.channel,
+            pkt.id,
+            pkt.local_state,
+            pkt.contrib,
+            pkt.init,
+            sink,
+            t_ns,
+        );
+        // Every change of the ID register is notified, so the shadow
+        // moves only on a notification.
+        let reached = out.notification.and_then(|n| {
+            let new = n.new_sid.unwrap_from(*epoch);
+            let advanced = new > *epoch;
+            *epoch = new;
+            advanced.then_some(new)
+        });
+        let notified = out.notification.is_some_and(|n| n.channel.is_some());
+        let channel_reached = last_seen.and_then(|ls| {
+            let moved = tag > *ls;
+            *ls = tag;
+            (moved && notified).then_some(tag)
+        });
+        Some(Processed {
+            out_sid: out.out_sid,
+            notification: out.notification,
+            tag,
+            epoch: *epoch,
+            reached,
+            channel_reached,
+        })
+    }
+
+    /// Unit `id`'s ID register and the true epoch behind it; `None` for a
+    /// unit this device lacks.
+    pub fn current(&self, id: UnitId) -> Option<(WrappedId, Epoch)> {
+        let (u, _) = self.units.index(id)?;
+        Some((self.units.unit(id)?.sid(), *self.units.epochs.get(u)?))
     }
 
     /// Admit an initiation of `epoch` at ingress `port`: the wrapped
@@ -261,6 +396,174 @@ mod tests {
         assert_eq!(a.admit_initiation(1, 2), Ok(WrappedId::wrap(2, M)));
         assert_eq!(a.admit_initiation(0, 9), Ok(WrappedId::wrap(9, M)));
         assert_eq!(a.admit_initiation(2, 10), Err(Stale), "no such port");
+    }
+
+    /// A packet of true epoch `stamp` on `channel`, as data.
+    fn data(channel: ChannelId, stamp: Epoch, modulus: u16) -> Arrival {
+        Arrival {
+            channel,
+            id: WrappedId::wrap(stamp, modulus),
+            local_state: 0,
+            contrib: 1,
+            init: false,
+        }
+    }
+
+    /// A 2-port agent at modulus 4 under a seeded interleaving of
+    /// initiations and data packets that wraps the ID space many times.
+    /// Every packet is stamped with its true epoch; channels stay FIFO and
+    /// within the no-lapping bound (§5.3), so the unit's own decisions are
+    /// the model's. The agent must recover every stamp as the packet's
+    /// tag, and report each epoch a unit or a channel reaches exactly once.
+    #[test]
+    fn on_packet_tags_every_packet_with_its_true_epoch_across_wraps() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        const M: u16 = 4;
+        const P: usize = 2;
+        for seed in 0..8u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut a = SwitchAgent::new(0, 2, M, true, &[true; P], &[true; P * P]);
+            // The model: the newest epoch issued, each port's last
+            // initiation, each channel's last stamp, each unit's epoch.
+            let mut g: Epoch = 0;
+            let mut init = [0; P];
+            let mut ext = [0; P];
+            let mut fwd = [[0; P]; P];
+            let mut ing = [0; P];
+            let mut eg = [0; P];
+            let mut seen = BTreeSet::new();
+            let mut run = |a: &mut SwitchAgent,
+                           id: UnitId,
+                           pkt: Arrival,
+                           stamp: Epoch,
+                           unit_epoch: &mut Epoch,
+                           channel_last: Option<&mut Epoch>| {
+                let out = a
+                    .on_packet(id, pkt, &mut obs::NoopSink, 0)
+                    .expect("own unit");
+                assert_eq!(out.tag, stamp, "seed {seed}: {id:?} {pkt:?}");
+                let advanced = stamp > *unit_epoch;
+                *unit_epoch = (*unit_epoch).max(stamp);
+                assert_eq!(out.reached, advanced.then_some(stamp), "seed {seed}");
+                assert_eq!(out.epoch, *unit_epoch);
+                if let Some(e) = out.reached {
+                    assert!(seen.insert((id, None, e)), "{id:?} reached {e} twice");
+                }
+                let moved = channel_last.map(|last| {
+                    let moved = stamp > *last;
+                    *last = stamp;
+                    moved
+                });
+                assert_eq!(out.channel_reached, moved.unwrap_or(false).then_some(stamp));
+                if let Some(e) = out.channel_reached {
+                    assert!(
+                        seen.insert((id, Some(pkt.channel), e)),
+                        "{id:?} channel twice"
+                    );
+                }
+                out
+            };
+            for _ in 0..600 {
+                let port: u16 = rng.gen_range(0..2);
+                let p = usize::from(port);
+                let lowest = ext.iter().chain(fwd.iter().flatten()).min().copied();
+                if rng.gen_bool(0.3) {
+                    // A round ends once every port has taken epoch `g`; the
+                    // next starts only if no channel would lap.
+                    if init.iter().all(|&e| e == g) && g + 1 - lowest.unwrap_or(0) < Epoch::from(M)
+                    {
+                        g += 1;
+                    }
+                    if init[p] == g {
+                        continue;
+                    }
+                    init[p] = g;
+                    let marker = a.admit_initiation(port, g).expect("fresh epoch");
+                    let pkt = Arrival {
+                        init: true,
+                        channel: CPU_CHANNEL,
+                        ..data(CPU_CHANNEL, g, M)
+                    };
+                    assert_eq!(pkt.id, marker);
+                    let out = run(&mut a, UnitId::ingress(0, port), pkt, g, &mut ing[p], None);
+                    // Same-port egress (Fig. 6, path 3).
+                    let pkt = Arrival {
+                        id: out.out_sid,
+                        init: true,
+                        ..data(ChannelId(port), 0, M)
+                    };
+                    let (stamp, cell) = (ing[p], &mut fwd[p][p]);
+                    run(
+                        &mut a,
+                        UnitId::egress(0, port),
+                        pkt,
+                        stamp,
+                        &mut eg[p],
+                        Some(cell),
+                    );
+                } else {
+                    // External data into ingress `p`, then out egress `q`.
+                    let step: Epoch = rng.gen_range(0..=2);
+                    let stamp = (ext[p] + step).min(g);
+                    let pkt = data(ChannelId(0), stamp, M);
+                    let cell = &mut ext[p];
+                    let out = run(
+                        &mut a,
+                        UnitId::ingress(0, port),
+                        pkt,
+                        stamp,
+                        &mut ing[p],
+                        Some(cell),
+                    );
+                    let q_port: u16 = rng.gen_range(0..2);
+                    let q = usize::from(q_port);
+                    let pkt = Arrival {
+                        id: out.out_sid,
+                        ..data(ChannelId(port), 0, M)
+                    };
+                    let (stamp, cell) = (ing[p], &mut fwd[q][p]);
+                    run(
+                        &mut a,
+                        UnitId::egress(0, q_port),
+                        pkt,
+                        stamp,
+                        &mut eg[q],
+                        Some(cell),
+                    );
+                }
+            }
+            assert!(g > 4 * Epoch::from(M), "seed {seed}: only {g} epochs");
+        }
+    }
+
+    #[test]
+    fn foreign_units_and_channels_change_nothing() {
+        let mut a = agent(2);
+        let uid = UnitId::egress(0, 1);
+        a.on_packet(uid, data(ChannelId(0), 3, M), &mut obs::NoopSink, 0)
+            .expect("own unit");
+        let before = format!("{a:?}");
+        for (id, channel) in [
+            (UnitId::ingress(1, 0), ChannelId(0)), // another device's unit
+            (UnitId::ingress(0, 2), ChannelId(0)), // a port past the last
+            (UnitId::egress(0, u16::MAX), ChannelId(0)),
+            (UnitId::ingress(0, 0), ChannelId(1)), // a channel the unit lacks
+            (UnitId::egress(0, 1), ChannelId(2)),
+        ] {
+            let pkt = data(channel, 5, M);
+            assert!(
+                a.on_packet(id, pkt, &mut obs::NoopSink, 0).is_none(),
+                "{id:?}"
+            );
+            assert_eq!(a.current(id).is_none(), channel == ChannelId(0), "{id:?}");
+        }
+        assert_eq!(format!("{a:?}"), before, "registers and shadows untouched");
+        assert_eq!(a.current(uid), Some((WrappedId::wrap(3, M), 3)));
+        assert_eq!(
+            a.units.read_sid(UnitId::ingress(1, 0)),
+            WrappedId::wrap(0, M)
+        );
     }
 
     #[test]

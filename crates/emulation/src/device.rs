@@ -9,7 +9,7 @@
 
 use crate::messages::{DeviceMsg, Frame, ObserverMsg};
 use speedlight_core::consistency::DeliveryEvent;
-use speedlight_core::device::SwitchAgent;
+use speedlight_core::device::{Arrival, SwitchAgent};
 use speedlight_core::types::{ChannelId, Notification, UnitId, CPU_CHANNEL};
 use speedlight_core::{Epoch, WrappedId};
 use std::collections::{BTreeMap, VecDeque};
@@ -59,15 +59,11 @@ pub struct Device {
     eg_count: Vec<u64>,
     notif_queue: VecDeque<Notification>,
     observer: Sender<ObserverMsg>,
-    epoch_shadow: BTreeMap<UnitId, Epoch>,
     t0: WallInstant,
     /// Snapshot participation (fault injection flips this off).
     snapshot_enabled: bool,
     /// Replay log (when `cfg.record_deliveries`).
     delivery_log: Option<Vec<DeliveryEvent>>,
-    /// Per-(unit, channel) monotone shadow of unwrapped tags, feeding the
-    /// replay log only (never the protocol).
-    ls_shadow: BTreeMap<(UnitId, u16), Epoch>,
 }
 
 impl Device {
@@ -95,12 +91,10 @@ impl Device {
             eg_count: vec![0; usize::from(ports)],
             notif_queue: VecDeque::new(),
             observer,
-            epoch_shadow: BTreeMap::new(),
             cfg,
             t0,
             snapshot_enabled: true,
             delivery_log,
-            ls_shadow: BTreeMap::new(),
         }
     }
 
@@ -109,22 +103,47 @@ impl Device {
         self.agent.unit_ids()
     }
 
-    fn track(&mut self, n: &Notification) {
-        let entry = self.epoch_shadow.entry(n.unit).or_insert(0);
-        let new = n.new_sid.unwrap_from(*entry);
-        if new > *entry {
-            *entry = new;
+    /// Run one packet through unit `unit` ([`SwitchAgent::on_packet`]):
+    /// log the delivery, report the epoch the unit newly reached, queue
+    /// the notification. A frame contributes 1 to the counted metric, an
+    /// initiation nothing. The outgoing ID, or `None` for a unit or
+    /// channel this device lacks.
+    fn unit_process(
+        &mut self,
+        unit: UnitId,
+        channel: ChannelId,
+        id: WrappedId,
+        local_state: u64,
+        init: bool,
+    ) -> Option<WrappedId> {
+        let contrib = u64::from(!init);
+        let pkt = Arrival {
+            channel,
+            id,
+            local_state,
+            contrib,
+            init,
+        };
+        let out = self.agent.on_packet(unit, pkt, &mut obs::NoopSink, 0)?;
+        if let Some(log) = &mut self.delivery_log {
+            log.push(DeliveryEvent {
+                unit,
+                channel,
+                tag: out.tag,
+                local_state,
+                contrib,
+                init,
+            });
+        }
+        if let Some(epoch) = out.reached {
             let at = WallInstant::now().duration_since(self.t0).as_nanos() as u64;
             let _ = self.observer.send(ObserverMsg::Progress {
-                epoch: new,
+                epoch,
                 at_nanos: at,
             });
         }
-    }
-
-    fn push_notification(&mut self, n: Notification) {
-        self.track(&n);
-        self.notif_queue.push_back(n);
+        self.notif_queue.extend(out.notification);
+        Some(out.out_sid)
     }
 
     /// Drain the notification queue through the control plane.
@@ -137,44 +156,6 @@ impl Device {
                 });
             }
         }
-    }
-
-    /// Append one delivery to the replay log (no-op unless recording).
-    ///
-    /// `true_epoch` carries the known unwrapped epoch for CPU-channel
-    /// initiations (their epoch stream is not monotone under retries);
-    /// everything else unwraps against the per-channel monotone shadow.
-    #[allow(clippy::too_many_arguments)]
-    fn record_delivery(
-        &mut self,
-        unit: UnitId,
-        channel: ChannelId,
-        wrapped: WrappedId,
-        true_epoch: Option<Epoch>,
-        local_state: u64,
-        contrib: u64,
-        init: bool,
-    ) {
-        let Some(log) = self.delivery_log.as_mut() else {
-            return;
-        };
-        let tag = match true_epoch {
-            Some(e) => e,
-            None => {
-                let shadow = self.ls_shadow.entry((unit, channel.0)).or_insert(0);
-                let t = wrapped.unwrap_from(*shadow);
-                *shadow = t;
-                t
-            }
-        };
-        log.push(DeliveryEvent {
-            unit,
-            channel,
-            tag,
-            local_state,
-            contrib,
-            init,
-        });
     }
 
     fn decode_shim(frame: &Frame) -> Option<SnapshotHeader> {
@@ -201,52 +182,41 @@ impl Device {
             return;
         }
         // ---- Ingress unit ----
-        let pre = self.ing_count[usize::from(port)];
+        let dev = self.cfg.id;
+        let Some(&pre) = self.ing_count.get(usize::from(port)) else {
+            return;
+        };
         let in_sid = match Self::decode_shim(&frame) {
             Some(hdr) => {
                 let wrapped = WrappedId::from_raw(hdr.snapshot_id % modulus, modulus);
-                self.record_delivery(
-                    UnitId::ingress(self.cfg.id, port),
+                self.unit_process(
+                    UnitId::ingress(dev, port),
                     ChannelId(0),
                     wrapped,
-                    None,
                     pre,
-                    1,
                     false,
-                );
-                let unit = &mut self.agent.units.ingress[usize::from(port)];
-                let out = unit.on_packet(ChannelId(0), wrapped, pre, 1, false);
-                if let Some(n) = out.notification {
-                    self.push_notification(n);
-                }
-                out.out_sid
+                )
             }
-            None => self.agent.units.ingress[usize::from(port)].sid(),
+            None => self
+                .agent
+                .current(UnitId::ingress(dev, port))
+                .map(|(sid, _)| sid),
         };
         self.ing_count[usize::from(port)] += 1;
 
         // ---- Forwarding ----
-        let Some(&out_port) = self.cfg.fib.get(&frame.dst_host) else {
+        let (Some(&out_port), Some(in_sid)) = (self.cfg.fib.get(&frame.dst_host), in_sid) else {
             self.drain_cp();
             return;
         };
 
         // ---- Egress unit (channel = ingress port) ----
         let pre = self.eg_count[usize::from(out_port)];
-        self.record_delivery(
-            UnitId::egress(self.cfg.id, out_port),
-            ChannelId(port),
-            in_sid,
-            None,
-            pre,
-            1,
-            false,
-        );
-        let unit = &mut self.agent.units.egress[usize::from(out_port)];
-        let out = unit.on_packet(ChannelId(port), in_sid, pre, 1, false);
-        if let Some(n) = out.notification {
-            self.push_notification(n);
-        }
+        let egress = UnitId::egress(dev, out_port);
+        let Some(out_sid) = self.unit_process(egress, ChannelId(port), in_sid, pre, false) else {
+            self.drain_cp();
+            return;
+        };
         self.eg_count[usize::from(out_port)] += 1;
 
         // ---- Transmit ----
@@ -254,7 +224,7 @@ impl Device {
             PortTarget::Device { tx, peer_port } => {
                 let hdr = SnapshotHeader {
                     packet_type: wire::PacketType::Data,
-                    snapshot_id: out.out_sid.raw(),
+                    snapshot_id: out_sid.raw(),
                     channel_id: port,
                 };
                 frame.shim = Some(hdr.encode());
@@ -280,45 +250,14 @@ impl Device {
             let Ok(wrapped) = self.agent.admit_initiation(p, epoch) else {
                 continue;
             };
-            self.record_delivery(
-                UnitId::ingress(self.cfg.id, p),
-                CPU_CHANNEL,
-                wrapped,
-                Some(epoch),
-                self.ing_count[usize::from(p)],
-                0,
-                true,
-            );
-            let out = self.agent.units.ingress[usize::from(p)].on_packet(
-                CPU_CHANNEL,
-                wrapped,
-                self.ing_count[usize::from(p)],
-                0,
-                true,
-            );
-            if let Some(n) = out.notification {
-                self.push_notification(n);
-            }
+            let (dev, i) = (self.cfg.id, usize::from(p));
+            let (ing, eg) = (self.ing_count[i], self.eg_count[i]);
+            let ingress = UnitId::ingress(dev, p);
+            let Some(out_sid) = self.unit_process(ingress, CPU_CHANNEL, wrapped, ing, true) else {
+                continue;
+            };
             // Same-port egress; dropped after processing.
-            self.record_delivery(
-                UnitId::egress(self.cfg.id, p),
-                ChannelId(p),
-                out.out_sid,
-                None,
-                self.eg_count[usize::from(p)],
-                0,
-                true,
-            );
-            let eg = self.agent.units.egress[usize::from(p)].on_packet(
-                ChannelId(p),
-                out.out_sid,
-                self.eg_count[usize::from(p)],
-                0,
-                true,
-            );
-            if let Some(n) = eg.notification {
-                self.push_notification(n);
-            }
+            self.unit_process(UnitId::egress(dev, p), ChannelId(p), out_sid, eg, true);
         }
         self.drain_cp();
     }
@@ -420,6 +359,56 @@ mod tests {
         assert_eq!(values[&UnitId::ingress(0, 0)], 3);
         assert_eq!(values[&UnitId::egress(0, 1)], 3);
         assert_eq!(values[&UnitId::ingress(0, 1)], 0);
+    }
+
+    /// The replay log's tags are true epochs, not wrapped IDs: six rounds
+    /// at modulus 4, each an initiation then a frame from an upstream
+    /// switch stamped with the round's epoch, so the IDs wrap once.
+    #[test]
+    fn replay_log_tags_unwrap_across_a_wrap() {
+        const M: u16 = 4;
+        let (tx, _rx) = channel();
+        let (peer, _peer_rx) = std::sync::mpsc::sync_channel(64);
+        let cfg = DeviceConfig {
+            id: 0,
+            modulus: M,
+            channel_state: true,
+            targets: vec![
+                PortTarget::Host(0),
+                PortTarget::Device {
+                    tx: peer,
+                    peer_port: 0,
+                },
+            ],
+            fib: BTreeMap::from([(0, 0), (1, 1)]),
+            record_deliveries: true,
+        };
+        let mut dev = Device::new(cfg, tx, WallInstant::now());
+        let mut expected = Vec::new();
+        for epoch in 1..=6 {
+            dev.on_initiate(epoch);
+            for p in 0..2 {
+                expected.push((UnitId::ingress(0, p), CPU_CHANNEL, epoch, true));
+                expected.push((UnitId::egress(0, p), ChannelId(p), epoch, true));
+            }
+            let hdr = SnapshotHeader::data(WrappedId::wrap(epoch, M).raw());
+            let frame = Frame {
+                flow: wire::FlowKey::tcp(1, 0, 1, 1),
+                dst_host: 0,
+                size: 100,
+                shim: Some(hdr.encode()),
+            };
+            dev.on_frame(1, frame);
+            expected.push((UnitId::ingress(0, 1), ChannelId(0), epoch, false));
+            expected.push((UnitId::egress(0, 0), ChannelId(1), epoch, false));
+        }
+        let log: Vec<_> = dev
+            .delivery_log
+            .expect("recording")
+            .into_iter()
+            .map(|d| (d.unit, d.channel, d.tag, d.init))
+            .collect();
+        assert_eq!(log, expected);
     }
 
     #[test]

@@ -16,12 +16,11 @@
 //! * [`latency`] — every latency/jitter knob in one place (fabric
 //!   traversal, PCIe, control-plane processing, observer paths).
 //! * [`switchmod`] — one switch: its `speedlight_core::device::SwitchAgent`
-//!   (processing units, control plane, initiation guard, CP-down gate),
-//!   metric banks, egress queues, load balancer, and the per-device state
-//!   the interpreter keeps beside them: link state, the notification-export
-//!   fault gate, the device's latency stream in sharded mode, and
-//!   omniscient epoch shadows (pure instrumentation; they never feed the
-//!   protocol).
+//!   (processing units and their omniscient epoch shadows, control plane,
+//!   initiation guard, CP-down gate), metric banks, egress queues, load
+//!   balancer, and the per-device state the interpreter keeps beside them:
+//!   link state, the notification-export fault gate and the device's
+//!   latency stream in sharded mode.
 //! * [`network`] — the event interpreter gluing everything together.
 //! * [`testbed`] — the user-facing harness: build, drive, snapshot,
 //!   poll, inspect.

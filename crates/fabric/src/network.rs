@@ -12,9 +12,10 @@ use netsim::sim::{Scheduler, World};
 use netsim::time::{Duration, Instant};
 use speedlight_core::consistency::{ConservationChecker, Delivery, DeliveryEvent};
 use speedlight_core::control::Report;
+use speedlight_core::device::Arrival;
 use speedlight_core::observer::GlobalSnapshot;
 use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
-use speedlight_core::types::{ChannelId, Direction, Notification, UnitId, CPU_CHANNEL};
+use speedlight_core::types::{ChannelId, Notification, UnitId, CPU_CHANNEL};
 use speedlight_core::{Epoch, WrappedId};
 use std::collections::BTreeMap;
 use telemetry::MetricKind;
@@ -739,44 +740,6 @@ impl Network {
         self.switches.iter().map(|s| s.unit_ids().len()).sum()
     }
 
-    /// Update sync instrumentation + `switch`'s shadow state from one of
-    /// its notifications at data-plane time `now`.
-    fn track_notification(
-        switch: &mut Switch,
-        sync: &mut BTreeMap<Epoch, (Instant, Instant, u64)>,
-        n: &Notification,
-        now: Instant,
-    ) {
-        let mut progress = |epoch: Epoch| {
-            let e = sync.entry(epoch).or_insert((now, now, 0));
-            e.0 = e.0.min(now);
-            e.1 = e.1.max(now);
-            e.2 += 1;
-        };
-        let unit = switch.unit_idx(n.unit.direction, n.unit.port);
-        let Some(sid_ref) = switch.shadow_sid.get_mut(unit) else {
-            return;
-        };
-        let new_sid = n.new_sid.unwrap_from(*sid_ref);
-        let advanced = new_sid > *sid_ref;
-        *sid_ref = new_sid;
-        if advanced {
-            progress(new_sid);
-        }
-        let Some(ch) = n.channel.filter(|&ch| ch != CPU_CHANNEL) else {
-            return;
-        };
-        let slot = switch.ls_idx(n.unit.direction, n.unit.port, ch.0);
-        let Some(ls_ref) = switch.shadow_ls.get_mut(slot) else {
-            return;
-        };
-        let new_ls = n.new_last_seen.unwrap_from(*ls_ref);
-        if new_ls > *ls_ref {
-            *ls_ref = new_ls;
-            progress(new_ls);
-        }
-    }
-
     /// Enqueue a notification at the CP socket and kick the consumer.
     /// This is the post-fault-interception delivery path: everything that
     /// reaches it is what the control plane actually observes.
@@ -823,19 +786,14 @@ impl Network {
     }
 
     /// Run one unit's snapshot + metric pipeline over a packet, stamping
-    /// the outgoing shim header. `init_epoch` is the true (unwrapped)
-    /// epoch when the packet is a CPU-channel initiation.
-    #[allow(clippy::too_many_arguments)]
+    /// the outgoing shim header.
     fn unit_process(
         &mut self,
-        sw: u16,
-        port: u16,
-        direction: Direction,
+        uid: UnitId,
         channel: ChannelId,
         pkt: &mut Packet,
         now: Instant,
         sched: &mut impl Sched,
-        init_epoch: Option<Epoch>,
     ) {
         let Network {
             switches,
@@ -845,96 +803,74 @@ impl Network {
             instr,
             ..
         } = self;
-        let Some(switch) = switches.get_mut(usize::from(sw)) else {
+        let Some(switch) = switches.get_mut(usize::from(uid.device)) else {
             return;
         };
-        let uid = UnitId {
-            device: sw,
-            port,
-            direction,
-        };
+        let (sw, port) = (uid.device, uid.port);
         let is_init = pkt.is_initiation();
         let modulus = snapshot_cfg.modulus;
-        let unit_idx = switch.unit_idx(direction, port);
 
         // Metric pre-read (the value a snapshot would save) + contribution.
         let enabled = switch.snapshot_enabled;
-        let bank = switch.bank(direction);
+        let bank = switch.bank(uid.direction);
         let (pre_value, contrib) = (bank.read(port), bank.contrib(pkt.size));
 
         let incoming_channel_id = pkt.snapshot.map(|h| h.channel_id).unwrap_or(0);
         match pkt.snapshot {
             Some(hdr) if enabled => {
-                let wrapped = WrappedId::from_raw(hdr.snapshot_id % modulus, modulus);
-                // Audit tag: unwrap against the channel's pre-update shadow
-                // (CPU-channel initiations are excluded from the audit).
-                let ls =
-                    (channel != CPU_CHANNEL).then(|| switch.ls_idx(direction, port, channel.0));
-                let tag_epoch = match ls {
-                    Some(slot) => {
-                        let Some(&shadow) = switch.shadow_ls.get(slot) else {
-                            return;
-                        };
-                        wrapped.unwrap_from(shadow)
-                    }
-                    None => 0,
+                let arrival = Arrival {
+                    channel,
+                    id: WrappedId::from_raw(hdr.snapshot_id % modulus, modulus),
+                    local_state: pre_value,
+                    contrib,
+                    init: is_init,
+                };
+                // With the default `TraceSink::Off` the unit's trace is one
+                // always-false `enabled()` branch (`fig9_leaf_spine`
+                // `wall_s` in BENCHMARK.json holds the line on it).
+                let t_ns = now.as_nanos();
+                let Some(out) = switch.agent.on_packet(uid, arrival, &mut instr.trace, t_ns) else {
+                    return;
                 };
                 if let Some(log) = &mut instr.delivery_log {
-                    // CPU-channel initiations carry a non-monotone epoch
-                    // stream (retries re-initiate older epochs), so their
-                    // true epoch comes from the initiating event rather
-                    // than shadow unwrapping.
-                    let tag = if channel == CPU_CHANNEL {
-                        init_epoch.unwrap_or(0)
-                    } else {
-                        tag_epoch
-                    };
                     log.push(DeliveryEvent {
                         unit: uid,
                         channel,
-                        tag,
+                        tag: out.tag,
                         local_state: pre_value,
                         contrib,
                         init: is_init,
                     });
                 }
-                // With the default `TraceSink::Off` the traced call is one
-                // always-false `enabled()` branch (`fig9_leaf_spine`
-                // `wall_s` in BENCHMARK.json holds the line on it).
-                let out = switch.agent.units.unit_mut(uid).on_packet_traced(
-                    channel,
-                    wrapped,
-                    pre_value,
-                    contrib,
-                    is_init,
-                    &mut instr.trace,
-                    now.as_nanos(),
-                );
                 // Metric update after the snapshot logic (Fig. 3 l.13);
                 // initiations skip the update-counter stage (§6).
                 if !is_init {
-                    switch.bank_mut(direction).on_packet(port, now, pkt.size);
+                    switch
+                        .bank_mut(uid.direction)
+                        .on_packet(port, now, pkt.size);
                 }
                 if let Some(n) = out.notification {
-                    Self::track_notification(switch, &mut instr.sync, &n, now);
+                    // Fig. 9's sync metric: every epoch a unit or one of its
+                    // channels newly reaches (always a notified move), at
+                    // data-plane time.
+                    for epoch in [out.reached, out.channel_reached].into_iter().flatten() {
+                        let e = instr.sync.entry(epoch).or_insert((now, now, 0));
+                        e.0 = e.0.min(now);
+                        e.1 = e.1.max(now);
+                        e.2 += 1;
+                    }
                     let delay = latency
                         .notify_pcie
                         .sample(switch.rng.as_mut().unwrap_or(rng));
                     sched.after(delay, NetEvent::NotifyArrive { sw, n });
                 }
-                // Keep the channel shadow monotone even when the Last Seen
-                // update produced no notification (equal IDs / no-CS mode).
-                if let Some(ls_ref) = ls.and_then(|slot| switch.shadow_ls.get_mut(slot)) {
-                    *ls_ref = (*ls_ref).max(tag_epoch);
-                }
+                // Initiations are excluded from the audit.
                 if !is_init && channel != CPU_CHANNEL {
-                    if let (Some(audit), Some(&local_after)) =
-                        (&mut instr.audit, switch.shadow_sid.get(unit_idx))
-                    {
+                    if let Some(audit) = &mut instr.audit {
                         audit.record(Delivery {
                             unit: uid,
-                            tag: tag_epoch,
-                            local_after: local_after.max(tag_epoch),
+                            tag: out.tag,
+                            local_after: out.epoch.max(out.tag),
                             contrib,
                         });
                     }
@@ -953,25 +889,27 @@ impl Network {
                 // Headerless traffic (fresh from a host) or snapshots
                 // disabled on this device: metric update only; the receive
                 // is a purely local event for the audit.
+                let current = if enabled {
+                    switch.agent.current(uid)
+                } else {
+                    None
+                };
                 if !is_init {
-                    switch.bank_mut(direction).on_packet(port, now, pkt.size);
-                    if enabled {
-                        if let (Some(audit), Some(&local_after)) =
-                            (&mut instr.audit, switch.shadow_sid.get(unit_idx))
-                        {
-                            audit.record(Delivery {
-                                unit: uid,
-                                tag: local_after,
-                                local_after,
-                                contrib,
-                            });
-                        }
+                    switch
+                        .bank_mut(uid.direction)
+                        .on_packet(port, now, pkt.size);
+                    if let (Some(audit), Some((_, local_after))) = (&mut instr.audit, current) {
+                        audit.record(Delivery {
+                            unit: uid,
+                            tag: local_after,
+                            local_after,
+                            contrib,
+                        });
                     }
                 }
-                if enabled && pkt.snapshot.is_none() {
+                if let (None, Some((sid, _))) = (pkt.snapshot, current) {
                     // First snapshot-enabled device on the path inserts the
                     // shim, stamped with the unit's current epoch (§10).
-                    let sid = switch.agent.units.unit(uid).sid();
                     pkt.snapshot = Some(SnapshotHeader::data(sid.raw()));
                     pkt.size += wire::WIRE_LEN as u32;
                 }
@@ -1063,16 +1001,7 @@ impl Network {
                 switch.eg_metrics.set_gauge(port, depth);
             }
             let channel = ChannelId(qp.from_port);
-            self.unit_process(
-                sw,
-                port,
-                Direction::Egress,
-                channel,
-                &mut qp.pkt,
-                now,
-                sched,
-                None,
-            );
+            self.unit_process(UnitId::egress(sw, port), channel, &mut qp.pkt, now, sched);
             if qp.pkt.is_initiation() {
                 continue; // dropped after egress processing (§6)
             }
@@ -1338,20 +1267,13 @@ impl Network {
     pub(crate) fn handle_event(&mut self, now: Instant, event: NetEvent, sched: &mut impl Sched) {
         match event {
             NetEvent::ArriveIngress { sw, port, mut pkt } => {
-                let Some(switch) = self.switches.get_mut(usize::from(sw)) else {
+                let switch = self.switches.get_mut(usize::from(sw));
+                let Some(switch) = switch.filter(|s| port < s.ports()) else {
                     return;
                 };
                 switch.stats.ingress_packets += 1;
-                self.unit_process(
-                    sw,
-                    port,
-                    Direction::Ingress,
-                    ChannelId(0),
-                    &mut pkt,
-                    now,
-                    sched,
-                    None,
-                );
+                let uid = UnitId::ingress(sw, port);
+                self.unit_process(uid, ChannelId(0), &mut pkt, now, sched);
                 if pkt.role == PacketRole::Keepalive {
                     return; // keepalives die after propagating their ID
                 }
@@ -1515,16 +1437,8 @@ impl Network {
                     epoch = epoch,
                 );
                 let mut pkt = Packet::initiation(marker.raw());
-                self.unit_process(
-                    sw,
-                    port,
-                    Direction::Ingress,
-                    CPU_CHANNEL,
-                    &mut pkt,
-                    now,
-                    sched,
-                    Some(epoch),
-                );
+                let uid = UnitId::ingress(sw, port);
+                self.unit_process(uid, CPU_CHANNEL, &mut pkt, now, sched);
                 // Forward to the same-port egress unit through the fabric
                 // (Fig. 6, arrow 3).
                 sched.after(

@@ -1,7 +1,8 @@
-//! One simulated switch: the device's snapshot agent (units and control
-//! plane), metric banks, egress queues, load balancer, and the per-device
-//! state the event interpreter keeps beside them (link and fault gates,
-//! omniscient shadows, the device's latency stream in sharded mode).
+//! One simulated switch: the device's snapshot agent (units, their
+//! omniscient epoch shadows and the control plane), metric banks, egress
+//! queues, load balancer, and the per-device state the event interpreter
+//! keeps beside them (link and fault gates, the device's latency stream in
+//! sharded mode).
 
 use crate::network::NotifFaultState;
 use crate::packet::Packet;
@@ -11,7 +12,6 @@ use netsim::rng::SimRng;
 use netsim::time::{Duration, Instant};
 use speedlight_core::device::SwitchAgent;
 use speedlight_core::types::{Direction, Notification, UnitId};
-use speedlight_core::Epoch;
 use std::collections::VecDeque;
 use telemetry::{MetricBank, MetricKind};
 
@@ -140,19 +140,18 @@ pub struct SwitchStats {
     pub link_drops: u64,
 }
 
-/// A full switch: the §4.1 data plane and CPU agent (one [`SwitchAgent`])
-/// plus what the simulator keeps beside it — forwarding, metric banks,
-/// queues, link state, the notification fault gate and omniscient
-/// shadows. The shadows are instrumentation (sync spread, conservation
-/// audit, replay log) and never feed the protocol.
+/// A full switch: the §4.1 data plane and CPU agent (one [`SwitchAgent`],
+/// which also unwraps each packet's true epoch against its omniscient
+/// shadows) plus what the simulator keeps beside it — forwarding, metric
+/// banks, queues, link state and the notification fault gate.
 pub struct Switch {
     /// Device ID.
     pub id: u16,
     /// Whether this device participates in snapshots (partial deployment,
     /// §10). Disabled switches forward shims untouched.
     pub snapshot_enabled: bool,
-    /// The processing units, control plane, initiation guard and crash
-    /// gate.
+    /// The processing units and their epoch shadows, control plane,
+    /// initiation guard and crash gate.
     pub agent: SwitchAgent,
     /// Forwarding table.
     pub fib: Fib,
@@ -179,13 +178,6 @@ pub struct Switch {
     pub(crate) link_up: Vec<bool>,
     /// Notification-export fault injection on the PCIe path.
     pub(crate) notif_fault: Option<NotifFaultState>,
-    /// Omniscient shadow of each unit's unwrapped epoch, indexed by
-    /// [`Switch::unit_idx`]. Instrumentation only — never feeds the
-    /// protocol; a plain array because it sits on the per-packet path.
-    pub(crate) shadow_sid: Vec<Epoch>,
-    /// Omniscient shadow of each unit's unwrapped Last Seen per internal
-    /// channel, indexed by [`Switch::ls_idx`]. Instrumentation only.
-    pub(crate) shadow_ls: Vec<Epoch>,
     /// This device's latency stream in sharded mode (forked from the root
     /// seed by device id, so a device's draws do not depend on how devices
     /// are packed onto shards); `None` in the serial engine, which draws
@@ -251,8 +243,6 @@ impl Switch {
             fib_version_seen: 0,
             link_up: vec![true; n],
             notif_fault: None,
-            shadow_sid: vec![0; 2 * n],
-            shadow_ls: vec![0; 2 * n * n],
             rng: None,
         }
     }
@@ -276,24 +266,6 @@ impl Switch {
             Direction::Ingress => &mut self.ing_metrics,
             Direction::Egress => &mut self.eg_metrics,
         }
-    }
-
-    /// Index of unit (`direction`, `port`) in `shadow_sid`: ingress units
-    /// first, then egress, each by port.
-    #[inline]
-    pub(crate) fn unit_idx(&self, direction: Direction, port: u16) -> usize {
-        let dir = match direction {
-            Direction::Ingress => 0,
-            Direction::Egress => 1,
-        };
-        dir * self.egress_ports.len() + usize::from(port)
-    }
-
-    /// Index of (unit, internal channel `ch`) in `shadow_ls`: the unit's
-    /// row of one slot per ingress port.
-    #[inline]
-    pub(crate) fn ls_idx(&self, direction: Direction, port: u16, ch: u16) -> usize {
-        self.unit_idx(direction, port) * self.egress_ports.len() + usize::from(ch)
     }
 
     /// Run the control plane over one queued notification with trace
@@ -364,21 +336,11 @@ mod tests {
         assert_eq!(sw.agent.units.ingress.len(), 4);
         assert_eq!(sw.agent.units.egress[0].config().num_channels, 4);
         assert_eq!(sw.agent.units.ingress[0].config().num_channels, 1);
-        // Per-device interpreter state: one gate per port, one shadow per
-        // unit and per (unit, internal channel), no device stream until
-        // sharded mode forks one.
+        // Per-device interpreter state: one gate per port, no device
+        // stream until sharded mode forks one.
         assert_eq!(sw.link_up, vec![true; 4]);
-        assert_eq!(sw.shadow_sid.len(), 2 * 4);
-        assert_eq!(sw.shadow_ls.len(), 2 * 4 * 4);
         assert!(sw.rng.is_none());
         assert!(sw.notif_fault.is_none());
-        let idx: std::collections::BTreeSet<usize> = [Direction::Ingress, Direction::Egress]
-            .into_iter()
-            .flat_map(|d| (0..4).map(move |p| (d, p)))
-            .map(|(d, p)| sw.unit_idx(d, p))
-            .collect();
-        assert_eq!(idx, (0..2 * 4).collect());
-        assert_eq!(sw.ls_idx(Direction::Egress, 3, 3), sw.shadow_ls.len() - 1);
     }
 
     #[test]

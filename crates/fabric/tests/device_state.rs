@@ -6,8 +6,9 @@
 //! (2 leaves, 2 spines, 3 hosts a leaf, channel-state snapshots every
 //! 4 ms) and reads the counters that fault moves: per-device statistics
 //! and the run's metrics registry. The last case schedules events naming
-//! a device, port or host the world lacks, and expects the snapshots of
-//! the same run without them: dispatch ignores such an event.
+//! a device, port or host the world lacks (a packet arriving on a port
+//! past the last one included), and expects the snapshots of the same
+//! run without them: dispatch ignores such an event.
 
 mod common;
 
@@ -197,9 +198,14 @@ fn events_naming_a_missing_device_port_or_host_are_ignored() {
                     sw: LEAF,
                     port: missing_port,
                     qp: QueuedPacket {
-                        pkt: packet,
+                        pkt: packet.clone(),
                         from_port: 0,
                     },
+                },
+                NetEvent::ArriveIngress {
+                    sw: LEAF,
+                    port: missing_port,
+                    pkt: packet,
                 },
                 NetEvent::HostWake { host: missing_host },
             ] {

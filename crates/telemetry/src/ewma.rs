@@ -59,45 +59,58 @@ impl EwmaInterarrival {
         self
     }
 
-    /// Process one packet arrival on `port` at `now`.
+    /// Process one packet arrival on `port` at `now`; a port past the
+    /// registers updates nothing.
     pub fn on_packet(&mut self, port: u16, now: Instant) {
         let p = usize::from(port);
+        let (Some(last_ts), Some(count), Some(temp), Some(ewma)) = (
+            self.last_ts.get_mut(p),
+            self.packet_count.get_mut(p),
+            self.temp_ewma.get_mut(p),
+            self.ewma.get_mut(p),
+        ) else {
+            return;
+        };
         let ts = now.as_nanos();
-        let interarrival = ts.saturating_sub(self.last_ts[p]);
-        self.last_ts[p] = ts;
-        if self.packet_count[p] == 0 {
+        let interarrival = ts.saturating_sub(*last_ts);
+        *last_ts = ts;
+        if *count == 0 {
             // Very first packet: no interarrival exists yet; prime the
             // timestamp register only (counts as packet 0, "even", with a
             // zero contribution).
-            self.packet_count[p] = 1;
+            *count = 1;
             return;
         }
-        if self.packet_count[p] % 2 == 1 {
+        if *count % 2 == 1 {
             // Even data-phase (first of a pair): accumulate.
-            self.temp_ewma[p] += interarrival;
+            *temp += interarrival;
         } else {
             // Odd phase (second of a pair): fold the pair average in with
             // decay 0.5.
-            let pair_avg = (self.temp_ewma[p] + interarrival) / 2;
-            self.ewma[p] = if self.ewma[p] == 0 {
+            let pair_avg = (*temp + interarrival) / 2;
+            *ewma = if *ewma == 0 {
                 pair_avg
             } else {
                 let k = u32::from(self.decay_shift);
-                (self.ewma[p] * ((1 << k) - 1) + pair_avg) >> k
+                (*ewma * ((1 << k) - 1) + pair_avg) >> k
             };
-            self.temp_ewma[p] = 0;
+            *temp = 0;
         }
-        self.packet_count[p] += 1;
+        *count += 1;
     }
 
-    /// The snapshotted register: current EWMA of interarrival, nanoseconds.
+    /// The snapshotted register: current EWMA of interarrival,
+    /// nanoseconds; 0 for a port past the registers.
     pub fn read(&self, port: u16) -> u64 {
-        self.ewma[usize::from(port)]
+        self.ewma.get(usize::from(port)).copied().unwrap_or(0)
     }
 
-    /// Packets seen on `port`.
+    /// Packets seen on `port`; 0 for a port past the registers.
     pub fn packets(&self, port: u16) -> u64 {
-        self.packet_count[usize::from(port)]
+        self.packet_count
+            .get(usize::from(port))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Derived packet rate in packets/second (`1e9 / ewma`), or 0 if no

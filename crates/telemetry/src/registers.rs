@@ -64,28 +64,38 @@ impl MetricBank {
         self.kind
     }
 
-    /// Register value for `port` (what a snapshot saves).
+    /// Register value for `port` (what a snapshot saves); 0 for a port
+    /// past the bank.
     pub fn read(&self, port: u16) -> u64 {
         match self.kind {
             MetricKind::EwmaInterarrival | MetricKind::EwmaRate => self.ewma.read(port),
-            _ => self.counters[usize::from(port)],
+            _ => self.counters.get(usize::from(port)).copied().unwrap_or(0),
         }
     }
 
-    /// Apply one packet's update.
+    /// Apply one packet's update; a port past the bank updates nothing.
+    #[inline]
     pub fn on_packet(&mut self, port: u16, now: Instant, bytes: u32) {
-        match self.kind {
-            MetricKind::PacketCount => self.counters[usize::from(port)] += 1,
-            MetricKind::ByteCount => self.counters[usize::from(port)] += u64::from(bytes),
-            MetricKind::QueueDepth => {} // gauge: driven by set_gauge
-            MetricKind::EwmaInterarrival | MetricKind::EwmaRate => self.ewma.on_packet(port, now),
+        let add = match self.kind {
+            MetricKind::PacketCount => 1,
+            MetricKind::ByteCount => u64::from(bytes),
+            MetricKind::QueueDepth => return, // gauge: driven by set_gauge
+            MetricKind::EwmaInterarrival | MetricKind::EwmaRate => {
+                return self.ewma.on_packet(port, now)
+            }
+        };
+        if let Some(counter) = self.counters.get_mut(usize::from(port)) {
+            *counter += add;
         }
     }
 
-    /// Set a gauge register (queue depth updates from the queueing engine).
+    /// Set a gauge register (queue depth updates from the queueing
+    /// engine); a port past the bank updates nothing.
     pub fn set_gauge(&mut self, port: u16, value: u64) {
         debug_assert_eq!(self.kind, MetricKind::QueueDepth);
-        self.counters[usize::from(port)] = value;
+        if let Some(counter) = self.counters.get_mut(usize::from(port)) {
+            *counter = value;
+        }
     }
 
     /// The packet's channel-state contribution.
@@ -155,6 +165,29 @@ mod tests {
         assert!(b.read(0) > 0);
         assert_eq!(b.read(0), b.ewma().read(0));
         assert_eq!(b.contrib(64), 0);
+    }
+
+    #[test]
+    fn a_port_past_the_bank_reads_zero_and_updates_nothing() {
+        for kind in [
+            MetricKind::PacketCount,
+            MetricKind::ByteCount,
+            MetricKind::QueueDepth,
+            MetricKind::EwmaInterarrival,
+            MetricKind::EwmaRate,
+        ] {
+            let mut b = MetricBank::new(kind, 2);
+            let before = format!("{b:?}");
+            for (i, port) in [2, 3, u16::MAX].into_iter().enumerate() {
+                b.on_packet(port, at(i as u64), 100);
+                if kind == MetricKind::QueueDepth {
+                    b.set_gauge(port, 5);
+                }
+                assert_eq!(b.read(port), 0, "{kind:?}");
+                assert_eq!(b.ewma().packets(port), 0);
+            }
+            assert_eq!(format!("{b:?}"), before, "{kind:?}");
+        }
     }
 
     #[test]
