@@ -21,6 +21,9 @@
 //! * [`observer`] — the network-wide **snapshot observer** (§3, §6):
 //!   schedules snapshots, assembles per-unit reports into global snapshots,
 //!   retries, and excludes failed devices.
+//! * [`observer_agent`] — the observer's **decisions**, with no clock: issue,
+//!   paced re-initiation, forcing at the device timeout and keepalive
+//!   staleness, which the `fabric` and `emulation` substrates both call.
 //! * [`pipeline`] — the staged snapshot-assembly pipeline (collect →
 //!   validate → assemble → finalize → persist-hook): bounded inter-stage
 //!   queues (a full collect queue refuses the offer), and
@@ -49,6 +52,7 @@ pub mod device;
 pub mod id;
 pub mod ideal;
 pub mod observer;
+pub mod observer_agent;
 pub mod pipeline;
 pub mod types;
 pub mod unit;

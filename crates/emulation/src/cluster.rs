@@ -1,15 +1,20 @@
 //! Cluster wiring, the observer loop, and graceful shutdown.
 //!
 //! A [`Cluster`] stands up a line topology of devices (thread each), a
-//! traffic generator thread per host, and runs the observer inline:
-//! schedule an epoch, broadcast `Initiate` at the wall-clock instant,
-//! collect reports, repeat. Shutdown is graceful: generators stop first,
-//! devices drain their inboxes, the observer drains reports, threads join.
+//! traffic generator thread per host, and runs the observer inline: one
+//! [`ObserverAgent`] on the wall clock. At each scheduled instant the
+//! agent issues an epoch and the loop sends `Initiate` to every device;
+//! until the epoch seals, every wake-up (a message, or 5 ms without one)
+//! folds the message and ticks the agent, which re-initiates toward
+//! lagging devices every `interval` and forces the epoch at `timeout`.
+//! Shutdown is graceful: generators stop first, devices drain their
+//! inboxes, the observer drains reports, threads join.
 
 use crate::device::{Device, DeviceConfig, PortTarget};
 use crate::messages::{DeviceMsg, Frame, ObserverMsg};
 use speedlight_core::consistency::DeliveryEvent;
 use speedlight_core::observer::GlobalSnapshot;
+use speedlight_core::observer_agent::{Initiation, ObserverAgent};
 use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
 use speedlight_core::Epoch;
 use std::collections::BTreeMap;
@@ -31,11 +36,12 @@ pub struct ClusterConfig {
     pub channel_state: bool,
     /// Snapshots to take.
     pub snapshots: usize,
-    /// Wall-clock interval between snapshots.
+    /// Wall-clock interval between snapshots; also the observer's retry
+    /// pacing toward lagging devices.
     pub interval: WallDuration,
     /// Traffic rate per host generator (frames/s).
     pub host_rate: u64,
-    /// Per-snapshot completion timeout.
+    /// Per-snapshot completion timeout: the observer's device timeout.
     pub timeout: WallDuration,
     /// Record per-device replay logs for the conformance oracle.
     pub record_deliveries: bool,
@@ -69,7 +75,7 @@ pub struct ClusterReport {
     pub sync_spread_us: BTreeMap<Epoch, f64>,
     /// Frames generated, summed over both host generators.
     pub frames_sent: u64,
-    /// Epochs that only finished via `force_finalize` (device timeout).
+    /// Epochs the observer forced at the device timeout.
     pub forced_epochs: Vec<Epoch>,
     /// Per-device replay logs (empty unless recording was enabled).
     pub delivery_logs: BTreeMap<u16, Vec<DeliveryEvent>>,
@@ -102,26 +108,27 @@ impl Cluster {
             (0..n).map(|_| sync_channel::<DeviceMsg>(65_536)).unzip();
         let (obs_tx, obs_rx) = channel::<ObserverMsg>();
 
+        // The observer's clock is wall nanoseconds since `t0`. Devices
+        // initiate on receipt, so there is no lead time.
+        let pipeline = PipelineObserver::new(PipelineConfig::for_modulus(cfg.modulus));
+        let (retry, timeout) = (nanos(cfg.interval), nanos(cfg.timeout));
+        let mut observer = ObserverAgent::new(pipeline, 0, retry, timeout);
+        let now = || nanos(t0.elapsed());
+
         // Build device configs for the line: port 0 = left, port 1 = right.
-        let mut observer = PipelineObserver::new(PipelineConfig::for_modulus(cfg.modulus));
+        // A port leads to the neighbour's inbox, or past either end to
+        // that end's host.
+        let link = |peer: Option<usize>, host: u32, port: u16| match peer.and_then(|p| txs.get(p)) {
+            Some(tx) => PortTarget::Device {
+                tx: tx.clone(),
+                peer_port: port,
+            },
+            None => PortTarget::Host(host),
+        };
         let mut handles: Vec<JoinHandle<()>> = Vec::new();
         for (d, rx) in (0..n).zip(rxs) {
-            let left = if d == 0 {
-                PortTarget::Host(0)
-            } else {
-                PortTarget::Device {
-                    tx: txs[usize::from(d) - 1].clone(),
-                    peer_port: 1,
-                }
-            };
-            let right = if d == n - 1 {
-                PortTarget::Host(1)
-            } else {
-                PortTarget::Device {
-                    tx: txs[usize::from(d) + 1].clone(),
-                    peer_port: 0,
-                }
-            };
+            let i = usize::from(d);
+            let (left, right) = (link(i.checked_sub(1), 0, 1), link(Some(i + 1), 1, 0));
             let dev_cfg = DeviceConfig {
                 id: d,
                 modulus: cfg.modulus,
@@ -131,7 +138,7 @@ impl Cluster {
                 record_deliveries: cfg.record_deliveries,
             };
             let device = Device::new(dev_cfg, obs_tx.clone(), t0);
-            observer.register_device(d, device.unit_ids());
+            observer.pipeline.register_device(d, device.unit_ids());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("device-{d}"))
@@ -191,6 +198,11 @@ impl Cluster {
         let mut snapshots = Vec::new();
         let mut forced_epochs = Vec::new();
         let mut sync: BTreeMap<Epoch, (u64, u64)> = BTreeMap::new();
+        let send = |init: &Initiation| {
+            for tx in init.devices.iter().filter_map(|&d| txs.get(usize::from(d))) {
+                let _ = tx.send(DeviceMsg::Initiate { epoch: init.epoch });
+            }
+        };
         for k in 0..cfg.snapshots {
             for &(d, at) in &cfg.fail_devices {
                 if at == k {
@@ -208,41 +220,33 @@ impl Cluster {
                     .checked_mul(reps)
                     .expect("snapshot schedule overflows wall-clock Duration");
             // PTP-scheduled initiation: all devices told "now" when the
-            // wall clock reaches the instant (the broadcast loop below is
-            // the real-world jitter source we are measuring).
+            // wall clock reaches the instant (the broadcast below is the
+            // real-world jitter source we are measuring).
             while WallInstant::now() < fire_at {
                 std::hint::spin_loop();
             }
-            let Some(epoch) = observer.begin_snapshot() else {
+            let Some(init) = observer.begin(&mut obs::NoopSink, now()) else {
                 continue;
             };
-            for tx in &txs {
-                let _ = tx.send(DeviceMsg::Initiate { epoch });
-            }
-            // Collect until this epoch completes (newer reports are for
-            // later epochs and are buffered by the observer itself).
-            let deadline = WallInstant::now() + cfg.timeout;
-            'collect: while WallInstant::now() < deadline {
-                match obs_rx.recv_timeout(WallDuration::from_millis(5)) {
+            send(&init);
+            // Collect until this epoch seals or is forced; it is the only
+            // one outstanding.
+            while observer.pipeline.outstanding() > 0 {
+                let msg = obs_rx.recv_timeout(WallDuration::from_millis(5));
+                let t = now();
+                match msg {
                     Ok(ObserverMsg::Report { device, report }) => {
-                        if let Some(snap) = observer.on_report(device, report) {
-                            snapshots.push(snap);
-                            break 'collect;
-                        }
+                        let sealed = observer.on_report(device, report, &mut obs::NoopSink, t);
+                        snapshots.extend(sealed.map(|(snap, _)| snap));
                     }
-                    Ok(ObserverMsg::Progress { epoch, at_nanos }) => {
-                        let e = sync.entry(epoch).or_insert((at_nanos, at_nanos));
-                        e.0 = e.0.min(at_nanos);
-                        e.1 = e.1.max(at_nanos);
-                    }
-                    Ok(ObserverMsg::DeviceDone { .. }) => {}
+                    Ok(other) => stamp(&mut sync, &other),
                     Err(_) => {}
                 }
-            }
-            if observer.pending_epochs().any(|e| e == epoch) {
-                if let Some(snap) = observer.force_finalize(epoch) {
-                    forced_epochs.push(snap.epoch);
-                    snapshots.push(snap);
+                let (forced, retry) = observer.tick(&mut obs::NoopSink, t);
+                forced_epochs.extend(forced.iter().map(|(snap, _)| snap.epoch));
+                snapshots.extend(forced.into_iter().map(|(snap, _)| snap));
+                if let Some(retry) = retry {
+                    send(&retry);
                 }
             }
         }
@@ -266,12 +270,7 @@ impl Cluster {
                     }
                     done += 1;
                 }
-                Ok(ObserverMsg::Progress { epoch, at_nanos }) => {
-                    let e = sync.entry(epoch).or_insert((at_nanos, at_nanos));
-                    e.0 = e.0.min(at_nanos);
-                    e.1 = e.1.max(at_nanos);
-                }
-                Ok(_) => {}
+                Ok(other) => stamp(&mut sync, &other),
                 Err(_) => {}
             }
         }
@@ -291,6 +290,21 @@ impl Cluster {
             forced_epochs,
             delivery_logs,
         }
+    }
+}
+
+/// Nanoseconds in `d`, saturating: the observer agent's clock unit.
+fn nanos(d: WallDuration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Widen an epoch's progress-stamp window to cover a `Progress`
+/// message's instant; any other message is ignored.
+fn stamp(sync: &mut BTreeMap<Epoch, (u64, u64)>, msg: &ObserverMsg) {
+    if let &ObserverMsg::Progress { epoch, at_nanos } = msg {
+        let (lo, hi) = sync.entry(epoch).or_insert((at_nanos, at_nanos));
+        *lo = (*lo).min(at_nanos);
+        *hi = (*hi).max(at_nanos);
     }
 }
 

@@ -158,85 +158,69 @@ impl Device {
         }
     }
 
-    fn decode_shim(frame: &Frame) -> Option<SnapshotHeader> {
-        frame.shim.and_then(|b| SnapshotHeader::decode(&b).ok())
-    }
-
-    /// Process a frame arriving on `port`; forwards it onward.
+    /// Process a frame arriving on `port`; forwards it onward. A port, or
+    /// a route out of a port, past this device's last is ignored.
     pub fn on_frame(&mut self, port: u16, mut frame: Frame) {
         let modulus = self.cfg.modulus;
+        let route = self.cfg.fib.get(&frame.dst_host).copied();
+        let ports = self.cfg.targets.len();
+        if usize::from(port) >= ports || route.is_some_and(|q| usize::from(q) >= ports) {
+            return;
+        }
+        let pre = count(&mut self.ing_count, port);
         if !self.snapshot_enabled {
             // A failed snapshot agent: forwarding (and the metric) keeps
             // working, shims pass through untouched, no unit processing.
-            self.ing_count[usize::from(port)] += 1;
-            let Some(&out_port) = self.cfg.fib.get(&frame.dst_host) else {
-                return;
-            };
-            self.eg_count[usize::from(out_port)] += 1;
-            if let PortTarget::Device { tx, peer_port } = &self.cfg.targets[usize::from(out_port)] {
-                let _ = tx.send(DeviceMsg::Frame {
-                    port: *peer_port,
-                    frame,
-                });
+            if let Some(out_port) = route {
+                count(&mut self.eg_count, out_port);
+                self.transmit(out_port, frame);
             }
             return;
         }
         // ---- Ingress unit ----
         let dev = self.cfg.id;
-        let Some(&pre) = self.ing_count.get(usize::from(port)) else {
-            return;
-        };
-        let in_sid = match Self::decode_shim(&frame) {
+        let ingress = UnitId::ingress(dev, port);
+        let in_sid = match frame.shim.and_then(|b| SnapshotHeader::decode(&b).ok()) {
             Some(hdr) => {
                 let wrapped = WrappedId::from_raw(hdr.snapshot_id % modulus, modulus);
-                self.unit_process(
-                    UnitId::ingress(dev, port),
-                    ChannelId(0),
-                    wrapped,
-                    pre,
-                    false,
-                )
+                self.unit_process(ingress, ChannelId(0), wrapped, pre, false)
             }
-            None => self
-                .agent
-                .current(UnitId::ingress(dev, port))
-                .map(|(sid, _)| sid),
+            None => self.agent.current(ingress).map(|(sid, _)| sid),
         };
-        self.ing_count[usize::from(port)] += 1;
 
         // ---- Forwarding ----
-        let (Some(&out_port), Some(in_sid)) = (self.cfg.fib.get(&frame.dst_host), in_sid) else {
+        let (Some(out_port), Some(in_sid)) = (route, in_sid) else {
             self.drain_cp();
             return;
         };
 
         // ---- Egress unit (channel = ingress port) ----
-        let pre = self.eg_count[usize::from(out_port)];
+        let pre = count(&mut self.eg_count, out_port);
         let egress = UnitId::egress(dev, out_port);
         let Some(out_sid) = self.unit_process(egress, ChannelId(port), in_sid, pre, false) else {
             self.drain_cp();
             return;
         };
-        self.eg_count[usize::from(out_port)] += 1;
 
-        // ---- Transmit ----
-        match &self.cfg.targets[usize::from(out_port)] {
-            PortTarget::Device { tx, peer_port } => {
-                let hdr = SnapshotHeader {
-                    packet_type: wire::PacketType::Data,
-                    snapshot_id: out_sid.raw(),
-                    channel_id: port,
-                };
-                frame.shim = Some(hdr.encode());
-                let _ = tx.send(DeviceMsg::Frame {
-                    port: *peer_port,
-                    frame,
-                });
-            }
-            PortTarget::Host(_) => { /* shim stripped; frame sunk */ }
-            PortTarget::Unused => {}
-        }
+        // ---- Transmit (the shim is stripped toward a host) ----
+        let hdr = SnapshotHeader {
+            packet_type: wire::PacketType::Data,
+            snapshot_id: out_sid.raw(),
+            channel_id: port,
+        };
+        frame.shim = Some(hdr.encode());
+        self.transmit(out_port, frame);
         self.drain_cp();
+    }
+
+    /// Send `frame` out of `port` if a device is wired there; a host sinks
+    /// it.
+    fn transmit(&self, port: u16, frame: Frame) {
+        let target = self.cfg.targets.get(usize::from(port));
+        if let Some(PortTarget::Device { tx, peer_port }) = target {
+            let port = *peer_port;
+            let _ = tx.send(DeviceMsg::Frame { port, frame });
+        }
     }
 
     /// Control-plane initiation: CPU → every ingress → same-port egress
@@ -251,7 +235,9 @@ impl Device {
                 continue;
             };
             let (dev, i) = (self.cfg.id, usize::from(p));
-            let (ing, eg) = (self.ing_count[i], self.eg_count[i]);
+            let (Some(&ing), Some(&eg)) = (self.ing_count.get(i), self.eg_count.get(i)) else {
+                continue;
+            };
             let ingress = UnitId::ingress(dev, p);
             let Some(out_sid) = self.unit_process(ingress, CPU_CHANNEL, wrapped, ing, true) else {
                 continue;
@@ -277,6 +263,13 @@ impl Device {
             deliveries: self.delivery_log.take().unwrap_or_default(),
         });
     }
+}
+
+/// Count one frame on `port`: the count before it, or 0 (and nothing
+/// counted) for a port the device lacks.
+fn count(counts: &mut [u64], port: u16) -> u64 {
+    let counter = counts.get_mut(usize::from(port));
+    counter.map_or(0, |c| std::mem::replace(c, *c + 1))
 }
 
 #[cfg(test)]
@@ -409,6 +402,31 @@ mod tests {
             .map(|d| (d.unit, d.channel, d.tag, d.init))
             .collect();
         assert_eq!(log, expected);
+    }
+
+    /// A port past the last, or a route out of one, is ignored: no panic
+    /// and no counter moved, with snapshots disabled or enabled.
+    #[test]
+    fn out_of_range_ports_are_ignored() {
+        let frame = |dst_host| Frame {
+            flow: wire::FlowKey::tcp(0, 1, 1, 1),
+            dst_host,
+            size: 100,
+            shim: None,
+        };
+        let (tx, rx) = channel();
+        let mut dev = two_port_device(tx);
+        dev.snapshot_enabled = false;
+        dev.on_frame(2, frame(1));
+        dev.snapshot_enabled = true;
+        dev.cfg.fib.insert(9, 5);
+        dev.on_frame(0, frame(9));
+        dev.on_frame(2, frame(1));
+        assert_eq!(
+            (dev.ing_count.as_slice(), dev.eg_count.as_slice()),
+            (&[0, 0][..], &[0, 0][..])
+        );
+        assert!(rx.try_recv().is_err());
     }
 
     #[test]

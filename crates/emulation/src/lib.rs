@@ -15,7 +15,8 @@
 //! * [`device`] — the device actor: one `speedlight_core::device::SwitchAgent`
 //!   (units, colocated control plane, stale-initiation guard) plus
 //!   forwarding, counters and notification handling;
-//! * [`cluster`] — wiring, the observer loop, graceful shutdown, and the
+//! * [`cluster`] — wiring, the observer loop (a wall-clock
+//!   `speedlight_core::observer_agent::ObserverAgent`), graceful shutdown, and the
 //!   demo harness used by tests/examples.
 
 #![forbid(unsafe_code)]

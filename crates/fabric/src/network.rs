@@ -10,10 +10,12 @@ use crate::traffic::{Emission, Source};
 use netsim::rng::SimRng;
 use netsim::sim::{Scheduler, World};
 use netsim::time::{Duration, Instant};
+use obs::metrics::LATENCY_BOUNDS_NS;
 use speedlight_core::consistency::{ConservationChecker, Delivery, DeliveryEvent};
 use speedlight_core::control::Report;
 use speedlight_core::device::Arrival;
 use speedlight_core::observer::GlobalSnapshot;
+use speedlight_core::observer_agent::{Initiation, ObserverAgent, Sealed};
 use speedlight_core::pipeline::{PipelineConfig, PipelineObserver};
 use speedlight_core::types::{ChannelId, Notification, UnitId, CPU_CHANNEL};
 use speedlight_core::{Epoch, WrappedId};
@@ -411,25 +413,21 @@ pub struct Network {
     /// The switches.
     pub switches: Vec<Switch>,
     hosts: Vec<Host>,
-    /// The snapshot observer.
-    pub observer: PipelineObserver,
+    /// The snapshot observer and its issue, retry, force and keepalive
+    /// decisions; this world delivers what it decides and feeds it
+    /// reports and ticks.
+    pub observer: ObserverAgent,
     latency: LatencyModel,
+    /// Periods of the snapshot, poll, tick and keepalive events.
     driver: DriverConfig,
     snapshot_cfg: SnapshotConfig,
     rng: SimRng,
-    /// Epoch → issue time (retry/timeout bookkeeping).
-    issued: BTreeMap<Epoch, Instant>,
-    /// Epoch → last re-initiation time (retry pacing).
-    retried: BTreeMap<Epoch, Instant>,
     next_sweep: u32,
     /// Reused emission buffer for host wakes (avoids a per-wake alloc).
     scratch_emissions: Vec<Emission>,
     /// PTP degradation schedule folded into initiation offsets
     /// (all-zero = healthy).
     ptp_deg: timesync::PtpDegradation,
-    /// Newest epoch the observer has issued (CP crash-recovery resync
-    /// target).
-    last_issued_epoch: Epoch,
     /// Sharded execution mode: the conservative lookahead
     /// (partition-independent: the minimum inter-device link propagation
     /// delay in the topology). `None` is the serial engine, byte-for-byte
@@ -495,10 +493,12 @@ impl Network {
                 considered_pair,
             ));
         }
-        let mut observer = PipelineObserver::new(PipelineConfig::for_modulus(snapshot_cfg.modulus));
+        let mut pipeline = PipelineObserver::new(PipelineConfig::for_modulus(snapshot_cfg.modulus));
         for sw in &switches {
-            observer.register_device(sw.id, sw.unit_ids());
+            pipeline.register_device(sw.id, sw.unit_ids());
         }
+        let (lead, retry) = (driver.lead_time.as_nanos(), driver.retry_timeout.as_nanos());
+        let observer = ObserverAgent::new(pipeline, lead, retry, driver.device_timeout.as_nanos());
         let host_rng_base = rng.fork("hosts");
         let hosts: Vec<Host> = (0u64..)
             .zip(&topo.hosts)
@@ -522,12 +522,9 @@ impl Network {
             driver,
             snapshot_cfg,
             rng,
-            issued: BTreeMap::new(),
-            retried: BTreeMap::new(),
             next_sweep: 0,
             scratch_emissions: Vec::new(),
             ptp_deg: timesync::PtpDegradation::default(),
-            last_issued_epoch: 0,
             sharded: None,
             profiler: None,
             instr,
@@ -671,7 +668,7 @@ impl Network {
             panic!("take_profile called but profiling was never enabled");
         };
         prof.core.close_boundary();
-        let pipeline = self.observer.stats().profile_section();
+        let pipeline = self.observer.pipeline.stats().profile_section();
         crate::shard::profile_of(&prof.table, &prof.core, pipeline)
     }
 
@@ -694,9 +691,10 @@ impl Network {
         m.gauge_set("switch.queue_drops", queue_drops);
         m.gauge_set("switch.notify_drops", notify_drops);
         m.gauge_set("switch.keepalives_sent", keepalives);
-        m.gauge_set("observer.finalized", self.observer.finalized_count());
+        let pipeline = &self.observer.pipeline;
+        m.gauge_set("observer.finalized", pipeline.finalized_count());
         m.gauge_set("net.unroutable_drops", self.instr.unroutable_drops);
-        self.observer.fold_metrics(m);
+        pipeline.fold_metrics(m);
     }
 
     /// Apply a link-state change to this replica's topology view: both
@@ -1052,17 +1050,11 @@ impl Network {
         }
     }
 
-    /// Fan initiations for `epoch` out to `devices` aimed at true time
-    /// `target`, through the clock-offset/scheduling model.
-    fn fan_out_initiations(
-        &mut self,
-        epoch: Epoch,
-        target: Instant,
-        devices: &[u16],
-        sched: &mut impl Sched,
-        now: Instant,
-    ) {
-        for &sw in devices {
+    /// Fan the observer's initiations out to their devices, aimed at true
+    /// time `target_ns`, through the clock-offset/scheduling model.
+    fn fan_out_initiations(&mut self, init: Initiation, sched: &mut impl Sched, now: Instant) {
+        let (epoch, target) = (init.epoch, Instant::from_nanos(init.target_ns));
+        for sw in init.devices {
             let dev = self.latency.initiation.sample_device(&mut self.rng);
             // Degraded PTP adds its deterministic extra offset on top of
             // the sampled residual; it never touches the RNG stream, so
@@ -1087,36 +1079,22 @@ impl Network {
         }
     }
 
-    /// Record a snapshot completion in the metrics registry and emit the
-    /// `snap.complete` event (shared by the normal and forced paths).
-    fn record_completion(
-        &mut self,
-        snapshot: &GlobalSnapshot,
-        issued_at: Instant,
-        now: Instant,
-        forced: bool,
-    ) {
-        let dur = now.saturating_since(issued_at);
+    /// Record a snapshot the observer sealed (normal or forced): its
+    /// metrics and its [`SnapshotRecord`]. The agent traced it already.
+    fn record(&mut self, (snapshot, issued_ns): Sealed, forced: bool, now: Instant) {
         let m = &mut self.instr.metrics;
         m.inc("snapshots.completed");
         if forced {
             m.inc("snapshots.forced");
         }
-        m.observe(
-            "snapshot.completion_latency_ns",
-            &obs::metrics::LATENCY_BOUNDS_NS,
-            dur.as_nanos(),
-        );
-        obs::event!(
-            &mut self.instr.trace,
-            now.as_nanos(),
-            "snap.complete",
-            epoch = snapshot.epoch,
-            dur_ns = dur.as_nanos(),
-            units = snapshot.units.len(),
-            excluded = snapshot.excluded.len(),
-            forced = forced,
-        );
+        let dur_ns = now.as_nanos().saturating_sub(issued_ns);
+        m.observe("snapshot.completion_latency_ns", &LATENCY_BOUNDS_NS, dur_ns);
+        self.instr.snapshots.push(SnapshotRecord {
+            snapshot,
+            issued_at: Instant::from_nanos(issued_ns),
+            completed_at: now,
+            forced,
+        });
     }
 
     /// Apply a control-plane recovery on the device: clear the down gate
@@ -1149,7 +1127,7 @@ impl Network {
 
     /// Does `sw` still owe `epoch` its reports while snapshotting? Then a
     /// keepalive round may unblock it.
-    fn keepalive_due(&self, sw: u16, epoch: Epoch) -> bool {
+    fn owes_reports(&self, sw: u16, epoch: Epoch) -> bool {
         self.switches
             .get(usize::from(sw))
             .is_some_and(|s| s.snapshot_enabled && !s.agent.cp().device_complete(epoch))
@@ -1367,16 +1345,9 @@ impl Network {
             }
 
             NetEvent::ScheduleSnapshot => {
-                if let Some(epoch) = self
-                    .observer
-                    .begin_snapshot_traced(&mut self.instr.trace, now.as_nanos())
-                {
+                if let Some(init) = self.observer.begin(&mut self.instr.trace, now.as_nanos()) {
                     self.instr.metrics.inc("snapshots.initiated");
-                    let target = now + self.driver.lead_time;
-                    self.issued.insert(epoch, now);
-                    self.last_issued_epoch = self.last_issued_epoch.max(epoch);
-                    let devices: Vec<u16> = self.observer.device_ids().collect();
-                    self.fan_out_initiations(epoch, target, &devices, sched, now);
+                    self.fan_out_initiations(init, sched, now);
                 }
                 if let Some(period) = self.driver.snapshot_period {
                     sched.after(period, NetEvent::ScheduleSnapshot);
@@ -1601,7 +1572,7 @@ impl Network {
             }
 
             NetEvent::CpRecover { sw } => {
-                let epoch = self.last_issued_epoch;
+                let epoch = self.observer.newest_issued();
                 if let Some(lookahead) = self.sharded {
                     // The resync target is control-domain state, so this
                     // event runs on the control domain and ships the epoch
@@ -1617,7 +1588,7 @@ impl Network {
             }
 
             NetEvent::KeepaliveProbe { sw, epoch } => {
-                if self.keepalive_due(sw, epoch) {
+                if self.owes_reports(sw, epoch) {
                     self.inject_keepalives(sw, now, sched);
                 }
             }
@@ -1654,91 +1625,20 @@ impl Network {
             }
 
             NetEvent::ReportArrive { device, report } => {
-                obs::event!(
-                    &mut self.instr.trace,
-                    now.as_nanos(),
-                    "report.arrive",
-                    dev = device,
-                    epoch = report.epoch,
-                );
-                if let Some(snapshot) = self.observer.on_report_traced(
-                    device,
-                    report,
-                    &mut self.instr.trace,
-                    now.as_nanos(),
-                ) {
-                    let issued_at = self.issued.remove(&snapshot.epoch).unwrap_or(Instant::ZERO);
-                    self.retried.remove(&snapshot.epoch);
-                    self.record_completion(&snapshot, issued_at, now, false);
-                    self.instr.snapshots.push(SnapshotRecord {
-                        snapshot,
-                        issued_at,
-                        completed_at: now,
-                        forced: false,
-                    });
+                let (trace, t_ns) = (&mut self.instr.trace, now.as_nanos());
+                if let Some(sealed) = self.observer.on_report(device, report, trace, t_ns) {
+                    self.record(sealed, false, now);
                 }
             }
 
             NetEvent::ObserverTick => {
-                // Maintenance begins by pumping the pipeline stages to
-                // quiescence (a no-op for the synchronous embedding) so
-                // timeout decisions below are made against fully-folded
-                // state.
-                self.observer
-                    .pump_traced(&mut self.instr.trace, now.as_nanos());
-                let pending: Vec<Epoch> = self.observer.pending_epochs().collect();
-                // Initiations are cumulative (an initiation for epoch E
-                // advances a unit past every epoch < E), so re-initiating
-                // only the *newest* overdue epoch suffices for liveness —
-                // and avoids an event storm when many epochs are pending.
-                let mut newest_overdue: Option<(Epoch, Instant)> = None;
-                for epoch in pending {
-                    let Some(&issued_at) = self.issued.get(&epoch) else {
-                        continue;
-                    };
-                    let age = now.saturating_since(issued_at);
-                    if age >= self.driver.device_timeout {
-                        if let Some(snapshot) = self.observer.force_finalize_traced(
-                            epoch,
-                            &mut self.instr.trace,
-                            now.as_nanos(),
-                        ) {
-                            self.issued.remove(&epoch);
-                            self.retried.remove(&epoch);
-                            self.record_completion(&snapshot, issued_at, now, true);
-                            self.instr.snapshots.push(SnapshotRecord {
-                                snapshot,
-                                issued_at,
-                                completed_at: now,
-                                forced: true,
-                            });
-                        }
-                    } else if age >= self.driver.retry_timeout {
-                        newest_overdue = Some((epoch, issued_at));
-                    }
+                let (forced, retry) = self.observer.tick(&mut self.instr.trace, now.as_nanos());
+                for sealed in forced {
+                    self.record(sealed, true, now);
                 }
-                if let Some((epoch, _)) = newest_overdue {
-                    let paced = self
-                        .retried
-                        .get(&epoch)
-                        .map(|t| now.saturating_since(*t) >= self.driver.retry_timeout)
-                        .unwrap_or(true);
-                    if paced {
-                        let lagging: Vec<u16> =
-                            self.observer.lagging_devices(epoch).into_iter().collect();
-                        if !lagging.is_empty() {
-                            self.retried.insert(epoch, now);
-                            self.instr.metrics.inc("snapshots.reinitiated");
-                            obs::event!(
-                                &mut self.instr.trace,
-                                now.as_nanos(),
-                                "snap.reinitiate",
-                                epoch = epoch,
-                                devices = lagging.len(),
-                            );
-                            self.fan_out_initiations(epoch, now, &lagging, sched, now);
-                        }
-                    }
+                if let Some(init) = retry {
+                    self.instr.metrics.inc("snapshots.reinitiated");
+                    self.fan_out_initiations(init, sched, now);
                 }
                 sched.after(self.driver.tick, NetEvent::ObserverTick);
             }
@@ -1817,31 +1717,16 @@ impl Network {
             }
 
             NetEvent::KeepaliveTick => {
-                if self.snapshot_cfg.channel_state {
-                    let oldest_pending = self.observer.pending_epochs().next();
-                    if let Some(oldest) = oldest_pending {
-                        let stale = self
-                            .issued
-                            .get(&oldest)
-                            .map(|t| now.saturating_since(*t) > self.driver.lead_time * 2)
-                            .unwrap_or(false);
-                        if stale {
-                            if let Some(lookahead) = self.sharded {
-                                // Device completion state lives on each
-                                // owner shard; ship the check there.
-                                for sw in 0..self.switches.len() as u16 {
-                                    sched.after(
-                                        lookahead,
-                                        NetEvent::KeepaliveProbe { sw, epoch: oldest },
-                                    );
-                                }
-                            } else {
-                                for sw in 0..self.switches.len() as u16 {
-                                    if self.keepalive_due(sw, oldest) {
-                                        self.inject_keepalives(sw, now, sched);
-                                    }
-                                }
-                            }
+                // Only channel-state completion waits on traffic.
+                let due = self.observer.keepalive_due(now.as_nanos());
+                if let Some(oldest) = due.filter(|_| self.snapshot_cfg.channel_state) {
+                    for sw in 0..self.switches.len() as u16 {
+                        if let Some(lookahead) = self.sharded {
+                            // Device completion state lives on each owner
+                            // shard; ship the check there.
+                            sched.after(lookahead, NetEvent::KeepaliveProbe { sw, epoch: oldest });
+                        } else if self.owes_reports(sw, oldest) {
+                            self.inject_keepalives(sw, now, sched);
                         }
                     }
                 }

@@ -827,7 +827,8 @@ impl ShardedTestbed {
             };
             merged.core.merge_from(&other.core);
         }
-        let pipeline = self.sim.world_mut(0).net.observer.stats().profile_section();
+        let observer = &self.sim.world_mut(0).net.observer;
+        let pipeline = observer.pipeline.stats().profile_section();
         profile_of(&merged.table, &merged.core, pipeline)
     }
 }

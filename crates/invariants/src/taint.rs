@@ -56,6 +56,8 @@ pub const DISPATCH_ROOTS: &[(&str, &str)] = &[
     ("core", "on_notification_traced"),
     ("core", "on_packet"),
     ("core", "on_packet_traced"),
+    ("emulation", "on_frame"),
+    ("emulation", "on_initiate"),
     ("fabric", "handle"),
     ("fabric", "run_until"),
     ("netsim", "run_until"),

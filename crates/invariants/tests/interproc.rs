@@ -253,3 +253,28 @@ fn unused_interprocedural_allow_is_reported() {
     let got: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule.as_str(), d.line)).collect();
     assert_eq!(got, vec![("unused-allow", 2)], "{diags:#?}");
 }
+
+#[test]
+fn emulation_handlers_are_dispatch_roots() {
+    // The live device's frame and initiation handlers run the same agent
+    // the simulator dispatches into, so a panic site in either is audited
+    // like one under `fabric::handle`.
+    let diags = analyze(&[(
+        "crates/emulation/src/device.rs",
+        "emulation",
+        "pub struct Device {\n    counts: Vec<u64>,\n}\n\
+         impl Device {\n    \
+         pub fn on_frame(&mut self, port: usize) {\n        self.counts[port] += 1;\n    }\n    \
+         pub fn on_initiate(&mut self, port: usize) {\n        \
+         if let Some(c) = self.counts.get_mut(port) {\n            *c += 1;\n        }\n    }\n}\n",
+    )]);
+    let got: Vec<(&str, &str, u32)> = diags
+        .iter()
+        .map(|d| (d.rule.as_str(), d.symbol.as_str(), d.line))
+        .collect();
+    assert_eq!(
+        got,
+        vec![("panic-path", "emulation::Device::on_frame", 6)],
+        "{diags:#?}"
+    );
+}

@@ -154,7 +154,7 @@ fn partial_deployment_on_a_line_still_snapshots_consistently() {
     // Disable switches 1 and 2 and remove them from the observer set.
     for sw in [1u16, 2] {
         tb.network_mut().switches[usize::from(sw)].snapshot_enabled = false;
-        tb.network_mut().observer.detach_device(sw);
+        tb.network_mut().observer.pipeline.detach_device(sw);
     }
     tb.set_source(
         0,
@@ -212,7 +212,7 @@ fn node_attachment_joins_the_next_epoch() {
     );
     attach_workload(&mut tb, Workload::Memcache, 6);
     // Detach spine 3 from the observer before anything runs.
-    tb.network_mut().observer.detach_device(3);
+    tb.network_mut().observer.pipeline.detach_device(3);
     tb.run_until(Instant::ZERO + Duration::from_millis(45));
     let before = tb.snapshots().len();
     assert!(before >= 2);
@@ -221,7 +221,7 @@ fn node_attachment_joins_the_next_epoch() {
     }
     // Re-attach: present from the next epoch.
     let units = tb.network().switches[3].unit_ids();
-    tb.network_mut().observer.register_device(3, units);
+    tb.network_mut().observer.pipeline.register_device(3, units);
     tb.run_until(Instant::ZERO + Duration::from_millis(160));
     let after: Vec<_> = tb.snapshots()[before..].to_vec();
     assert!(!after.is_empty());
